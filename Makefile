@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-smoke bench bench-json bench-fleet-json bench-profile bench-smoke cover ci
+.PHONY: build test vet fmt race fuzz-smoke bench bench-json bench-fleet-json bench-profile bench-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -67,7 +67,12 @@ bench-profile:
 # actually ran — it is the guard on the instrumented hot path — and the
 # awk gate holds the streaming correlator at >=10x over the PR-5
 # incremental baseline (68,356,328 ns/op, BENCH_hotpath.json): a
-# regression past 6,835,632 ns/op fails CI.
+# regression past 6,835,632 ns/op fails CI. The device-clone gate holds
+# BenchmarkDeviceClone's B/op and allocs/op (deterministic, unlike its
+# ns/op) to at most 5% over the clone_bytes_per_op/clone_allocs_per_op
+# that `make bench-json` writes into BENCH_parallel.json, read from that
+# file. BenchmarkSoftReboot runs once so the reboot-layer benchmark
+# cannot rot.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/telemetry \
 		| tee /tmp/jgre-bench-smoke.out
@@ -77,14 +82,16 @@ bench-smoke:
 			printf "bench-smoke: BenchmarkCorrelate/incremental %s ns/op exceeds the 10x target (6835632 ns/op)\n", $$3; exit 1 } } \
 		END { if (!found) { print "bench-smoke: BenchmarkCorrelate/incremental did not run"; exit 1 } }' \
 		/tmp/jgre-bench-smoke.out
-	$(GO) test -bench='^BenchmarkDevice(Boot|Clone)$$' -benchtime=400x -run '^$$' . \
+	$(GO) test -bench='^BenchmarkDevice(Boot|Clone)$$' -benchtime=400x -benchmem -run '^$$' . \
 		| tee /tmp/jgre-clone-smoke.out
-	@awk '/^BenchmarkDeviceBoot/ { boot = $$3 + 0 } /^BenchmarkDeviceClone/ { clone = $$3 + 0 } \
-		END { if (!boot || !clone) { print "bench-smoke: device boot/clone benchmarks did not run"; exit 1 } \
-			ratio = boot / clone; \
-			if (ratio < 50) { printf "bench-smoke: clone is only %.1fx faster than boot (want >= 50x)\n", ratio; exit 1 } \
-			printf "bench-smoke: device clone %.1fx faster than boot\n", ratio }' \
-		/tmp/jgre-clone-smoke.out
+	@awk -F '[:,]' 'FNR == NR { if ($$1 ~ /"clone_bytes_per_op"/) jb = $$2 + 0; if ($$1 ~ /"clone_allocs_per_op"/) ja = $$2 + 0; next } \
+		/^BenchmarkDeviceClone/ { n = split($$0, f, /[ \t]+/); for (i = 2; i <= n; i++) { if (f[i] == "B/op") b = f[i-1] + 0; if (f[i] == "allocs/op") a = f[i-1] + 0 } } \
+		END { if (!jb || !ja) { print "bench-smoke: BENCH_parallel.json has no clone_bytes_per_op/clone_allocs_per_op (make bench-json)"; exit 1 } \
+			if (!b || !a) { print "bench-smoke: BenchmarkDeviceClone did not run"; exit 1 } \
+			if (b > jb * 1.05 || a > ja * 1.05) { printf "bench-smoke: device clone %d B/op, %d allocs/op exceeds 5%% over BENCH_parallel.json (%d B/op, %d allocs/op)\n", b, a, jb, ja; exit 1 } \
+			printf "bench-smoke: device clone %d B/op, %d allocs/op (BENCH_parallel.json %d, %d; gate +5%%)\n", b, a, jb, ja }' \
+		BENCH_parallel.json /tmp/jgre-clone-smoke.out
+	$(GO) test -bench='^BenchmarkSoftReboot$$' -benchtime=1x -run '^$$' ./internal/device
 	$(GO) test -bench='^BenchmarkTransactLogged$$' -benchtime=2000x -run '^$$' ./internal/binder \
 		| tee /tmp/jgre-hotpath-smoke.out
 	@awk '/^BenchmarkTransactLogged\/unbounded/ { ub = $$3 + 0 } /^BenchmarkTransactLogged\/ring-flood/ { rf = $$3 + 0 } \
@@ -134,4 +141,8 @@ cover:
 		awk -v t="$$total" 'BEGIN { exit (t >= 80.0) ? 0 : 1 }' \
 		|| { echo "cover: internal/trace coverage $$total% below 80% floor"; exit 1; }
 
-ci: vet build test race fuzz-smoke bench-smoke cover
+# Every Go file must be gofmt-clean.
+fmt:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "fmt: gofmt -l reports:"; echo "$$files"; exit 1; }
+
+ci: fmt vet build test race fuzz-smoke bench-smoke cover

@@ -60,20 +60,25 @@ type Report struct {
 	// gomaxprocs keeps the envelope honest: a sweep run with GOMAXPROCS
 	// raised above the physical core count cannot demonstrate a real
 	// parallel win, and the pair makes that visible in the artifact.
-	NumCPU  int `json:"num_cpu"`
-	Workers int `json:"workers"`
-	Scale         string        `json:"scale"`
-	Sweeps        []SweepTiming `json:"sweeps"`
-	TotalSeqS     float64       `json:"total_sequential_s"`
-	TotalParS     float64       `json:"total_parallel_s"`
-	Speedup       float64       `json:"speedup"`
+	NumCPU    int           `json:"num_cpu"`
+	Workers   int           `json:"workers"`
+	Scale     string        `json:"scale"`
+	Sweeps    []SweepTiming `json:"sweeps"`
+	TotalSeqS float64       `json:"total_sequential_s"`
+	TotalParS float64       `json:"total_parallel_s"`
+	Speedup   float64       `json:"speedup"`
 	// BootNs/CloneNs time a from-scratch device boot against a
 	// copy-on-write clone of a sealed boot template — the per-shard cost
-	// every sweep above actually pays. CloneBootRatio is boot/clone;
-	// `make bench-smoke` gates it at ≥50.
+	// every sweep above actually pays. CloneBootRatio is boot/clone.
 	BootNs         int64   `json:"boot_ns"`
 	CloneNs        int64   `json:"clone_ns"`
 	CloneBootRatio float64 `json:"clone_boot_ratio"`
+	// CloneBytesPerOp/CloneAllocsPerOp are the clone's heap bytes and
+	// allocations, counted the way BenchmarkDeviceClone's B/op and
+	// allocs/op are. Unlike the timings they are deterministic, so
+	// `make bench-smoke` gates the benchmark at ≤5% above them.
+	CloneBytesPerOp  int64 `json:"clone_bytes_per_op"`
+	CloneAllocsPerOp int64 `json:"clone_allocs_per_op"`
 }
 
 // FleetTiming is one slot mode's fleet-baseline throughput measurement.
@@ -174,22 +179,23 @@ func fleetBench(devices, workers int) (FleetReport, error) {
 	return rep, nil
 }
 
-// timeBootClone measures median from-scratch boot time and median clone
-// time off one sealed template.
-func timeBootClone() (bootNs, cloneNs int64, err error) {
+// timeBootClone fills rep's device fields: median from-scratch boot
+// time, median clone time off one sealed template, and the clones' mean
+// heap bytes and allocations.
+func timeBootClone(rep *Report) error {
 	const rounds = 15
 	runtime.GC() // boot and clone phases start from the same heap state
 	boots := make([]time.Duration, rounds)
 	for i := range boots {
 		t0 := time.Now()
 		if _, err := device.BootFresh(device.Config{Seed: int64(i)}); err != nil {
-			return 0, 0, err
+			return err
 		}
 		boots[i] = time.Since(t0)
 	}
 	tmpl, err := device.BootFresh(device.Config{Seed: 1})
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	tmpl.Snapshot()
 	runtime.GC()
@@ -197,20 +203,30 @@ func timeBootClone() (bootNs, cloneNs int64, err error) {
 	// granularity.
 	const batch = 64
 	clones := make([]time.Duration, rounds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := range clones {
 		t0 := time.Now()
 		for j := 0; j < batch; j++ {
 			if _, err := tmpl.CloneWithSeed(int64(i*batch + j)); err != nil {
-				return 0, 0, err
+				return err
 			}
 		}
 		clones[i] = time.Since(t0) / batch
 	}
+	runtime.ReadMemStats(&after)
 	median := func(ds []time.Duration) int64 {
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 		return int64(ds[len(ds)/2])
 	}
-	return median(boots), median(clones), nil
+	rep.BootNs, rep.CloneNs = median(boots), median(clones)
+	if rep.CloneNs > 0 {
+		rep.CloneBootRatio = float64(rep.BootNs) / float64(rep.CloneNs)
+	}
+	n := uint64(rounds * batch)
+	rep.CloneBytesPerOp = int64((after.TotalAlloc - before.TotalAlloc) / n)
+	rep.CloneAllocsPerOp = int64((after.Mallocs - before.Mallocs) / n)
+	return nil
 }
 
 func main() {
@@ -280,15 +296,12 @@ func main() {
 	}
 	// Boot/clone timing runs first, on a quiet heap — after the sweeps the
 	// retained envelopes distort the GC share of both measurements.
-	rep.BootNs, rep.CloneNs, err = timeBootClone()
-	if err != nil {
+	if err := timeBootClone(&rep); err != nil {
 		log.Fatalf("boot/clone timing: %v", err)
 	}
-	if rep.CloneNs > 0 {
-		rep.CloneBootRatio = float64(rep.BootNs) / float64(rep.CloneNs)
-	}
-	fmt.Printf("%-12s             boot %8.3fms  clone  %8.3fms  ratio   %.1fx\n",
-		"DEVICE", float64(rep.BootNs)/1e6, float64(rep.CloneNs)/1e6, rep.CloneBootRatio)
+	fmt.Printf("%-12s             boot %8.3fms  clone  %8.3fms  ratio   %.1fx  clone %d B/op %d allocs/op\n",
+		"DEVICE", float64(rep.BootNs)/1e6, float64(rep.CloneNs)/1e6, rep.CloneBootRatio,
+		rep.CloneBytesPerOp, rep.CloneAllocsPerOp)
 
 	ctx := context.Background()
 	for _, sc := range scenario.List() {

@@ -240,9 +240,12 @@ type Driver struct {
 	// nodes holds every node the driver has minted, indexed by handle-1:
 	// handles are issued densely from 1, so one slice replaces the three
 	// maps (by handle, by binder, by owner) this used to take. The
-	// binder→node edge lives on the LocalBinder itself; per-owner walks
-	// (process death only) scan the slice.
+	// binder→node edge lives on the LocalBinder itself. The one per-owner
+	// walk, process death, is bounded by owned: a count of the nodes each
+	// pid owns, so a process that owns none skips the walk and one that
+	// does stops at its last node instead of scanning the whole slice.
 	nodes []*node
+	owned map[kernel.Pid]int
 	ctxs  map[kernel.Pid]*procContext
 	// nodeSlab and lbSlab are block allocators for nodes and
 	// LocalBinders: boot (and every device clone) mints one of each per
@@ -341,6 +344,7 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 	var d *Driver
 	if prev != nil {
 		d = prev
+		clear(d.owned)
 		clear(d.ctxs)
 		clear(d.byPid)
 		clear(d.byUid)
@@ -349,6 +353,7 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 			cfg:      cfg,
 			clock:    k.Clock(),
 			nodes:    d.nodes[:0],
+			owned:    d.owned,
 			ctxs:     d.ctxs,
 			byPid:    d.byPid,
 			byUid:    d.byUid,
@@ -365,6 +370,7 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 			// Booting (or cloning) a device mints a node per census service;
 			// presizing skips the append-growth copies on that path.
 			nodes: make([]*node, 0, 128),
+			owned: make(map[kernel.Pid]int),
 			ctxs:  make(map[kernel.Pid]*procContext),
 			byPid: make(map[kernel.Pid][]int),
 			byUid: make(map[kernel.Uid][]int),
@@ -537,6 +543,7 @@ func (d *Driver) ensureNode(lb *LocalBinder) *node {
 	n := &d.nodeSlab[len(d.nodeSlab)-1]
 	*n = node{handle: Handle(len(d.nodes) + 1), local: lb, owner: lb.owner}
 	d.nodes = append(d.nodes, n)
+	d.owned[lb.owner.Pid()]++
 	lb.node = n
 	return n
 }
@@ -810,8 +817,21 @@ func (d *Driver) onProcessDeath(p *kernel.Process) {
 			}
 		}
 	}
+	// Walk the nodes in handle order, so death recipients fire in handle
+	// order, and stop after the pid's last one. A recipient may re-flatten
+	// one of the dead pid's binders: the node that mints lands past the
+	// range and is not reaped.
+	left := d.owned[pid]
+	delete(d.owned, pid)
 	for _, n := range d.nodes {
-		if n.dead || n.owner.Pid() != pid {
+		if left == 0 {
+			break
+		}
+		if n.owner.Pid() != pid {
+			continue
+		}
+		left--
+		if n.dead {
 			continue
 		}
 		n.dead = true

@@ -2,6 +2,9 @@ package binder
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -545,5 +548,200 @@ func TestLocalFrameHygiene(t *testing.T) {
 	}
 	if got := r.server.VM().GlobalRefCount(); got < 2000 {
 		t.Fatalf("global refs = %d; retention must use the global table", got)
+	}
+}
+
+// reapNodesByScan is the process-death node walk the per-owner node
+// counts replaced, a scan of every node the driver has minted. It is
+// kept as the oracle the bounded walk is checked against.
+func reapNodesByScan(d *Driver, pid kernel.Pid) {
+	for _, n := range d.nodes {
+		if n.dead || n.owner.Pid() != pid {
+			continue
+		}
+		n.dead = true
+		n.ownerJGR = 0
+		links := append([]*DeathLink(nil), n.links...)
+		n.links = nil
+		for _, dl := range links {
+			if dl.holder.proc.Alive() {
+				dl.fire()
+			}
+		}
+		n.local.node = nil
+	}
+}
+
+// ownedByScan counts every pid's live nodes by scanning them all. The
+// driver's per-owner counts must equal it whenever no death is being
+// reaped.
+func ownedByScan(d *Driver) map[kernel.Pid]int {
+	out := make(map[kernel.Pid]int)
+	for _, n := range d.nodes {
+		if !n.dead {
+			out[n.owner.Pid()]++
+		}
+	}
+	return out
+}
+
+// reapRig is one side of the death-walk differential: a device whose
+// driver reaps dead processes' nodes with its bounded walk or, when
+// byScan is set, with reapNodesByScan. Every recipient firing and the
+// dead-node set after every kill go to log.
+type reapRig struct {
+	k      *kernel.Kernel
+	d      *Driver
+	byScan bool
+	log    []string
+}
+
+func newReapRig(prev *Driver, byScan bool) *reapRig {
+	r := &reapRig{k: kernel.New(simclock.New(), kernel.Config{}), byScan: byScan}
+	if byScan {
+		// Kill observers run in registration order. Clearing the counts
+		// just before the driver's observer leaves its bounded walk
+		// nothing to visit; the scan then runs right after it, where the
+		// node walk sat in onProcessDeath: once the dead process's own
+		// proxies and links are released.
+		r.k.OnKill(func(*kernel.Process, string) { clear(r.d.owned) })
+	}
+	r.d = NewReusing(prev, r.k, Config{})
+	if byScan {
+		r.k.OnKill(func(p *kernel.Process, _ string) { reapNodesByScan(r.d, p.Pid()) })
+	}
+	return r
+}
+
+func (r *reapRig) checkOwned(t *testing.T, when string) {
+	t.Helper()
+	if r.byScan {
+		return
+	}
+	if want := ownedByScan(r.d); !maps.Equal(r.d.owned, want) {
+		t.Fatalf("%s: per-owner node counts %v, scan %v", when, r.d.owned, want)
+	}
+}
+
+func (r *reapRig) kill(t *testing.T, p *kernel.Process) {
+	t.Helper()
+	r.log = append(r.log, "kill "+p.Name())
+	if err := r.k.Kill(p.Pid(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	var dead []Handle
+	for _, n := range r.d.nodes {
+		if n.dead {
+			dead = append(dead, n.handle)
+		}
+	}
+	r.log = append(r.log, fmt.Sprintf("dead nodes %v", dead))
+	r.checkOwned(t, "after kill "+p.Name())
+}
+
+// play runs the differential scenario. shift spawns that many idle
+// processes first, so a recycled driver sees its old pids in new roles.
+func (r *reapRig) play(t *testing.T, shift int) {
+	spawn := func(name string) *kernel.Process {
+		return r.k.Spawn(kernel.SpawnConfig{Name: name, Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj})
+	}
+	for i := 0; i < shift; i++ {
+		spawn("idle")
+	}
+	a, d, x, h1, h2, h3 := spawn("a"), spawn("d"), spawn("x"), spawn("h1"), spawn("h2"), spawn("h3")
+	// One node each, minted in this order, so the owners' handles
+	// interleave and a's and d's walks must skip other owners' nodes.
+	owners := []*kernel.Process{a, d, a, x, d, a, x, a, d, h1, h1}
+	lbs := make([]*LocalBinder, len(owners))
+	for i, o := range owners {
+		lbs[i] = r.d.NewLocalBinder(o, fmt.Sprintf("n%d", i), nil)
+		r.d.HandleOf(lbs[i])
+	}
+	r.checkOwned(t, "after minting")
+	link := func(holder *kernel.Process, i int, then func()) {
+		t.Helper()
+		ref, err := r.d.Materialize(holder, lbs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := r.d.HandleOf(lbs[i])
+		if _, err := ref.Binder().LinkToDeath(func() {
+			r.log = append(r.log, fmt.Sprintf("fire %s on handle %d (n%d)", holder.Name(), h, i))
+			if then != nil {
+				then()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a's first node: the first recipient kills x, a cascade inside a's
+	// walk that reaps x's interleaved nodes and drops x's own link on
+	// a's n5 before the walk reaches it.
+	link(h2, 0, func() { r.k.Kill(x.Pid(), "cascade") })
+	link(h1, 0, nil)
+	link(x, 5, nil)
+	link(h1, 3, nil)
+	link(h1, 6, nil)
+	// A recipient re-flattens two of a's binders mid-walk: n0's node is
+	// already reaped, so it mints a fresh node past the walk; n7's is
+	// not reached yet, so it resolves to the node the walk will reap.
+	link(h3, 2, func() {
+		r.log = append(r.log, fmt.Sprintf("re-flatten n0 -> handle %d, n7 -> handle %d", r.d.HandleOf(lbs[0]), r.d.HandleOf(lbs[7])))
+	})
+	link(h2, 7, nil)
+	link(h3, 1, nil)
+	link(h3, 4, nil)
+	link(h3, 8, nil)
+	link(h2, 9, nil)
+	link(d, 10, nil)
+	r.checkOwned(t, "after linking")
+
+	r.kill(t, a)
+	// A dead process's binder re-flattened after its death mints a node
+	// owned by the dead pid; linking to it reports a dead object.
+	ref, err := r.d.Materialize(h1, lbs[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ref.Binder().LinkToDeath(func() {})
+	r.log = append(r.log, fmt.Sprintf("re-flatten n2 -> handle %d, n5 -> handle %d, link: %v", r.d.HandleOf(lbs[2]), r.d.HandleOf(lbs[5]), err))
+	r.checkOwned(t, "after re-flattening")
+	r.kill(t, d)
+	r.kill(t, h2) // holds links, owns no node
+	r.kill(t, h1)
+}
+
+// TestDeathWalkMatchesScan checks the count-bounded process-death walk
+// against reapNodesByScan: the nodes marked dead after every kill and
+// the order in which death recipients fire must be identical, through a
+// cascade kill inside a recipient, binders of a dead process re-flattened
+// during and after its death, and a driver recycled by NewReusing.
+func TestDeathWalkMatchesScan(t *testing.T) {
+	bounded, scan := newReapRig(nil, false), newReapRig(nil, true)
+	bounded.play(t, 0)
+	scan.play(t, 0)
+	if !slices.Equal(bounded.log, scan.log) {
+		t.Fatalf("bounded walk diverged from the scan\nbounded: %q\nscan:    %q", bounded.log, scan.log)
+	}
+	for _, want := range []string{
+		"fire h2 on handle 1 (n0)",
+		"fire h1 on handle 4 (n3)",
+		"fire h1 on handle 7 (n6)",
+		"re-flatten n0 -> handle 12, n7 -> handle 8",
+	} {
+		if !slices.Contains(bounded.log, want) {
+			t.Fatalf("scenario did not exercise %q:\n%q", want, bounded.log)
+		}
+	}
+
+	// A recycled driver must start from empty counts: the shifted pids
+	// make every stale count wrong.
+	recycled := newReapRig(bounded.d, false)
+	recycled.checkOwned(t, "after NewReusing")
+	scan = newReapRig(nil, true)
+	recycled.play(t, 3)
+	scan.play(t, 3)
+	if !slices.Equal(recycled.log, scan.log) {
+		t.Fatalf("recycled driver's walk diverged from the scan\nbounded: %q\nscan:    %q", recycled.log, scan.log)
 	}
 }

@@ -207,8 +207,11 @@ type fakeLifecycle struct {
 	restores []time.Duration
 }
 
-func (f *fakeLifecycle) Kill()          { f.kills = append(f.kills, f.dev.Clock().Now()) }
-func (f *fakeLifecycle) Restore() error { f.restores = append(f.restores, f.dev.Clock().Now()); return nil }
+func (f *fakeLifecycle) Kill() { f.kills = append(f.kills, f.dev.Clock().Now()) }
+func (f *fakeLifecycle) Restore() error {
+	f.restores = append(f.restores, f.dev.Clock().Now())
+	return nil
+}
 
 // TestDefenderBounceSchedule: the defender actor kills on its cadence,
 // restores after the downtime, and MaxFaults bounds the total.

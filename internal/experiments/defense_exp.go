@@ -251,7 +251,7 @@ func ResponseDelays(ctx context.Context, scale Scale, workers int) ([]DelayRow, 
 	// prebuilt-app victims, in canonical order.
 	type delayShard struct {
 		idx   int
-		iface catalog.Interface    // system-service victim when app == nil
+		iface catalog.Interface     // system-service victim when app == nil
 		app   *catalog.AppInterface // prebuilt-app victim
 	}
 	var shards []delayShard

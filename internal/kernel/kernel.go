@@ -146,9 +146,11 @@ const SystemServerName = "system_server"
 // A cloned kernel shares its template's process table as an immutable
 // frozen base: processes materialize into the clone's own table (procs)
 // only when a caller needs a mutable handle (Kill, Process, FindProcess,
-// Processes). Read-only scans — LMK accounting, RunningCount — walk the
-// frozen base directly, so a clone of a 400-process device costs a few
-// map allocations rather than 400 process + VM constructions.
+// Processes). RunningCount and the LMK's memory check read counters
+// copied from the template and kept on every aliveness transition; only
+// LMK victim selection walks the merged view, and only once app memory is
+// over budget. A clone of a 400-process device thus costs a few map
+// allocations rather than 400 process + VM constructions.
 type Kernel struct {
 	clock   *simclock.Clock
 	cfg     Config
@@ -165,6 +167,10 @@ type Kernel struct {
 	// gauge and a post-clone sanity check, both of which would otherwise
 	// scan the full process table.
 	running int
+	// appMemKB is the RSS of alive app-uid processes, kept on the same
+	// transitions as running, so the LMK check after every Spawn is O(1)
+	// instead of a walk over every process the device has ever had.
+	appMemKB int
 
 	softReboots int
 	lmkKills    int
@@ -261,6 +267,7 @@ func (k *Kernel) CloneReusing(prev *Kernel, clock *simclock.Clock, onSystemServe
 		softReboots: k.softReboots,
 		lmkKills:    k.lmkKills,
 		running:     k.running,
+		appMemKB:    k.appMemKB,
 		onKill:      onKill,
 	}
 	for pid, p := range procs {
@@ -420,6 +427,9 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 
 	k.procs[p.pid] = p
 	k.running++
+	if IsAppUid(p.uid) {
+		k.appMemKB += p.memoryKB
+	}
 	k.runLMK()
 	return p
 }
@@ -482,12 +492,26 @@ func (k *Kernel) Kill(pid Pid, reason string) error {
 		return ErrNoSuchProcess
 	}
 	p := k.materialize(pid)
+	k.exit(p, reason)
+	if p.name == SystemServerName {
+		k.softReboot("system_server died: " + reason)
+	}
+	return nil
+}
+
+// exit is the alive→dead transition shared by Kill and the soft-reboot
+// victim loop: it takes p out of the running and app-memory counters,
+// then fires p's death notifications and the kill observers. Death
+// notifications fire in registration order; recipients may kill further
+// processes (binder death cascades), which is safe because each Kill is
+// idempotent per pid.
+func (k *Kernel) exit(p *Process, reason string) {
 	p.alive = false
 	k.running--
+	if IsAppUid(p.uid) {
+		k.appMemKB -= p.memoryKB
+	}
 	p.exitReason = reason
-	// Death notifications fire in registration order; recipients may kill
-	// further processes (binder death cascades), which is safe because
-	// each Kill is idempotent per pid.
 	for _, fn := range p.deathFns {
 		fn(p)
 	}
@@ -495,10 +519,6 @@ func (k *Kernel) Kill(pid Pid, reason string) error {
 	for _, fn := range k.onKill {
 		fn(p, reason)
 	}
-	if p.name == SystemServerName {
-		k.softReboot("system_server died: " + reason)
-	}
-	return nil
 }
 
 // softReboot models Android's crash recovery: when system_server dies the
@@ -520,31 +540,11 @@ func (k *Kernel) softReboot(reason string) {
 		if !p.alive {
 			continue // already killed by an earlier victim's death cascade
 		}
-		p.alive = false
-		k.running--
-		p.exitReason = "soft reboot: " + reason
-		for _, fn := range p.deathFns {
-			fn(p)
-		}
-		p.deathFns = nil
-		for _, fn := range k.onKill {
-			fn(p, p.exitReason)
-		}
+		k.exit(p, "soft reboot: "+reason)
 	}
 	if cb := k.cfg.OnSystemServerDeath; cb != nil {
 		cb(reason)
 	}
-}
-
-// appMemoryKB sums the RSS of alive app-uid processes.
-func (k *Kernel) appMemoryKB() int {
-	total := 0
-	k.each(func(p *Process) {
-		if p.alive && IsAppUid(p.uid) {
-			total += p.memoryKB
-		}
-	})
-	return total
 }
 
 // runLMK applies the low memory killer policy: while app memory exceeds
@@ -552,7 +552,7 @@ func (k *Kernel) appMemoryKB() int {
 // (breaking ties by oldest start time), never touching processes with
 // adj <= 0. This mirrors Android's LMK victim selection (paper §VII).
 func (k *Kernel) runLMK() {
-	for k.appMemoryKB() > k.cfg.AppMemoryBudgetKB {
+	for k.appMemKB > k.cfg.AppMemoryBudgetKB {
 		victim := k.lmkVictim()
 		if victim == nil {
 			return // only unkillable processes left

@@ -2,6 +2,9 @@ package kernel
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -278,5 +281,229 @@ func TestIsAppUid(t *testing.T) {
 	}
 	if !IsAppUid(FirstAppUid) || !IsAppUid(10061) {
 		t.Fatal("app uid not classified as app")
+	}
+}
+
+// scanAppMemoryKB is the whole-table walk the maintained appMemKB counter
+// replaced, kept as the oracle the counter is checked against.
+func scanAppMemoryKB(k *Kernel) int {
+	total := 0
+	k.each(func(p *Process) {
+		if p.alive && IsAppUid(p.uid) {
+			total += p.memoryKB
+		}
+	})
+	return total
+}
+
+// lmkProc is the slice of process state the scan-driven LMK reads.
+type lmkProc struct {
+	pid     Pid
+	uid     Uid
+	adj     int
+	memKB   int
+	started time.Duration
+	alive   bool
+}
+
+// scanLMK replays the LMK loop as it ran before the counter: re-sum alive
+// app memory by a scan on every iteration and evict the victim
+// lmkVictim's rule picks. It returns the victims in eviction order.
+func scanLMK(procs []lmkProc, budgetKB int) []Pid {
+	var victims []Pid
+	for {
+		total := 0
+		for _, p := range procs {
+			if p.alive && IsAppUid(p.uid) {
+				total += p.memKB
+			}
+		}
+		if total <= budgetKB {
+			return victims
+		}
+		vi := -1
+		for i, p := range procs {
+			if !p.alive || !IsAppUid(p.uid) || p.adj <= 0 {
+				continue
+			}
+			if vi < 0 {
+				vi = i
+				continue
+			}
+			v := procs[vi]
+			if p.adj > v.adj || (p.adj == v.adj && p.started < v.started) ||
+				(p.adj == v.adj && p.started == v.started && p.pid < v.pid) {
+				vi = i
+			}
+		}
+		if vi < 0 {
+			return victims
+		}
+		procs[vi].alive = false
+		victims = append(victims, procs[vi].pid)
+	}
+}
+
+// lmkHarness drives a seeded random sequence of process-lifecycle
+// operations and checks the app-memory counter against the scan after
+// every step, and every Spawn's LMK victims against scanLMK.
+type lmkHarness struct {
+	t    *testing.T
+	seed int64
+	rng  *rand.Rand
+	k    *Kernel
+	lmk  []Pid
+	step int
+	// evictions and reboots tally what the run exercised, so the test
+	// cannot pass vacuously.
+	evictions, reboots int
+}
+
+func (h *lmkHarness) attach(k *Kernel) {
+	h.k = k
+	k.OnKill(func(p *Process, reason string) {
+		if reason == "lmk" {
+			h.lmk = append(h.lmk, p.pid)
+		}
+	})
+}
+
+func (h *lmkHarness) alive() []lmkProc {
+	var out []lmkProc
+	h.k.each(func(p *Process) {
+		if p.alive {
+			out = append(out, lmkProc{p.pid, p.uid, p.oomScoreAdj, p.memoryKB, p.startedAt, true})
+		}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].pid < out[j].pid })
+	return out
+}
+
+func (h *lmkHarness) spawn(cfg SpawnConfig) {
+	mem := cfg.MemoryKB
+	if mem == 0 {
+		mem = DefaultAppMemoryKB
+	}
+	procs := append(h.alive(), lmkProc{h.k.nextPid, cfg.Uid, cfg.OomScoreAdj, mem, h.k.clock.Now(), true})
+	want := scanLMK(procs, h.k.cfg.AppMemoryBudgetKB)
+	h.lmk = nil
+	h.k.Spawn(cfg)
+	if !slices.Equal(h.lmk, want) {
+		h.t.Fatalf("seed %d step %d: spawning %s evicted %v, scan-driven LMK evicts %v", h.seed, h.step, cfg.Name, h.lmk, want)
+	}
+	h.evictions += len(want)
+}
+
+func (h *lmkHarness) spawnApp() {
+	adjs := []int{PersistentProcAdj, ForegroundAppAdj, VisibleAppAdj, PerceptibleAppAdj, ServiceAdj, CachedAppMinAdj, CachedAppMaxAdj}
+	mem := 0 // DefaultAppMemoryKB
+	if h.rng.Intn(2) == 0 {
+		mem = 1 + h.rng.Intn(80*1024)
+	}
+	h.spawn(SpawnConfig{Name: "app", Uid: FirstAppUid + Uid(h.rng.Intn(40)), OomScoreAdj: adjs[h.rng.Intn(len(adjs))], MemoryKB: mem})
+}
+
+func (h *lmkHarness) spawnSystemServer() {
+	h.spawn(SpawnConfig{Name: SystemServerName, Uid: SystemUid, OomScoreAdj: SystemAdj,
+		MemoryKB: 1 + h.rng.Intn(200*1024), VM: art.Config{MaxGlobalRefs: 3}})
+}
+
+// restart is the OnSystemServerDeath hook: like the device layer, it
+// brings system_server back and respawns a few app daemons.
+func (h *lmkHarness) restart(string) {
+	h.reboots++
+	h.spawnSystemServer()
+	for i := h.rng.Intn(4); i > 0; i-- {
+		h.spawnApp()
+	}
+}
+
+func (h *lmkHarness) randomAlive() *Process {
+	procs := h.alive()
+	if len(procs) == 0 {
+		return nil
+	}
+	return h.k.Process(procs[h.rng.Intn(len(procs))].pid)
+}
+
+func (h *lmkHarness) do() {
+	h.step++
+	switch op := h.rng.Intn(20); {
+	case op < 7:
+		h.spawnApp()
+	case op < 9:
+		uids := []Uid{RootUid, SystemUid}
+		h.spawn(SpawnConfig{Name: "daemon", Uid: uids[h.rng.Intn(2)], OomScoreAdj: PersistentProcAdj, MemoryKB: 1 + h.rng.Intn(80*1024)})
+	case op < 13:
+		if p := h.randomAlive(); p != nil && p.name != SystemServerName {
+			h.k.Kill(p.pid, "test")
+		}
+	case op < 16:
+		if p := h.randomAlive(); p != nil {
+			p.SetOomScoreAdj(CachedAppMaxAdj - h.rng.Intn(CachedAppMaxAdj-SystemAdj+1))
+		}
+	case op < 17:
+		// Exhaust system_server's JGR table: the runtime aborts, Kill
+		// reaps it and the soft reboot takes everything else down.
+		ss := h.k.FindProcess(SystemServerName)
+		if ss == nil {
+			h.spawnSystemServer()
+			ss = h.k.FindProcess(SystemServerName)
+		}
+		for ss.Alive() {
+			ss.VM().AddGlobalRef(&art.Object{ID: art.ObjectID(h.rng.Int63())})
+		}
+	default:
+		h.k.clock.Advance(time.Duration(h.rng.Intn(3)) * time.Millisecond)
+	}
+	h.check()
+}
+
+func (h *lmkHarness) check() {
+	if got, want := h.k.appMemKB, scanAppMemoryKB(h.k); got != want {
+		h.t.Fatalf("seed %d step %d: app memory counter %d KB, scan %d KB", h.seed, h.step, got, want)
+	}
+	running := 0
+	h.k.each(func(p *Process) {
+		if p.alive {
+			running++
+		}
+	})
+	if h.k.RunningCount() != running {
+		h.t.Fatalf("seed %d step %d: RunningCount %d, scan %d", h.seed, h.step, h.k.RunningCount(), running)
+	}
+}
+
+// TestAppMemoryCounterMatchesScan runs seeded random mixes of spawns (app
+// and system uids, mixed sizes), kills, oom_score_adj changes and
+// system_server JGR exhaustion, first on a template kernel and then on
+// fresh and recycled clones of it.
+func TestAppMemoryCounterMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		h := &lmkHarness{t: t, seed: seed, rng: rand.New(rand.NewSource(seed))}
+		tmpl := New(simclock.New(), Config{AppMemoryBudgetKB: 8 * DefaultAppMemoryKB, OnSystemServerDeath: h.restart})
+		h.attach(tmpl)
+		h.spawnSystemServer()
+		for i := 0; i < 200; i++ {
+			h.do()
+		}
+		tmpl.Seal()
+		var clone *Kernel
+		for round := 0; round < 6; round++ {
+			if round%3 == 0 {
+				clone = tmpl.Clone(simclock.New(), h.restart)
+			} else {
+				clone = tmpl.CloneReusing(clone, simclock.New(), h.restart)
+			}
+			h.attach(clone)
+			h.check()
+			for i := 0; i < 80; i++ {
+				h.do()
+			}
+		}
+		if h.evictions == 0 || h.reboots == 0 {
+			t.Fatalf("seed %d exercised %d LMK evictions and %d soft reboots, want both > 0", seed, h.evictions, h.reboots)
+		}
+		t.Logf("seed %d: %d LMK evictions, %d soft reboots", seed, h.evictions, h.reboots)
 	}
 }

@@ -41,7 +41,7 @@ type Client struct {
 	driver      *binder.Driver
 	sm          *binder.ServiceManager
 	ref         *binder.BinderRef
-	codes       map[string]binder.TxCode
+	codes       map[string]binder.TxCode // shared per service; read-only
 	pkg         string
 	retry       RetryPolicy
 	retries     int
@@ -62,7 +62,7 @@ func NewClient(sm *binder.ServiceManager, d *binder.Driver, proc *kernel.Process
 		driver:      d,
 		sm:          sm,
 		ref:         ref,
-		codes:       MethodCodes(catalog.InterfacesForService(serviceName)),
+		codes:       serviceCodes(serviceName),
 		pkg:         pkg,
 	}, nil
 }

@@ -2,6 +2,7 @@ package services
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/binder"
 	"repro/internal/catalog"
@@ -46,10 +47,25 @@ func MethodNamesFor(ifaces []catalog.Interface) []string {
 	return names
 }
 
+// serviceCodeTables caches each service's MethodCodes table (service
+// name → map[string]binder.TxCode), built on a service's first lookup and
+// shared read-only by every client and CodeFor call after it: a table is
+// a pure function of the static catalog. Only the services a process
+// actually talks to get a table.
+var serviceCodeTables sync.Map
+
+// serviceCodes returns the named service's shared, read-only code table.
+func serviceCodes(serviceName string) map[string]binder.TxCode {
+	if codes, ok := serviceCodeTables.Load(serviceName); ok {
+		return codes.(map[string]binder.TxCode)
+	}
+	codes, _ := serviceCodeTables.LoadOrStore(serviceName, MethodCodes(catalog.InterfacesForService(serviceName)))
+	return codes.(map[string]binder.TxCode)
+}
+
 // CodeFor returns the transaction code of method on the named (catalogued)
 // service.
 func CodeFor(serviceName, method string) (binder.TxCode, bool) {
-	codes := MethodCodes(catalog.InterfacesForService(serviceName))
-	c, ok := codes[method]
+	c, ok := serviceCodes(serviceName)[method]
 	return c, ok
 }

@@ -265,9 +265,9 @@ func TestSnapshotAndValue(t *testing.T) {
 
 	snap := r.Snapshot()
 	want := map[string]float64{
-		"jgre_c_total": 5,
-		"jgre_g":       1.5,
-		"jgre_f":       8,
+		"jgre_c_total":                       5,
+		"jgre_g":                             1.5,
+		"jgre_f":                             8,
 		`jgre_h_seconds_count{phase="read"}`: 2,
 		`jgre_h_seconds_sum{phase="read"}`:   2.25,
 	}
