@@ -20,10 +20,8 @@ import (
 
 	"repro/internal/art"
 	"repro/internal/catalog"
-	"repro/internal/defense"
 	"repro/internal/device"
 	"repro/internal/experiments"
-	"repro/internal/kernel"
 	"repro/internal/simclock"
 )
 
@@ -467,46 +465,6 @@ func BenchmarkDeviceClone(b *testing.B) {
 		}
 		if dev.Kernel().RunningCount() != device.DefaultBaselineProcesses {
 			b.Fatal("bad clone")
-		}
-	}
-}
-
-// BenchmarkDefenderScoring measures Algorithm 1 on a realistic window
-// (ablation for the segment-tree implementation choice; see DESIGN.md).
-func BenchmarkDefenderScoring(b *testing.B) {
-	dev, err := device.Boot(device.Config{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	def, err := defense.New(dev, defense.Config{AlarmThreshold: 100000, EngageThreshold: 200000, KeepRaw: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = def
-	_ = kernel.SystemUid
-	evil, _ := dev.Apps().Install("com.evil.app")
-	client, _ := dev.NewClient(evil, "clipboard")
-	var adds []time.Duration
-	dev.SystemServer().VM().AddJGRHook(func(ev art.JGREvent) {
-		if ev.Op == art.OpAdd {
-			adds = append(adds, ev.Time)
-		}
-	})
-	for i := 0; i < 3000; i++ {
-		if err := client.Register("addPrimaryClipChangedListener"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dev.Driver().FlushLog()
-	records, err := dev.Driver().ReadLog(kernel.SystemUid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scores := def.Score(records, adds)
-		if len(scores) == 0 {
-			b.Fatal("no scores")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package binder
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -16,9 +17,10 @@ import (
 // and lets the driver fill a window straight from its flushed store
 // without materializing intermediate IPCRecord rows.
 //
-// All column slices always have equal length; Append and Filter are the
-// only mutators that change it. A LogColumns is plain data: callers that
-// need concurrency give each goroutine its own value.
+// All column slices always have equal length; Append, Filter and Reset
+// are the only mutators that change it. A LogColumns is plain data:
+// concurrent readers may share one (the Fig. 9 Δ sweep scores one
+// window from a worker pool), but each writer needs its own.
 type LogColumns struct {
 	Seq     []uint64
 	Time    []time.Duration
@@ -80,28 +82,19 @@ func (w *LogColumns) Append(r IPCRecord) {
 	w.Size = append(w.Size, r.Size)
 }
 
-// Record materializes row i as an IPCRecord.
-func (w *LogColumns) Record(i int) IPCRecord {
-	return IPCRecord{
-		Seq:     w.Seq[i],
-		Time:    w.Time[i],
-		FromPid: w.FromPid[i],
-		FromUid: w.FromUid[i],
-		ToPid:   w.ToPid[i],
-		Handle:  w.Handle[i],
-		Code:    w.Code[i],
-		Size:    w.Size[i],
+// Clone returns a deep copy of the window, for callers that keep a
+// window past the next Reset of a reused one.
+func (w *LogColumns) Clone() LogColumns {
+	return LogColumns{
+		Seq:     slices.Clone(w.Seq),
+		Time:    slices.Clone(w.Time),
+		FromPid: slices.Clone(w.FromPid),
+		FromUid: slices.Clone(w.FromUid),
+		ToPid:   slices.Clone(w.ToPid),
+		Handle:  slices.Clone(w.Handle),
+		Code:    slices.Clone(w.Code),
+		Size:    slices.Clone(w.Size),
 	}
-}
-
-// Rows appends every row to dst as IPCRecords and returns it — the
-// escape hatch for consumers that still want row structs (Detection's
-// KeepRaw capture).
-func (w *LogColumns) Rows(dst []IPCRecord) []IPCRecord {
-	for i := 0; i < w.Len(); i++ {
-		dst = append(dst, w.Record(i))
-	}
-	return dst
 }
 
 // Filter compacts the window in place, keeping only rows for which keep
@@ -134,12 +127,16 @@ func (w *LogColumns) Filter(keep func(i int) bool) {
 	w.Size = w.Size[:out]
 }
 
-// AppendLogColumnsSince appends the window ReadLogSince would return —
-// the flushed records targeting victim with sequence numbers beyond
-// afterSeq, oldest first — onto w's columns, straight from the flushed
-// store with no intermediate row slice. It returns the number of rows
-// appended. Permission and fault behaviour match ReadLog: the read-side
-// gauntlet runs before any data is copied.
+// AppendLogColumnsSince appends the flushed records targeting victim
+// with sequence numbers beyond afterSeq, oldest first, onto w's columns,
+// straight from the flushed store with no intermediate row slice. It
+// returns the number of rows appended. It is the driver's only struct
+// reader of the log, so it carries the procfs semantics: injected read
+// faults surface as faults.ErrInjectedRead and app uids are denied
+// (malicious apps can neither observe nor spoof the evidence stream),
+// both before any data is copied. The per-victim position index plus a
+// binary search on the monotone sequence numbers makes the read
+// O(log n + window) rather than a scan over every flushed record.
 func (d *Driver) AppendLogColumnsSince(uid kernel.Uid, victim kernel.Pid, afterSeq uint64, w *LogColumns) (int, error) {
 	if err := d.logReadable(uid); err != nil {
 		return 0, err

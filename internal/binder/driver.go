@@ -2,7 +2,6 @@ package binder
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -259,14 +258,14 @@ type Driver struct {
 	logSeq  uint64
 	// pending buffers records between flushes (bounded when the fault
 	// injector models a kernel ring); flushed is the procfs file's
-	// contents in native struct form, seq-ascending, with byPid/byUid
-	// holding positions into it so window reads are indexed instead of
-	// scanning every record. The text /proc format is rendered lazily
-	// from flushed only when the file itself is read.
+	// contents in native struct form, seq-ascending, with byPid holding
+	// positions into it so a victim's window is read without scanning
+	// every record. AppendLogColumnsSince is the one struct reader; the
+	// text /proc format is rendered lazily from flushed only when the
+	// file itself is read.
 	pending      logRing
 	flushed      []IPCRecord
 	byPid        map[kernel.Pid][]int
-	byUid        map[kernel.Uid][]int
 	totalTx      uint64
 	totalLogged  uint64
 	droppedFault uint64
@@ -307,7 +306,7 @@ type Config struct {
 
 	// Faults, when non-nil, perturbs the IPC telemetry path: record
 	// drops, a bounded pending-log ring, and timestamp jitter/skew are
-	// applied at log-write time; read errors at ReadLog time. The
+	// applied at log-write time; read errors at log-read time. The
 	// transaction path itself — dispatch, latency, JGR bookkeeping — is
 	// never faulted, so a device with a fault injector executes the same
 	// trajectory as one without; only the evidence the defender sees
@@ -347,7 +346,6 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 		clear(d.owned)
 		clear(d.ctxs)
 		clear(d.byPid)
-		clear(d.byUid)
 		*d = Driver{
 			k:        k,
 			cfg:      cfg,
@@ -356,7 +354,6 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 			owned:    d.owned,
 			ctxs:     d.ctxs,
 			byPid:    d.byPid,
-			byUid:    d.byUid,
 			nodeSlab: d.nodeSlab[:0],
 			lbSlab:   d.lbSlab[:0],
 			pending:  logRing{buf: d.pending.buf},
@@ -373,7 +370,6 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 			owned: make(map[kernel.Pid]int),
 			ctxs:  make(map[kernel.Pid]*procContext),
 			byPid: make(map[kernel.Pid][]int),
-			byUid: make(map[kernel.Uid][]int),
 		}
 	}
 	k.OnKill(func(p *kernel.Process, _ string) { d.onProcessDeath(p) })
@@ -854,8 +850,8 @@ func (d *Driver) onProcessDeath(p *kernel.Process) {
 // only procfs log file and its telemetry-stats companion. Idempotent.
 // The log file is provider-backed: the driver keeps flushed records as
 // structs and renders the text /proc format only when the file itself is
-// read, so struct consumers (the defender, dumpsys) never pay for the
-// format/parse round trip.
+// read, so the defender's columnar reads never pay for the format/parse
+// round trip.
 func (d *Driver) EnableIPCLogging() error {
 	if !d.procfsOpened {
 		if err := d.k.ProcFS().CreateProvider(LogPath, kernel.RootUid, false, d.renderLog); err != nil {
@@ -929,7 +925,7 @@ func (d *Driver) LoggingEnabled() bool { return d.logging }
 
 // renderLog produces the procfs text form of the flushed log — one
 // IPCRecord.String line per record — on demand, when somebody reads the
-// /proc file itself rather than the struct APIs.
+// /proc file itself rather than through AppendLogColumnsSince.
 func (d *Driver) renderLog() []byte {
 	if len(d.flushed) == 0 {
 		return nil
@@ -944,10 +940,10 @@ func (d *Driver) renderLog() []byte {
 }
 
 // FlushLog moves all buffered records into the procfs file's backing
-// store and indexes them by victim pid and sender uid. It returns the
-// number of records flushed. The pending buffer is cleared even when the
-// file is gone (matching a failed append after the write-side buffer was
-// consumed); the records are then lost, as before.
+// store and indexes them by victim pid. It returns the number of records
+// flushed. The pending buffer is cleared even when the file is gone
+// (matching a failed append after the write-side buffer was consumed);
+// the records are then lost, as before.
 func (d *Driver) FlushLog() (int, error) {
 	n := d.pending.len()
 	if n == 0 {
@@ -962,7 +958,6 @@ func (d *Driver) FlushLog() (int, error) {
 	for i := base; i < len(d.flushed); i++ {
 		r := &d.flushed[i]
 		d.byPid[r.ToPid] = append(d.byPid[r.ToPid], i)
-		d.byUid[r.FromUid] = append(d.byUid[r.FromUid], i)
 	}
 	d.publishStats()
 	return n, nil
@@ -982,13 +977,10 @@ func (d *Driver) TruncateLog() error {
 	for pid, idx := range d.byPid {
 		d.byPid[pid] = idx[:0]
 	}
-	for uid, idx := range d.byUid {
-		d.byUid[uid] = idx[:0]
-	}
 	return nil
 }
 
-// logReadable runs the shared read-side gauntlet: injected read faults
+// logReadable runs the read-side gauntlet: injected read faults
 // first (standing in for the transient EIO a real procfs read can hit),
 // then the procfs ACL, without materializing any contents.
 func (d *Driver) logReadable(uid kernel.Uid) error {
@@ -1000,64 +992,6 @@ func (d *Driver) logReadable(uid kernel.Uid) error {
 		}
 	}
 	return d.k.ProcFS().CheckRead(LogPath, uid)
-}
-
-// ReadLog returns the flushed log as uid. Permission enforcement is the
-// procfs's: app uids are denied, so malicious apps cannot observe or spoof
-// the evidence stream. Injected read faults surface as
-// faults.ErrInjectedRead before any data is returned.
-func (d *Driver) ReadLog(uid kernel.Uid) ([]IPCRecord, error) {
-	if err := d.logReadable(uid); err != nil {
-		return nil, err
-	}
-	if len(d.flushed) == 0 {
-		return nil, nil
-	}
-	return append([]IPCRecord(nil), d.flushed...), nil
-}
-
-// ReadLogSince returns the flushed records targeting victim whose sequence
-// number exceeds afterSeq, oldest first. The per-victim position index
-// plus a binary search on the (monotone) sequence numbers makes the read
-// O(log n + window) instead of a scan over every flushed record — this is
-// the defender's poll-path read. Permission and fault behaviour match
-// ReadLog.
-func (d *Driver) ReadLogSince(uid kernel.Uid, victim kernel.Pid, afterSeq uint64) ([]IPCRecord, error) {
-	if err := d.logReadable(uid); err != nil {
-		return nil, err
-	}
-	idx := d.byPid[victim]
-	// Positions are appended in flush order and seqs are monotone, so the
-	// index is seq-sorted.
-	lo := sort.Search(len(idx), func(i int) bool {
-		return d.flushed[idx[i]].Seq > afterSeq
-	})
-	if lo == len(idx) {
-		return nil, nil
-	}
-	out := make([]IPCRecord, 0, len(idx)-lo)
-	for _, pos := range idx[lo:] {
-		out = append(out, d.flushed[pos])
-	}
-	return out, nil
-}
-
-// ReadLogBySender returns the flushed records sent by uid from, oldest
-// first, via the per-uid index — the attribution view dumpsys-style tools
-// want without scanning the whole log.
-func (d *Driver) ReadLogBySender(uid kernel.Uid, from kernel.Uid) ([]IPCRecord, error) {
-	if err := d.logReadable(uid); err != nil {
-		return nil, err
-	}
-	idx := d.byUid[from]
-	if len(idx) == 0 {
-		return nil, nil
-	}
-	out := make([]IPCRecord, 0, len(idx))
-	for _, pos := range idx {
-		out = append(out, d.flushed[pos])
-	}
-	return out, nil
 }
 
 // HandleOf returns the driver handle of a local binder, creating its node

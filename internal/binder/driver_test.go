@@ -419,28 +419,27 @@ func TestIPCLoggingToProcFS(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("FlushLog = %d, %v; want 3", n, err)
 	}
-	recs, err := r.d.ReadLog(kernel.SystemUid)
-	if err != nil {
+	var w LogColumns
+	if _, err := r.d.AppendLogColumnsSince(kernel.SystemUid, r.server.Pid(), 0, &w); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
+	if w.Len() != 3 {
+		t.Fatalf("got %d records, want 3", w.Len())
 	}
-	rec := recs[0]
-	if rec.FromPid != r.app.Pid() || rec.FromUid != r.app.Uid() || rec.ToPid != r.server.Pid() || rec.Code != 7 {
-		t.Fatalf("record = %+v", rec)
+	if w.FromPid[0] != r.app.Pid() || w.FromUid[0] != r.app.Uid() || w.ToPid[0] != r.server.Pid() || w.Code[0] != 7 {
+		t.Fatalf("record = %+v", rowsOf(&w)[0])
 	}
 	// Third-party apps cannot read the evidence.
-	if _, err := r.d.ReadLog(r.app.Uid()); !errors.Is(err, kernel.ErrPermissionDenied) {
+	w.Reset()
+	if _, err := r.d.AppendLogColumnsSince(r.app.Uid(), r.server.Pid(), 0, &w); !errors.Is(err, kernel.ErrPermissionDenied) {
 		t.Fatalf("app read error = %v, want permission denied", err)
 	}
 	// Truncation clears the file.
 	if err := r.d.TruncateLog(); err != nil {
 		t.Fatal(err)
 	}
-	recs, _ = r.d.ReadLog(kernel.SystemUid)
-	if len(recs) != 0 {
-		t.Fatalf("after truncate: %d records", len(recs))
+	if n, _ := r.d.AppendLogColumnsSince(kernel.SystemUid, r.server.Pid(), 0, &w); n != 0 || len(r.d.flushed) != 0 {
+		t.Fatalf("after truncate: %d window records, %d flushed", n, len(r.d.flushed))
 	}
 }
 

@@ -47,10 +47,7 @@ func TestFaultDropsReduceLog(t *testing.T) {
 	if _, err := r.d.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := r.d.ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := r.d.flushed
 	s := r.d.LogStats()
 	if s.Seq != n {
 		t.Fatalf("Seq = %d, want %d", s.Seq, n)
@@ -88,10 +85,7 @@ func TestFaultDropsAreDeterministic(t *testing.T) {
 		r.d.EnableIPCLogging()
 		r.echoN(t, svc, 200)
 		r.d.FlushLog()
-		recs, err := r.d.ReadLog(kernel.SystemUid)
-		if err != nil {
-			t.Fatal(err)
-		}
+		recs := r.d.flushed
 		seqs := make([]uint64, len(recs))
 		for i, rec := range recs {
 			seqs[i] = rec.Seq
@@ -120,10 +114,7 @@ func TestRingOverflowEvictsOldest(t *testing.T) {
 	if _, err := r.d.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := r.d.ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := r.d.flushed
 	if len(recs) != cap {
 		t.Fatalf("flushed %d records, ring capacity is %d", len(recs), cap)
 	}
@@ -148,15 +139,16 @@ func TestInjectedReadErrorAndCounter(t *testing.T) {
 	r.echoN(t, svc, 3)
 	r.d.FlushLog()
 
-	if _, err := r.d.ReadLog(kernel.SystemUid); !errors.Is(err, faults.ErrInjectedRead) {
+	var w LogColumns
+	if _, err := r.d.AppendLogColumnsSince(kernel.SystemUid, r.server.Pid(), 0, &w); !errors.Is(err, faults.ErrInjectedRead) {
 		t.Fatalf("first read error = %v, want ErrInjectedRead", err)
 	}
-	recs, err := r.d.ReadLog(kernel.SystemUid)
+	n, err := r.d.AppendLogColumnsSince(kernel.SystemUid, r.server.Pid(), 0, &w)
 	if err != nil {
 		t.Fatalf("retry read failed: %v", err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("retry read got %d records, want 3", len(recs))
+	if n != 3 || w.Len() != 3 {
+		t.Fatalf("retry read got %d records (window %d), want 3", n, w.Len())
 	}
 	if s := r.d.LogStats(); s.ReadErrors != 1 {
 		t.Fatalf("ReadErrors = %d, want 1", s.ReadErrors)
@@ -171,7 +163,7 @@ func TestJitterPerturbsTimestampsWithinBound(t *testing.T) {
 	clean.d.EnableIPCLogging()
 	clean.echoN(t, cleanSvc, 100)
 	clean.d.FlushLog()
-	cleanRecs, _ := clean.d.ReadLog(kernel.SystemUid)
+	cleanRecs := clean.d.flushed
 
 	r := newFaultedRig(t, faults.Config{MaxJitter: jitter}, 13)
 	r.registerEcho(t, "echo")
@@ -179,7 +171,7 @@ func TestJitterPerturbsTimestampsWithinBound(t *testing.T) {
 	r.d.EnableIPCLogging()
 	r.echoN(t, svc, 100)
 	r.d.FlushLog()
-	recs, _ := r.d.ReadLog(kernel.SystemUid)
+	recs := r.d.flushed
 
 	if len(recs) != len(cleanRecs) {
 		t.Fatalf("jitter changed record count: %d vs %d", len(recs), len(cleanRecs))
@@ -230,11 +222,7 @@ func TestZeroFaultConfigMatchesUnfaulted(t *testing.T) {
 		r.d.EnableIPCLogging()
 		r.echoN(t, svc, 100)
 		r.d.FlushLog()
-		recs, err := r.d.ReadLog(kernel.SystemUid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs
+		return r.d.flushed
 	}
 	clean := run(newRig(t, art.Config{}))
 	zeroed := run(newFaultedRig(t, faults.Config{}, 99))

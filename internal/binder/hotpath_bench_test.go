@@ -160,8 +160,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 }
 
 // BenchmarkReadLogWindow measures the defender's evidence-window read: a
-// flushed log populated by two interleaved victims, from which the reader
-// extracts one victim's records.
+// flushed log populated by two interleaved victims, from which one
+// victim's app-uid records are read into a reused columnar window —
+// Reset, AppendLogColumnsSince and the app-uid Filter, as the poll loop
+// does.
 func BenchmarkReadLogWindow(b *testing.B) {
 	r := newBenchRig(b, faults.Config{}, 1, nil)
 	// A second victim service on its own process; its records must be
@@ -195,40 +197,17 @@ func BenchmarkReadLogWindow(b *testing.B) {
 		b.Fatal(err)
 	}
 	victim := r.server.Pid()
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			recs, err := r.d.ReadLog(kernel.SystemUid)
-			if err != nil {
-				b.Fatal(err)
-			}
-			window := 0
-			for _, rec := range recs {
-				if rec.ToPid == victim && kernel.IsAppUid(rec.FromUid) {
-					window++
-				}
-			}
-			if window != n {
-				b.Fatalf("window = %d, want %d", window, n)
-			}
+	var w LogColumns
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Reset()
+		if _, err := r.d.AppendLogColumnsSince(kernel.SystemUid, victim, 0, &w); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			recs, err := r.d.ReadLogSince(kernel.SystemUid, victim, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			window := 0
-			for _, rec := range recs {
-				if kernel.IsAppUid(rec.FromUid) {
-					window++
-				}
-			}
-			if window != n {
-				b.Fatalf("window = %d, want %d", window, n)
-			}
+		w.Filter(func(j int) bool { return kernel.IsAppUid(w.FromUid[j]) })
+		if w.Len() != n {
+			b.Fatalf("window = %d, want %d", w.Len(), n)
 		}
-	})
+	}
 }

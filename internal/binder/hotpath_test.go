@@ -89,10 +89,7 @@ func TestFaultOrderPinned(t *testing.T) {
 	if _, err := free.d.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	freeRecs, err := free.d.ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	freeRecs := free.d.flushed
 	bySeq := make(map[uint64]IPCRecord, len(freeRecs))
 	for _, r := range freeRecs {
 		bySeq[r.Seq] = r
@@ -103,10 +100,7 @@ func TestFaultOrderPinned(t *testing.T) {
 	if _, err := bounded.d.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	survivors, err := bounded.d.ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	survivors := bounded.d.flushed
 	if len(survivors) != 64 {
 		t.Fatalf("survivors = %d, want ring capacity 64", len(survivors))
 	}
@@ -158,169 +152,11 @@ func TestCounterReconciliation(t *testing.T) {
 	if stats.DroppedRate == 0 {
 		t.Fatal("expected some rate-dropped records at 25%")
 	}
-	recs, err := r.d.ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(len(recs)) != stats.Delivered() {
-		t.Fatalf("delivered records = %d, stats.Delivered() = %d", len(recs), stats.Delivered())
+	if uint64(len(r.d.flushed)) != stats.Delivered() {
+		t.Fatalf("delivered records = %d, stats.Delivered() = %d", len(r.d.flushed), stats.Delivered())
 	}
 	if stats.Delivered() != stats.Logged-stats.DroppedRing {
 		t.Fatalf("Delivered %d != Logged %d - DroppedRing %d", stats.Delivered(), stats.Logged, stats.DroppedRing)
-	}
-}
-
-// TestReadLogSinceWindows exercises the per-victim seq index: windows
-// bounded below by afterSeq, across multiple flushes, against a second
-// victim whose records must never leak into the window.
-func TestReadLogSinceWindows(t *testing.T) {
-	r := newFaultRig(t, faults.Config{}, 1)
-	// Second victim on its own process.
-	other := r.k.Spawn(kernel.SpawnConfig{
-		Name: "com.android.phone", Uid: kernel.SystemUid,
-		OomScoreAdj: kernel.PersistentProcAdj,
-	})
-	sm := NewServiceManager(r.d)
-	stub := r.d.NewLocalBinder(other, "OtherSink", TransactorFunc(func(c *Call) error {
-		_, err := c.Data.ReadString()
-		return err
-	}))
-	if err := sm.AddService("othersink", stub); err != nil {
-		t.Fatal(err)
-	}
-	osvc, err := sm.GetService("othersink", r.app)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	interleave := func(n int) {
-		for i := 0; i < n; i++ {
-			r.flood(t, 1)
-			data := ObtainParcel()
-			data.WriteString("com.evil.app")
-			oerr := osvc.Binder().Transact(1, data, nil)
-			data.Recycle()
-			if oerr != nil {
-				t.Fatal(oerr)
-			}
-		}
-	}
-
-	interleave(10)
-	if _, err := r.d.FlushLog(); err != nil {
-		t.Fatal(err)
-	}
-	victim := r.server.Pid()
-
-	full, err := r.d.ReadLogSince(kernel.SystemUid, victim, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != 10 {
-		t.Fatalf("full window = %d records, want 10", len(full))
-	}
-	for i, rec := range full {
-		if rec.ToPid != victim {
-			t.Fatalf("record %d targets pid %d, want victim %d", i, rec.ToPid, victim)
-		}
-		if i > 0 && rec.Seq <= full[i-1].Seq {
-			t.Fatalf("window not seq-ascending at %d", i)
-		}
-	}
-
-	// A window bounded by a mid-stream seq returns exactly the newer
-	// victim records.
-	mid := full[4].Seq
-	tail, err := r.d.ReadLogSince(kernel.SystemUid, victim, mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tail) != 5 {
-		t.Fatalf("tail window = %d records, want 5", len(tail))
-	}
-	if tail[0].Seq <= mid {
-		t.Fatalf("tail starts at seq %d, want > %d", tail[0].Seq, mid)
-	}
-
-	// After another flush the index extends; afterSeq = last seen seq
-	// yields only the new batch.
-	last := full[len(full)-1].Seq
-	interleave(6)
-	if _, err := r.d.FlushLog(); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := r.d.ReadLogSince(kernel.SystemUid, victim, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh) != 6 {
-		t.Fatalf("fresh window = %d records, want 6", len(fresh))
-	}
-
-	// Past the end: empty, and nil so callers can treat it as "nothing".
-	empty, err := r.d.ReadLogSince(kernel.SystemUid, victim, fresh[len(fresh)-1].Seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty != nil {
-		t.Fatalf("expected nil window past the end, got %d records", len(empty))
-	}
-
-	// The ACL is the procfs's: app uids are denied.
-	if _, err := r.d.ReadLogSince(r.app.Uid(), victim, 0); !errors.Is(err, kernel.ErrPermissionDenied) {
-		t.Fatalf("app read error = %v, want permission denied", err)
-	}
-
-	// Truncation clears the windows but keeps the index consistent for
-	// later flushes.
-	if err := r.d.TruncateLog(); err != nil {
-		t.Fatal(err)
-	}
-	gone, err := r.d.ReadLogSince(kernel.SystemUid, victim, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gone != nil {
-		t.Fatalf("post-truncate window = %d records, want none", len(gone))
-	}
-	interleave(3)
-	if _, err := r.d.FlushLog(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := r.d.ReadLogSince(kernel.SystemUid, victim, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != 3 {
-		t.Fatalf("post-truncate flush window = %d records, want 3", len(after))
-	}
-}
-
-// TestReadLogBySender exercises the per-uid index view.
-func TestReadLogBySender(t *testing.T) {
-	r := newFaultRig(t, faults.Config{}, 1)
-	r.flood(t, 7)
-	if _, err := r.d.FlushLog(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.d.ReadLogBySender(kernel.SystemUid, r.app.Uid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 7 {
-		t.Fatalf("by-sender = %d records, want 7", len(recs))
-	}
-	for _, rec := range recs {
-		if rec.FromUid != r.app.Uid() {
-			t.Fatalf("record from uid %d, want %d", rec.FromUid, r.app.Uid())
-		}
-	}
-	none, err := r.d.ReadLogBySender(kernel.SystemUid, kernel.Uid(10999))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if none != nil {
-		t.Fatalf("unknown sender returned %d records", len(none))
 	}
 }
 
@@ -335,10 +171,7 @@ func TestProcfsTextRenderMatchesStructs(t *testing.T) {
 	if _, err := r.d.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	structs, err := r.d.ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	structs := r.d.flushed
 	raw, err := r.k.ProcFS().Read(LogPath, kernel.SystemUid)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/kernel"
 )
 
 // TestRingEvictionBurstSeam pins the ring-eviction boundary under
@@ -32,10 +31,7 @@ func TestRingEvictionBurstSeam(t *testing.T) {
 	if _, err := free.d.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	freeRecs, err := free.d.ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	freeRecs := free.d.flushed
 	// 10 of every 40 seqs burst-dropped, including the final partial
 	// cycle (seqs 481-490 sit in its burst segment).
 	wantLogged := n - (n/40*10 + min(10, n%40))
@@ -48,10 +44,7 @@ func TestRingEvictionBurstSeam(t *testing.T) {
 	if _, err := bounded.d.FlushLog(); err != nil {
 		t.Fatal(err)
 	}
-	survivors, err := bounded.d.ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	survivors := bounded.d.flushed
 	if len(survivors) != cap {
 		t.Fatalf("survivors = %d, want ring capacity %d", len(survivors), cap)
 	}

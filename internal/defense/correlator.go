@@ -7,35 +7,7 @@ import (
 	"time"
 
 	"repro/internal/binder"
-	"repro/internal/kernel"
 )
-
-// typeKey identifies one IPC interface type for Algorithm 1: the calling
-// app, the target interface (handle+code) and, unless path classification
-// is disabled, the observable execution-path signature (§VI). The
-// streaming correlator never materializes typeKeys for a window — rows
-// are grouped by sorting a permutation over the columnar window — but
-// the key and its order remain the contract the reference scorer and the
-// differential tests pin the grouping against.
-type typeKey struct {
-	uid    kernel.Uid
-	handle binder.Handle
-	code   binder.TxCode
-	path   int
-}
-
-func typeKeyLess(a, b typeKey) bool {
-	if a.uid != b.uid {
-		return a.uid < b.uid
-	}
-	if a.handle != b.handle {
-		return a.handle < b.handle
-	}
-	if a.code != b.code {
-		return a.code < b.code
-	}
-	return a.path < b.path
-}
 
 // nameKey caches interface display names per (handle, code) — the only
 // fields name resolution depends on, so types differing just by path or
@@ -49,24 +21,19 @@ type nameKey struct {
 // streaming, columnar form. The window arrives as a binder.LogColumns
 // (struct-of-arrays); scoring sorts an index permutation to group rows
 // by interface type, then resolves each type's best-supported delay
-// bucket with a flat difference-array sweep instead of per-pair
-// segment-tree range-adds. Every scratch buffer is retained between
-// calls, so a Defender's poll loop reuses one correlator and scores in
-// steady state with only the output-assembly allocations (the returned
-// slice and its ByType maps, which escape to the caller). Code that
-// needs concurrent or one-shot scoring (the Fig. 9 Δ sweep) uses a fresh
-// zero-value correlator per call instead, which is what ScoreWithDelta
-// does.
+// bucket with a flat difference-array sweep. Every scratch buffer is
+// retained between calls, so a Defender's poll loop reuses one
+// correlator and scores in steady state with only the output-assembly
+// allocations (the returned slice and its ByType maps, which escape to
+// the caller). Code that needs concurrent or one-shot scoring (the
+// Fig. 9 Δ sweep) uses a fresh zero-value correlator per call instead,
+// which is what ScoreWithDelta does.
 //
-// The output contract is unchanged from the segment-tree implementation:
-// Score/ScoreWithDelta results are byte-for-byte identical, which the
-// differential fuzz and exhaustive small-domain tests pin against the
-// retained reference scorer.
+// A persistent and a fresh correlator produce byte-for-byte identical
+// output, which the differential fuzz and exhaustive small-domain tests
+// pin against a naive per-bucket reference scorer.
 type correlator struct {
 	adds []time.Duration
-	// win backs the rows adapter (scoreRecords): the public Score path
-	// still accepts []IPCRecord and columnarizes once into this scratch.
-	win binder.LogColumns
 	// w is the window being scored, valid only within one score call.
 	w       *binder.LogColumns
 	usePath bool
@@ -149,22 +116,6 @@ func (c *correlator) sameType(a, b int32) bool {
 		(!c.usePath || w.Size[a] == w.Size[b])
 }
 
-// scoreRecords is the rows adapter: it columnarizes records into the
-// correlator's scratch window and scores it. The public Score and
-// ScoreWithDelta go through here; the defender's poll loop hands its
-// driver-filled LogColumns straight to score instead.
-func (c *correlator) scoreRecords(d *Defender, records []binder.IPCRecord, jgrAdds []time.Duration, delta time.Duration) []AppScore {
-	if len(records) == 0 || len(jgrAdds) == 0 {
-		return nil
-	}
-	c.win.Reset()
-	c.win.Grow(len(records))
-	for _, r := range records {
-		c.win.Append(r)
-	}
-	return c.score(d, &c.win, jgrAdds, delta)
-}
-
 // score implements Algorithm 1 with an explicit Δ: for every app and
 // every IPC interface type the app invoked, accumulate candidate delays
 // [JGRTime−IPCTime, JGRTime−IPCTime+Δ] over the bucketed delay axis and
@@ -173,9 +124,8 @@ func (c *correlator) scoreRecords(d *Defender, records []binder.IPCRecord, jgrAd
 //
 // The accumulation is a difference-array sweep: each (call, add) pair
 // contributes +w at its minimum-delay bucket and −w one past its
-// clamped maximum, and a single prefix-sum pass recovers the same
-// per-bucket totals — and therefore the same maximum — the segment
-// tree's O(log domain) range-adds produced, at O(1) per pair. Calls
+// clamped maximum, and a single prefix-sum pass recovers the per-bucket
+// totals — and therefore their maximum — at O(1) per pair. Calls
 // with identical timestamps within a type are deduplicated first and
 // carry their multiplicity as the weight w. Two exact early exits skip
 // bucketing entirely: a type none of whose calls overlaps any add in
@@ -337,8 +287,8 @@ func (c *correlator) typeBest(adds []time.Duration, rows []int32, maxDelay time.
 		return total
 	}
 
-	// Difference-array sweep over the touched bucket subrange. Endpoint
-	// clamping matches the segment tree's domain clamp.
+	// Difference-array sweep over the touched bucket subrange. Interval
+	// ends are clamped to the last bucket of the domain.
 	for k, ct := range c.ctimes {
 		w := c.cweight[k]
 		for p := c.clo[k]; p < c.chi[k]; p++ {
@@ -375,7 +325,7 @@ func (c *correlator) nameFor(d *Defender, row int32) string {
 		return name
 	}
 	var name string
-	if t, resolved := d.dev.Resolve(c.w.Record(int(row))); resolved {
+	if t, resolved := d.dev.Resolve(k.handle, k.code); resolved {
 		name = t.FullName()
 	} else {
 		name = fmt.Sprintf("handle%d.code%d", k.handle, k.code)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -12,65 +13,59 @@ import (
 	"repro/internal/binder"
 	"repro/internal/device"
 	"repro/internal/kernel"
-	"repro/internal/segtree"
 )
 
-// referenceScore is the pre-streaming (PR-4) implementation of
-// Algorithm 1, retained verbatim as the differential oracle for the
-// streaming columnar correlator: per-type call buckets keyed through a
-// map, and a lazy-propagation segment tree accumulating one range-add
-// per (call, JGR-add) pair. Everything the optimized path claims —
-// grouping, dedup weighting, the difference-array sweep, the
-// zero-overlap and tight-span early exits — must reproduce this
-// function's output byte-for-byte.
-func referenceScore(d *Defender, records []binder.IPCRecord, jgrAdds []time.Duration, delta time.Duration) []AppScore {
-	if len(records) == 0 || len(jgrAdds) == 0 {
+// typeKey identifies one IPC interface type for Algorithm 1: the calling
+// app, the target interface (handle+code) and, unless path classification
+// is disabled, the observable execution-path signature (§VI).
+type typeKey struct {
+	uid    kernel.Uid
+	handle binder.Handle
+	code   binder.TxCode
+	path   int
+}
+
+// referenceScore is Algorithm 1 written out literally, the differential
+// oracle for the streaming correlator. Each interface type keeps one
+// counter per delay bucket; every (call, JGR add) pair at most MaxDelay
+// apart adds one to each bucket of its candidate-delay interval
+// [add−call, add−call+Δ], clamped to the domain; the type's count of
+// suspicious calls is its largest counter. It shares nothing with the
+// code it checks: no sorted grouping, no timestamp dedup, no difference
+// array and no early exit.
+func referenceScore(d *Defender, w *binder.LogColumns, jgrAdds []time.Duration, delta time.Duration) []AppScore {
+	if w.Len() == 0 || len(jgrAdds) == 0 {
 		return nil
 	}
-	adds := append([]time.Duration(nil), jgrAdds...)
-	sort.Slice(adds, func(i, j int) bool { return adds[i] < adds[j] })
-
-	calls := make(map[typeKey][]time.Duration)
-	names := make(map[typeKey]string)
-	var keys []typeKey
-	for _, r := range records {
-		k := typeKey{uid: r.FromUid, handle: r.Handle, code: r.Code}
+	domain := int(d.cfg.MaxDelay/delayBucket) + 2
+	deltaBuckets := int(delta / delayBucket)
+	counts := make(map[typeKey][]int64)
+	for i := 0; i < w.Len(); i++ {
+		k := typeKey{uid: w.FromUid[i], handle: w.Handle[i], code: w.Code[i]}
 		if !d.cfg.DisablePathClassification {
 			// §VI: calls of the same IPC method travelling different code
 			// paths carry different argument shapes; the transaction size
 			// is the observable path signature.
-			k.path = r.Size
+			k.path = w.Size[i]
 		}
-		if _, ok := calls[k]; !ok {
-			keys = append(keys, k)
+		if counts[k] == nil {
+			counts[k] = make([]int64, domain)
 		}
-		calls[k] = append(calls[k], r.Time)
-		if _, ok := names[k]; !ok {
-			if t, resolved := d.dev.Resolve(r); resolved {
-				names[k] = t.FullName()
-			} else {
-				names[k] = fmt.Sprintf("handle%d.code%d", r.Handle, r.Code)
+		call := w.Time[i]
+		for _, add := range jgrAdds {
+			if add < call || add > call+d.cfg.MaxDelay {
+				continue
+			}
+			start := int((add - call) / delayBucket)
+			for b := start; b <= start+deltaBuckets && b < domain; b++ {
+				counts[k][b]++
 			}
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return typeKeyLess(keys[i], keys[j]) })
 
-	domain := int(d.cfg.MaxDelay/delayBucket) + 2
-	tree := segtree.New(domain)
-	deltaBuckets := int(delta / delayBucket)
 	scores := make(map[kernel.Uid]*AppScore)
-	for _, k := range keys {
-		tree.Reset()
-		for _, ct := range calls[k] {
-			// Only JGR creations within [ct, ct+MaxDelay] can be effects
-			// of this call.
-			lo := sort.Search(len(adds), func(i int) bool { return adds[i] >= ct })
-			for i := lo; i < len(adds) && adds[i] <= ct+d.cfg.MaxDelay; i++ {
-				minDelay := int((adds[i] - ct) / delayBucket)
-				tree.Add(minDelay, minDelay+deltaBuckets, 1)
-			}
-		}
-		best := tree.GlobalMax()
+	for k, buckets := range counts {
+		best := slices.Max(buckets)
 		if best == 0 {
 			continue
 		}
@@ -82,10 +77,13 @@ func referenceScore(d *Defender, records []binder.IPCRecord, jgrAdds []time.Dura
 			}
 			scores[k.uid] = s
 		}
+		name := fmt.Sprintf("handle%d.code%d", k.handle, k.code)
+		if t, resolved := d.dev.Resolve(k.handle, k.code); resolved {
+			name = t.FullName()
+		}
 		s.Score += best
-		s.ByType[names[k]] += best
+		s.ByType[name] += best
 	}
-
 	out := make([]AppScore, 0, len(scores))
 	for _, s := range scores {
 		out = append(out, *s)
@@ -100,16 +98,20 @@ func referenceScore(d *Defender, records []binder.IPCRecord, jgrAdds []time.Dura
 }
 
 // TestStreamingMatchesReferenceOnDeviceWindows runs the realistic
-// multi-window fixture through both scorers: live device traffic with
+// multi-window fixture through the reference and through both a fresh
+// and a persistent streaming correlator: live device traffic with
 // resolvable interfaces, multiple apps and interleaved types.
 func TestStreamingMatchesReferenceOnDeviceWindows(t *testing.T) {
 	def, windows, addWindows := correlatorWindows(t)
+	var persistent correlator
 	for i := range windows {
 		for _, delta := range []time.Duration{0, DefaultDelta, 25 * time.Millisecond} {
-			got := def.ScoreWithDelta(windows[i], addWindows[i], delta)
-			want := referenceScore(def, windows[i], addWindows[i], delta)
-			if !reflect.DeepEqual(got, want) {
+			want := referenceScore(def, &windows[i], addWindows[i], delta)
+			if got := def.ScoreWithDelta(&windows[i], addWindows[i], delta); !reflect.DeepEqual(got, want) {
 				t.Fatalf("window %d Δ=%v diverged:\nstreaming: %+v\nreference: %+v", i, delta, got, want)
+			}
+			if got := persistent.score(def, &windows[i], addWindows[i], delta); !reflect.DeepEqual(got, want) {
+				t.Fatalf("window %d Δ=%v: persistent diverged:\nstreaming: %+v\nreference: %+v", i, delta, got, want)
 			}
 		}
 	}
@@ -159,10 +161,10 @@ func fuzzDefenders(tb testing.TB) (*Defender, *Defender) {
 // catalog interfaces, most fall back to handleN.codeM names), with call
 // and add times drawn across a span that straddles the MaxDelay
 // horizon so overlap windows open, close and clamp.
-func synthWindow(rng *rand.Rand, nRec, nAdd int, span time.Duration) ([]binder.IPCRecord, []time.Duration) {
-	records := make([]binder.IPCRecord, nRec)
-	for i := range records {
-		records[i] = binder.IPCRecord{
+func synthWindow(rng *rand.Rand, nRec, nAdd int, span time.Duration) (binder.LogColumns, []time.Duration) {
+	var w binder.LogColumns
+	for i := 0; i < nRec; i++ {
+		w.Append(binder.IPCRecord{
 			Seq:     uint64(i + 1),
 			Time:    time.Duration(rng.Int63n(int64(span))),
 			FromPid: kernel.Pid(100 + rng.Intn(4)),
@@ -171,20 +173,20 @@ func synthWindow(rng *rand.Rand, nRec, nAdd int, span time.Duration) ([]binder.I
 			Handle:  binder.Handle(rng.Intn(8)),
 			Code:    binder.TxCode(1 + rng.Intn(6)),
 			Size:    64 << rng.Intn(3),
-		}
+		})
 	}
 	adds := make([]time.Duration, nAdd)
 	for i := range adds {
 		adds[i] = time.Duration(rng.Int63n(int64(span)))
 	}
-	return records, adds
+	return w, adds
 }
 
 // FuzzCorrelatorDifferential is the property pin: for randomized
 // windows — types, overlaps, duplicated timestamps, Δ, path
 // classification on and off — the streaming correlator (stateless AND
-// a persistent instance recycled across inputs) must match the retained
-// segment-tree reference byte-for-byte.
+// a persistent instance recycled across inputs) must match the naive
+// reference byte-for-byte.
 func FuzzCorrelatorDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(40), uint32(1800), false)
 	f.Add(int64(2), uint8(3), uint8(1), uint32(0), true)
@@ -199,21 +201,21 @@ func FuzzCorrelatorDifferential(f *testing.F) {
 			span = 5 * time.Millisecond
 		}
 		rng := rand.New(rand.NewSource(seed))
-		records, adds := synthWindow(rng, int(nRec%64)+1, int(nAdd%96)+1, span)
+		w, adds := synthWindow(rng, int(nRec%64)+1, int(nAdd%96)+1, span)
 		// Duplicate a random prefix of timestamps so the dedup weighting
 		// path is exercised on every input shape.
-		for i := 1; i < len(records); i += 3 {
-			records[i].Time = records[i-1].Time
+		for i := 1; i < w.Len(); i += 3 {
+			w.Time[i] = w.Time[i-1]
 		}
 		delta := time.Duration(deltaMicros%300_000) * time.Microsecond
 
-		want := referenceScore(def, records, adds, delta)
-		got := def.ScoreWithDelta(records, adds, delta)
+		want := referenceScore(def, &w, adds, delta)
+		got := def.ScoreWithDelta(&w, adds, delta)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("stateless streaming diverged from reference:\nstreaming: %+v\nreference: %+v", got, want)
 		}
 		diffDefenders.mu.Lock()
-		persistent := diffDefenders.pers.scoreRecords(def, records, adds, delta)
+		persistent := diffDefenders.pers.score(def, &w, adds, delta)
 		diffDefenders.mu.Unlock()
 		if !reflect.DeepEqual(persistent, want) {
 			t.Fatalf("persistent streaming diverged from reference:\npersistent: %+v\nreference: %+v", persistent, want)
@@ -252,7 +254,7 @@ func TestCorrelatorExhaustiveSmallDomain(t *testing.T) {
 	var persistent correlator
 	combos := 0
 	for callMask := 1; callMask < 1<<len(grid); callMask++ {
-		var records []binder.IPCRecord
+		var w binder.LogColumns
 		seq := uint64(1)
 		for b, ct := range grid {
 			if callMask&(1<<b) == 0 {
@@ -260,7 +262,7 @@ func TestCorrelatorExhaustiveSmallDomain(t *testing.T) {
 			}
 			// uid A: duplicated call (dedup weight 2) on interface h40.c1.
 			for rep := 0; rep < 2; rep++ {
-				records = append(records, binder.IPCRecord{
+				w.Append(binder.IPCRecord{
 					Seq: seq, Time: ct, FromUid: kernel.FirstAppUid,
 					Handle: 40, Code: 1, Size: 64,
 				})
@@ -268,7 +270,7 @@ func TestCorrelatorExhaustiveSmallDomain(t *testing.T) {
 			}
 			// uid B: single call on a different interface, every other slot.
 			if b%2 == 0 {
-				records = append(records, binder.IPCRecord{
+				w.Append(binder.IPCRecord{
 					Seq: seq, Time: ct, FromUid: kernel.FirstAppUid + 1,
 					Handle: 41, Code: 2, Size: 128,
 				})
@@ -283,12 +285,12 @@ func TestCorrelatorExhaustiveSmallDomain(t *testing.T) {
 				}
 			}
 			for _, delta := range deltas {
-				want := referenceScore(def, records, adds, delta)
-				if got := def.ScoreWithDelta(records, adds, delta); !reflect.DeepEqual(got, want) {
+				want := referenceScore(def, &w, adds, delta)
+				if got := def.ScoreWithDelta(&w, adds, delta); !reflect.DeepEqual(got, want) {
 					t.Fatalf("calls %05b adds %05b Δ=%v: stateless diverged:\nstreaming: %+v\nreference: %+v",
 						callMask, addMask, delta, got, want)
 				}
-				if got := persistent.scoreRecords(def, records, adds, delta); !reflect.DeepEqual(got, want) {
+				if got := persistent.score(def, &w, adds, delta); !reflect.DeepEqual(got, want) {
 					t.Fatalf("calls %05b adds %05b Δ=%v: persistent diverged", callMask, addMask, delta)
 				}
 				combos++
@@ -305,12 +307,12 @@ func TestCorrelatorExhaustiveSmallDomain(t *testing.T) {
 // path re-groups via its permutation sort) cannot change the result.
 func TestScoreOrderInvariant(t *testing.T) {
 	def, windows, addWindows := correlatorWindows(t)
-	base := def.Score(windows[0], addWindows[0])
+	base := def.ScoreWithDelta(&windows[0], addWindows[0], DefaultDelta)
 	rng := rand.New(rand.NewSource(5))
-	shuffled := append([]binder.IPCRecord(nil), windows[0]...)
+	shuffled := windows[0].Clone()
 	for trial := 0; trial < 5; trial++ {
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		if got := def.Score(shuffled, addWindows[0]); !reflect.DeepEqual(got, base) {
+		rng.Shuffle(shuffled.Len(), func(i, j int) { swapRows(&shuffled, i, j) })
+		if got := def.ScoreWithDelta(&shuffled, addWindows[0], DefaultDelta); !reflect.DeepEqual(got, base) {
 			t.Fatalf("trial %d: shuffled window changed the ranking", trial)
 		}
 	}

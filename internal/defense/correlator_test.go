@@ -15,7 +15,7 @@ import (
 // device: different apps, interfaces and interleavings per window, so the
 // persistent correlator's bucket reuse is exercised across key sets that
 // appear, vanish and return.
-func correlatorWindows(t *testing.T) (*Defender, [][]binder.IPCRecord, [][]time.Duration) {
+func correlatorWindows(t *testing.T) (*Defender, []binder.LogColumns, [][]time.Duration) {
 	t.Helper()
 	dev, err := device.Boot(device.Config{Seed: 3})
 	if err != nil {
@@ -53,7 +53,7 @@ func correlatorWindows(t *testing.T) (*Defender, [][]binder.IPCRecord, [][]time.
 	}
 
 	victim := dev.SystemServer().Pid()
-	var windows [][]binder.IPCRecord
+	var windows []binder.LogColumns
 	var addWindows [][]time.Duration
 
 	capture := func(gen func()) {
@@ -62,20 +62,15 @@ func correlatorWindows(t *testing.T) (*Defender, [][]binder.IPCRecord, [][]time.
 		if _, err := dev.Driver().FlushLog(); err != nil {
 			t.Fatal(err)
 		}
-		all, err := dev.Driver().ReadLog(kernel.SystemUid)
-		if err != nil {
+		var w binder.LogColumns
+		if _, err := dev.Driver().AppendLogColumnsSince(kernel.SystemUid, victim, 0, &w); err != nil {
 			t.Fatal(err)
 		}
-		var recs []binder.IPCRecord
-		for _, r := range all {
-			if r.ToPid == victim && kernel.IsAppUid(r.FromUid) {
-				recs = append(recs, r)
-			}
-		}
-		if len(recs) == 0 || len(adds) == 0 {
+		w.Filter(func(i int) bool { return kernel.IsAppUid(w.FromUid[i]) })
+		if w.Len() == 0 || len(adds) == 0 {
 			t.Fatal("window generated no evidence")
 		}
-		windows = append(windows, recs)
+		windows = append(windows, w)
 		addWindows = append(addWindows, append([]time.Duration(nil), adds...))
 		if err := dev.Driver().TruncateLog(); err != nil {
 			t.Fatal(err)
@@ -133,9 +128,9 @@ func correlatorWindows(t *testing.T) (*Defender, [][]binder.IPCRecord, [][]time.
 func TestIncrementalCorrelatorMatchesStateless(t *testing.T) {
 	def, windows, addWindows := correlatorWindows(t)
 	var persistent correlator
-	for round, recs := range windows {
-		got := persistent.scoreRecords(def, recs, addWindows[round], def.cfg.Delta)
-		want := def.ScoreWithDelta(recs, addWindows[round], def.cfg.Delta)
+	for round := range windows {
+		got := persistent.score(def, &windows[round], addWindows[round], DefaultDelta)
+		want := def.ScoreWithDelta(&windows[round], addWindows[round], DefaultDelta)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("window %d diverged:\nincremental: %+v\n  stateless: %+v", round, got, want)
 		}
@@ -151,25 +146,26 @@ func TestIncrementalCorrelatorMatchesStateless(t *testing.T) {
 func TestIncrementalCorrelatorRepeatable(t *testing.T) {
 	def, windows, addWindows := correlatorWindows(t)
 	var c correlator
-	first := c.scoreRecords(def, windows[0], addWindows[0], def.cfg.Delta)
-	second := c.scoreRecords(def, windows[0], addWindows[0], def.cfg.Delta)
+	first := c.score(def, &windows[0], addWindows[0], DefaultDelta)
+	second := c.score(def, &windows[0], addWindows[0], DefaultDelta)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("rescoring the same window diverged:\n first: %+v\nsecond: %+v", first, second)
 	}
 }
 
 // TestScoreWithDeltaConcurrentSafe pins the statelessness the Fig. 9
-// sweep depends on: concurrent ScoreWithDelta calls over the same window
-// must agree with the sequential result. Run under `make race` this also
-// proves the scorers share no scratch state.
+// sweep depends on: concurrent ScoreWithDelta calls over one shared
+// window must agree with the sequential result. Run under `make race`
+// this also proves the scorers share no scratch state and only read the
+// window.
 func TestScoreWithDeltaConcurrentSafe(t *testing.T) {
 	def, windows, addWindows := correlatorWindows(t)
-	want := def.ScoreWithDelta(windows[0], addWindows[0], def.cfg.Delta)
+	want := def.ScoreWithDelta(&windows[0], addWindows[0], DefaultDelta)
 	results := make([][]AppScore, 8)
 	done := make(chan int, len(results))
 	for g := range results {
 		go func(g int) {
-			results[g] = def.ScoreWithDelta(windows[0], addWindows[0], def.cfg.Delta)
+			results[g] = def.ScoreWithDelta(&windows[0], addWindows[0], DefaultDelta)
 			done <- g
 		}(g)
 	}

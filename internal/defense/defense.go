@@ -39,19 +39,24 @@ const (
 	// DefaultMaxDelay bounds the plausible IPC→JGR delay considered by
 	// the correlator; pairs further apart cannot be cause and effect.
 	DefaultMaxDelay = 250 * time.Millisecond
-	// delayBucket is the granularity of the candidate-delay axis the
-	// segment tree covers.
+	// delayBucket is the granularity of Algorithm 1's candidate-delay
+	// axis.
 	delayBucket = 100 * time.Microsecond
 	// recordCost is the per-event overhead of JGR recording once past
 	// the alarm threshold (§V-D2 measures ≈1 µs).
 	recordCost = time.Microsecond
 
-	// DefaultLogReadRetries / DefaultRetryBackoff govern the hardened
-	// evidence read: a failed /proc/jgre_ipc_log read is retried with
-	// doubling (virtual-time) backoff before the defender falls back to
-	// evidence-free attribution.
+	// DefaultLogReadRetries / retryBackoff govern the hardened evidence
+	// read: a failed /proc/jgre_ipc_log read is retried with doubling
+	// (virtual-time) backoff, starting at retryBackoff, before the
+	// defender falls back to evidence-free attribution.
 	DefaultLogReadRetries = 3
-	DefaultRetryBackoff   = 2 * time.Millisecond
+	retryBackoff          = 2 * time.Millisecond
+	// analysisCostBase + analysisCostPerRecord × the targeted
+	// interface's AnalysisWeight is the virtual time one Algorithm 1 run
+	// charges, reproducing the §V-D1 response delays.
+	analysisCostBase      = 50 * time.Millisecond
+	analysisCostPerRecord = 60 * time.Microsecond
 	// DefaultMinCoverage is the fraction of generated log records that
 	// must survive to the defender for Algorithm 1's ranking to be
 	// trusted; below it the defender blends in per-uid retained-ref
@@ -72,16 +77,10 @@ const (
 type Config struct {
 	AlarmThreshold  int
 	EngageThreshold int
-	Delta           time.Duration
 	MaxDelay        time.Duration
-	// AnalysisCostBase/PerRecord charge virtual time for running
-	// Algorithm 1, reproducing the §V-D1 response delays. Zero selects
-	// 50 ms + 60 µs/record (scaled by the interface's AnalysisWeight).
-	AnalysisCostBase      time.Duration
-	AnalysisCostPerRecord time.Duration
-	// KeepRaw stores the raw record and JGR-add-time windows on each
-	// Detection, letting experiments re-run Algorithm 1 with different Δ
-	// values (Fig. 9's sweep).
+	// KeepRaw stores a copy of the scored evidence window and the JGR
+	// add times on each Detection, letting experiments re-run Algorithm 1
+	// with different Δ values (Fig. 9's sweep) or configurations.
 	KeepRaw bool
 	// DisablePathClassification turns off the §VI countermeasure against
 	// multi-path attacks (classifying an interface's calls by observable
@@ -96,9 +95,6 @@ type Config struct {
 	// LogReadRetries is how many times a failed evidence read is
 	// retried (0 → DefaultLogReadRetries, negative → no retries).
 	LogReadRetries int
-	// RetryBackoff is the virtual-time wait before the first retry,
-	// doubling per attempt (0 → DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// MinCoverage is the delivered/generated record fraction below
 	// which the defender blends per-uid retained-ref attribution into
 	// its ranking (0 → DefaultMinCoverage, negative → fallback off).
@@ -120,23 +116,11 @@ func (c Config) withDefaults() Config {
 	if c.EngageThreshold == 0 {
 		c.EngageThreshold = DefaultEngageThreshold
 	}
-	if c.Delta == 0 {
-		c.Delta = DefaultDelta
-	}
 	if c.MaxDelay == 0 {
 		c.MaxDelay = DefaultMaxDelay
 	}
-	if c.AnalysisCostBase == 0 {
-		c.AnalysisCostBase = 50 * time.Millisecond
-	}
-	if c.AnalysisCostPerRecord == 0 {
-		c.AnalysisCostPerRecord = 60 * time.Microsecond
-	}
 	if c.LogReadRetries == 0 {
 		c.LogReadRetries = DefaultLogReadRetries
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = DefaultRetryBackoff
 	}
 	if c.MinCoverage == 0 {
 		c.MinCoverage = DefaultMinCoverage
@@ -167,13 +151,15 @@ type Detection struct {
 	Scores       []AppScore // descending by score
 	Killed       []string   // packages force-stopped, in order
 	Recovered    bool
-	// RawRecords/RawAddTimes are kept only when Config.KeepRaw is set.
-	RawRecords  []binder.IPCRecord
+	// RawWindow/RawAddTimes are kept only when Config.KeepRaw is set:
+	// the app-uid evidence window exactly as Algorithm 1 scored it (after
+	// skew correction) and the victim's recorded JGR add times.
+	RawWindow   binder.LogColumns
 	RawAddTimes []time.Duration
 
 	// Degradation diagnostics. On the paper's lossless chain these are
 	// ReadRetries=0, ReadFailed=false, AnalysisRestarts=0,
-	// DroppedRecords=0, Coverage=1, EffectiveDelta=Config.Delta,
+	// DroppedRecords=0, Coverage=1, EffectiveDelta=DefaultDelta,
 	// FallbackUsed=false, GuardStops=0.
 
 	// ReadRetries is how many evidence-read retries this engagement
@@ -213,7 +199,7 @@ type Defender struct {
 	// corr is the poll loop's incremental correlator: respond() reuses
 	// its sorted window permutation, difference array and scratch
 	// buffers across engagements. Only the single-goroutine monitor path
-	// may use it; the public Score/ScoreWithDelta stay stateless for
+	// may use it; the public ScoreWithDelta stays stateless for
 	// concurrent callers.
 	corr correlator
 	// evid is the poll loop's columnar evidence window, filled straight
@@ -221,7 +207,7 @@ type Defender struct {
 	// windows so the steady-state read allocates nothing.
 	evid binder.LogColumns
 	// corrRounds counts completed corr.score runs; rounds past the first
-	// are correlator-reuse hits (the buckets/segtree were recycled).
+	// are correlator-reuse hits (the scratch buffers were recycled).
 	corrRounds uint64
 	// met holds the defender's instrument handles on the device registry.
 	met defenderMetrics
@@ -504,7 +490,7 @@ func (m *monitor) respond() {
 		VictimPid:      m.proc.Pid(),
 		EngagedAt:      d.dev.Clock().Now(),
 		Coverage:       1,
-		EffectiveDelta: d.cfg.Delta,
+		EffectiveDelta: DefaultDelta,
 	}
 
 	err := d.readWindowWithRetry(&det, m.proc.Pid())
@@ -544,7 +530,7 @@ func (m *monitor) respond() {
 		tScore = d.dev.Clock().Now()
 		det.AnalysisTime = d.dev.Clock().Now() - start
 		if d.cfg.KeepRaw {
-			det.RawRecords = w.Rows(nil)
+			det.RawWindow = w.Clone()
 			det.RawAddTimes = append([]time.Duration(nil), m.addTimes...)
 		}
 	} else {
@@ -672,7 +658,7 @@ func (m *monitor) respond() {
 // readWindowWithRetry reads the victim's evidence window into d.evid,
 // retrying failed reads with doubling virtual-time backoff.
 func (d *Defender) readWindowWithRetry(det *Detection, victim kernel.Pid) error {
-	backoff := d.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		err := d.readWindow(victim)
 		if err == nil {
@@ -700,7 +686,7 @@ func (d *Defender) surviveAnalysisFaults(det *Detection) bool {
 			return true
 		}
 		det.AnalysisRestarts++
-		d.dev.Clock().Advance(d.cfg.AnalysisCostBase)
+		d.dev.Clock().Advance(analysisCostBase)
 	}
 	return false
 }
@@ -735,7 +721,7 @@ func correctSkew(w *binder.LogColumns, now time.Duration) {
 // measurement is zero and Δ is untouched.
 func (d *Defender) effectiveDelta(w *binder.LogColumns) time.Duration {
 	if d.cfg.DisableAdaptiveDelta {
-		return d.cfg.Delta
+		return DefaultDelta
 	}
 	var inversion time.Duration
 	for i := 1; i < w.Len(); i++ {
@@ -746,9 +732,9 @@ func (d *Defender) effectiveDelta(w *binder.LogColumns) time.Duration {
 		}
 	}
 	if inversion == 0 {
-		return d.cfg.Delta
+		return DefaultDelta
 	}
-	eff := d.cfg.Delta + 2*inversion
+	eff := DefaultDelta + 2*inversion
 	if eff > d.cfg.MaxDelay {
 		eff = d.cfg.MaxDelay
 	}
@@ -800,12 +786,12 @@ func (d *Defender) fallbackScores(victim kernel.Pid, corr []AppScore, coverage f
 
 // readWindow flushes the driver log and fills d.evid with the records
 // aimed at the victim pid since the previous engagement, via the
-// driver's columnar per-victim view (AppendLogColumnsSince) instead of
-// materializing a row slice and scanning the full log. lastStats.Seq is
-// a valid window delimiter because the previous engagement truncated
-// the log before capturing it, so every flushed record newer than it
-// belongs to this window. The defender reads as the system uid; the
-// procfs ACL keeps apps from seeing or spoofing the stream.
+// driver's columnar per-victim read (AppendLogColumnsSince).
+// lastStats.Seq is a valid window delimiter because the previous
+// engagement truncated the log before capturing it, so every flushed
+// record newer than it belongs to this window. The defender reads as
+// the system uid; the procfs ACL keeps apps from seeing or spoofing the
+// stream.
 func (d *Defender) readWindow(victim kernel.Pid) error {
 	d.evid.Reset()
 	if _, err := d.dev.Driver().FlushLog(); err != nil {
@@ -822,10 +808,10 @@ func (d *Defender) readWindow(victim kernel.Pid) error {
 // cost scales with the targeted interface's analysis weight, which is what
 // makes MidiService.registerDeviceServer the slow outlier of §V-D1.
 func (d *Defender) chargeAnalysis(win *binder.LogColumns) {
-	total := d.cfg.AnalysisCostBase
+	total := analysisCostBase
 	for i := 0; i < win.Len(); i++ {
 		w := 1.0
-		if t, ok := d.dev.Resolve(win.Record(i)); ok {
+		if t, ok := d.dev.Resolve(win.Handle[i], win.Code[i]); ok {
 			switch {
 			case t.Catalogued != nil:
 				w = t.Catalogued.Cost.AnalysisWeight
@@ -833,28 +819,25 @@ func (d *Defender) chargeAnalysis(win *binder.LogColumns) {
 				w = t.AppRow.Cost.AnalysisWeight
 			}
 		}
-		total += time.Duration(float64(d.cfg.AnalysisCostPerRecord) * w)
+		total += time.Duration(float64(analysisCostPerRecord) * w)
 	}
 	d.dev.Clock().Advance(total)
 }
 
-// Score implements Algorithm 1 (§V-A): for every app and every IPC
-// interface type the app invoked, accumulate candidate delays
-// [JGRTime−IPCTime, JGRTime−IPCTime+Δ] over the bucketed delay axis,
-// take the best-supported bucket as that type's count of suspicious
-// calls, and sum the counts into the app's jgre_score.
-func (d *Defender) Score(records []binder.IPCRecord, jgrAdds []time.Duration) []AppScore {
-	return d.ScoreWithDelta(records, jgrAdds, d.cfg.Delta)
-}
-
-// ScoreWithDelta runs Algorithm 1 with an explicit Δ, used by the Fig. 9
-// sensitivity sweep. It is stateless — each call builds a fresh
-// correlator — so concurrent callers (Fig. 9 scores deltas across a
-// worker pool) never share scratch state; the defender's own poll loop
-// goes through its persistent correlator instead.
-func (d *Defender) ScoreWithDelta(records []binder.IPCRecord, jgrAdds []time.Duration, delta time.Duration) []AppScore {
+// ScoreWithDelta runs Algorithm 1 (§V-A) over an evidence window with
+// an explicit Δ: for every app and every IPC interface type the app
+// invoked, accumulate candidate delays [JGRTime−IPCTime,
+// JGRTime−IPCTime+Δ] over the bucketed delay axis, take the
+// best-supported bucket as that type's count of suspicious calls, and
+// sum the counts into the app's jgre_score. Experiments rescore a
+// KeepRaw Detection's RawWindow through it (the Fig. 9 Δ sweep, the
+// multi-path ablations). It is stateless — each call builds a fresh
+// correlator and only reads w — so concurrent callers (Fig. 9 scores
+// deltas across a worker pool) may share one window; the defender's own
+// poll loop goes through its persistent correlator instead.
+func (d *Defender) ScoreWithDelta(w *binder.LogColumns, jgrAdds []time.Duration, delta time.Duration) []AppScore {
 	var c correlator
-	return c.scoreRecords(d, records, jgrAdds, delta)
+	return c.score(d, w, jgrAdds, delta)
 }
 
 // AverageDelta returns the catalog-wide mean jitter — how §V-C derives

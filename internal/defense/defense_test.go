@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/art"
+	"repro/internal/binder"
 	"repro/internal/catalog"
 	"repro/internal/device"
 	"repro/internal/kernel"
@@ -247,8 +248,8 @@ func TestDefenderReattachesAfterReboot(t *testing.T) {
 
 func TestScoreEmptyInputs(t *testing.T) {
 	r := newDefRig(t, smallCfg(), 0)
-	if got := r.def.Score(nil, nil); got != nil {
-		t.Fatalf("Score(nil, nil) = %v, want nil", got)
+	if got := r.def.ScoreWithDelta(&binder.LogColumns{}, nil, DefaultDelta); got != nil {
+		t.Fatalf("ScoreWithDelta(empty, nil) = %v, want nil", got)
 	}
 }
 

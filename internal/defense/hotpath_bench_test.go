@@ -11,16 +11,17 @@ import (
 )
 
 // correlateFixture builds a realistic defender window: one flood app and
-// one chatty benign app against the clipboard service, with the JGR add
-// times captured through the system-server hook exactly as the live
-// defender sees them.
-func correlateFixture(b *testing.B) (*Defender, []binder.IPCRecord, []time.Duration) {
+// one chatty benign app against the clipboard service, read through the
+// driver's columnar view and app-uid filtered as the poll loop reads it,
+// with the JGR add times captured through the system-server hook exactly
+// as the live defender sees them.
+func correlateFixture(b *testing.B) (*Defender, *binder.LogColumns, []time.Duration) {
 	b.Helper()
 	dev, err := device.Boot(device.Config{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	def, err := New(dev, Config{AlarmThreshold: 1 << 20, EngageThreshold: 1 << 21, KeepRaw: true})
+	def, err := New(dev, Config{AlarmThreshold: 1 << 20, EngageThreshold: 1 << 21})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,38 +60,28 @@ func correlateFixture(b *testing.B) (*Defender, []binder.IPCRecord, []time.Durat
 	if _, err := dev.Driver().FlushLog(); err != nil {
 		b.Fatal(err)
 	}
-	all, err := dev.Driver().ReadLog(kernel.SystemUid)
-	if err != nil {
+	var w binder.LogColumns
+	if _, err := dev.Driver().AppendLogColumnsSince(kernel.SystemUid, dev.SystemServer().Pid(), 0, &w); err != nil {
 		b.Fatal(err)
 	}
-	victim := dev.SystemServer().Pid()
-	var records []binder.IPCRecord
-	for _, r := range all {
-		if r.ToPid == victim && kernel.IsAppUid(r.FromUid) {
-			records = append(records, r)
-		}
-	}
-	return def, records, adds
+	w.Filter(func(i int) bool { return kernel.IsAppUid(w.FromUid[i]) })
+	return def, &w, adds
 }
 
 // BenchmarkCorrelate measures Algorithm 1's correlation stage on the
 // defender's poll path: the per-type difference-array sweep over the
 // delay buckets, repeated every poll as the live defender does.
-// "stateless" is the public Score path (fresh correlator per call, rows
-// in, what concurrent sweep callers get); "incremental" is the poll
-// loop's persistent correlator fed the driver's columnar window, which
-// reuses the sorted permutation, difference array and scratch buffers
-// across windows.
+// "stateless" is ScoreWithDelta (a fresh correlator per call, what the
+// concurrent Fig. 9 sweep gets); "incremental" is the poll loop's
+// persistent correlator, which reuses the sorted permutation,
+// difference array and scratch buffers across windows. Both score the
+// same columnar window.
 func BenchmarkCorrelate(b *testing.B) {
-	def, records, adds := correlateFixture(b)
-	var cols binder.LogColumns
-	for _, r := range records {
-		cols.Append(r)
-	}
+	def, w, adds := correlateFixture(b)
 	b.Run("stateless", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scores := def.Score(records, adds)
+			scores := def.ScoreWithDelta(w, adds, DefaultDelta)
 			if len(scores) == 0 {
 				b.Fatal("no scores")
 			}
@@ -99,7 +90,7 @@ func BenchmarkCorrelate(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scores := def.corr.score(def, &cols, adds, def.cfg.Delta)
+			scores := def.corr.score(def, w, adds, DefaultDelta)
 			if len(scores) == 0 {
 				b.Fatal("no scores")
 			}

@@ -2,6 +2,7 @@ package defense
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -169,8 +170,11 @@ func TestDefenderHandlesRepeatEngagements(t *testing.T) {
 	}
 }
 
-// TestScorePermutationInvariant: Algorithm 1's result must not depend on
-// the order records arrive in the log.
+// TestScorePermutationInvariant: Algorithm 1's result is a pure
+// function of the window's multiset of records, so the order records
+// arrive in the log cannot change it — scores, per-type breakdowns and
+// ranking alike. The streaming path re-groups rows through its
+// permutation sort; several shuffles of a live detection window pin it.
 func TestScorePermutationInvariant(t *testing.T) {
 	r := newDefRig(t, smallCfg(), 4)
 	evil, _ := r.dev.Apps().Install("com.evil.app")
@@ -183,24 +187,42 @@ func TestScorePermutationInvariant(t *testing.T) {
 	r.sched.Add(atk)
 	r.sched.Run(func() bool { return len(cfgd.History()) > 0 }, 200000)
 	hist := cfgd.History()
-	if len(hist) == 0 || len(hist[0].RawRecords) == 0 {
+	if len(hist) == 0 || hist[0].RawWindow.Len() == 0 {
 		t.Fatal("no raw window captured")
 	}
 	det := hist[0]
 
-	base := cfgd.Score(det.RawRecords, det.RawAddTimes)
-	shuffled := append([]binder.IPCRecord(nil), det.RawRecords...)
-	rng := rand.New(rand.NewSource(5))
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	again := cfgd.Score(shuffled, det.RawAddTimes)
-
-	if len(base) != len(again) {
-		t.Fatalf("score cardinality changed: %d vs %d", len(base), len(again))
+	base := cfgd.ScoreWithDelta(&det.RawWindow, det.RawAddTimes, DefaultDelta)
+	if len(base) == 0 {
+		t.Fatal("window scored no apps")
 	}
-	for i := range base {
-		if base[i].Uid != again[i].Uid || base[i].Score != again[i].Score {
-			t.Fatalf("rank %d differs: %+v vs %+v", i, base[i], again[i])
+	shuffled := det.RawWindow.Clone()
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 5; trial++ {
+		rng.Shuffle(shuffled.Len(), func(i, j int) { swapRows(&shuffled, i, j) })
+		if got := cfgd.ScoreWithDelta(&shuffled, det.RawAddTimes, DefaultDelta); !reflect.DeepEqual(got, base) {
+			t.Fatalf("trial %d: shuffled window changed the result:\nshuffled: %+v\n    base: %+v", trial, got, base)
 		}
+	}
+}
+
+// swapRows exchanges rows i and j across every column of w.
+func swapRows(w *binder.LogColumns, i, j int) {
+	w.Seq[i], w.Seq[j] = w.Seq[j], w.Seq[i]
+	w.Time[i], w.Time[j] = w.Time[j], w.Time[i]
+	w.FromPid[i], w.FromPid[j] = w.FromPid[j], w.FromPid[i]
+	w.FromUid[i], w.FromUid[j] = w.FromUid[j], w.FromUid[i]
+	w.ToPid[i], w.ToPid[j] = w.ToPid[j], w.ToPid[i]
+	w.Handle[i], w.Handle[j] = w.Handle[j], w.Handle[i]
+	w.Code[i], w.Code[j] = w.Code[j], w.Code[i]
+	w.Size[i], w.Size[j] = w.Size[j], w.Size[i]
+}
+
+// headRows is the window's first n rows, sharing w's storage.
+func headRows(w *binder.LogColumns, n int) *binder.LogColumns {
+	return &binder.LogColumns{
+		Seq: w.Seq[:n], Time: w.Time[:n], FromPid: w.FromPid[:n], FromUid: w.FromUid[:n],
+		ToPid: w.ToPid[:n], Handle: w.Handle[:n], Code: w.Code[:n], Size: w.Size[:n],
 	}
 }
 
@@ -232,9 +254,9 @@ func TestScoreMonotoneInEvidence(t *testing.T) {
 	}
 	prev := int64(0)
 	for _, frac := range []int{4, 2, 1} {
-		n := len(det.RawRecords) / frac
+		n := det.RawWindow.Len() / frac
 		m := len(det.RawAddTimes) / frac
-		score := find(r.def.Score(det.RawRecords[:n], det.RawAddTimes[:m]))
+		score := find(r.def.ScoreWithDelta(headRows(&det.RawWindow, n), det.RawAddTimes[:m], DefaultDelta))
 		if score < prev {
 			t.Fatalf("score shrank with more evidence: %d then %d", prev, score)
 		}
@@ -273,7 +295,7 @@ func TestQuickDeltaWideningNeverLowersScore(t *testing.T) {
 	}
 	prev := int64(0)
 	for _, delta := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond, 8 * time.Millisecond} {
-		score := find(r.def.ScoreWithDelta(det.RawRecords, det.RawAddTimes, delta))
+		score := find(r.def.ScoreWithDelta(&det.RawWindow, det.RawAddTimes, delta))
 		if score < prev {
 			t.Fatalf("Δ=%v lowered score: %d then %d", delta, prev, score)
 		}

@@ -172,8 +172,7 @@ type handleEntry struct {
 	name string
 }
 
-// resolveKey addresses one memoized Resolve result; the record's other
-// fields never influence the target attribution.
+// resolveKey addresses one memoized Resolve result.
 type resolveKey struct {
 	handle binder.Handle
 	code   binder.TxCode
@@ -671,21 +670,22 @@ func (d *Device) RestartAppService(name string) error {
 	return nil
 }
 
-// Resolve attributes a logged IPC record to its target interface. The
-// defender uses this exactly as the paper's defender uses the
-// servicemanager + framework metadata: handle → service, code → method.
-// Results (hits and misses alike) are memoized per (handle, code); the
-// memo is dropped whenever the handle index changes, so a record from
-// before a service restart resolves exactly as it did uncached.
-func (d *Device) Resolve(rec binder.IPCRecord) (IPCTarget, bool) {
-	key := resolveKey{handle: rec.Handle, code: rec.Code}
+// Resolve attributes a logged IPC record's (handle, code) — the only
+// fields attribution reads — to its target interface. The defender uses
+// this exactly as the paper's defender uses the servicemanager +
+// framework metadata: handle → service, code → method. Results (hits
+// and misses alike) are memoized per (handle, code); the memo is dropped
+// whenever the handle index changes, so a record from before a service
+// restart resolves exactly as it did uncached.
+func (d *Device) Resolve(handle binder.Handle, code binder.TxCode) (IPCTarget, bool) {
+	key := resolveKey{handle: handle, code: code}
 	d.resolveMu.RLock()
 	res, hit := d.resolveMemo[key]
 	d.resolveMu.RUnlock()
 	if hit {
 		return res.target, res.ok
 	}
-	t, ok := d.resolveUncached(rec)
+	t, ok := d.resolveUncached(handle, code)
 	d.resolveMu.Lock()
 	if d.resolveMemo == nil {
 		d.resolveMemo = make(map[resolveKey]resolveResult)
@@ -695,15 +695,15 @@ func (d *Device) Resolve(rec binder.IPCRecord) (IPCTarget, bool) {
 	return t, ok
 }
 
-func (d *Device) resolveUncached(rec binder.IPCRecord) (IPCTarget, bool) {
-	he, ok := d.handleIndex[rec.Handle]
+func (d *Device) resolveUncached(handle binder.Handle, code binder.TxCode) (IPCTarget, bool) {
+	he, ok := d.handleIndex[handle]
 	if !ok {
 		return IPCTarget{}, false
 	}
 	t := IPCTarget{Kind: he.kind, Service: he.name}
 	switch he.kind {
 	case "system":
-		m, ok := he.sys.MethodName(rec.Code)
+		m, ok := he.sys.MethodName(code)
 		if !ok {
 			return IPCTarget{}, false
 		}
@@ -712,7 +712,7 @@ func (d *Device) resolveUncached(rec binder.IPCRecord) (IPCTarget, bool) {
 			t.Catalogued = &row
 		}
 	case "app":
-		m, ok := he.app.MethodName(rec.Code)
+		m, ok := he.app.MethodName(code)
 		if !ok {
 			return IPCTarget{}, false
 		}

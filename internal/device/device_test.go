@@ -152,14 +152,15 @@ func TestResolveSystemRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Driver().FlushLog()
-	recs, err := d.Driver().ReadLog(kernel.SystemUid)
-	if err != nil {
+	var w binder.LogColumns
+	if _, err := d.Driver().AppendLogColumnsSince(kernel.SystemUid, d.SystemServer().Pid(), 0, &w); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
+	if w.Len() == 0 {
 		t.Fatal("no records logged")
 	}
-	target, ok := d.Resolve(recs[len(recs)-1])
+	last := w.Len() - 1
+	target, ok := d.Resolve(w.Handle[last], w.Code[last])
 	if !ok {
 		t.Fatal("record did not resolve")
 	}
@@ -173,7 +174,7 @@ func TestResolveSystemRecord(t *testing.T) {
 
 func TestResolveUnknownRecord(t *testing.T) {
 	d := boot(t, Config{Seed: 1})
-	if _, ok := d.Resolve(binder.IPCRecord{Handle: 0xFFFF}); ok {
+	if _, ok := d.Resolve(0xFFFF, 0); ok {
 		t.Fatal("unknown handle resolved")
 	}
 }
@@ -225,6 +226,7 @@ func TestBroadcastChannelBypassesBinderAccounting(t *testing.T) {
 	app, _ := d.Apps().Install("com.covert.app")
 	proc := app.Start()
 	base := d.SystemServer().VM().GlobalRefCount()
+	seq := d.Driver().LogStats().Seq
 	for i := 0; i < 25; i++ {
 		if err := d.RegisterBroadcastReceiver(proc); err != nil {
 			t.Fatal(err)
@@ -233,16 +235,10 @@ func TestBroadcastChannelBypassesBinderAccounting(t *testing.T) {
 	if got := d.SystemServer().VM().GlobalRefCount(); got != base+25 {
 		t.Fatalf("JGR growth = %d, want 25", got-base)
 	}
-	// No binder evidence exists for the covert channel.
-	d.Driver().FlushLog()
-	recs, err := d.Driver().ReadLog(kernel.SystemUid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if r.FromUid == app.Uid() {
-			t.Fatalf("covert channel left a binder record: %+v", r)
-		}
+	// No binder evidence exists for the covert channel: the driver
+	// issued no log sequence number while the receivers registered.
+	if got := d.Driver().LogStats().Seq; got != seq {
+		t.Fatalf("covert channel left %d binder records", got-seq)
 	}
 	// Registrant death releases the pins.
 	app.ForceStop("gone")
@@ -281,10 +277,13 @@ func TestThirdPartyInstallAndResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Driver().FlushLog()
-	recs, _ := d.Driver().ReadLog(kernel.SystemUid)
+	var w binder.LogColumns
+	if _, err := d.Driver().AppendLogColumnsSince(kernel.SystemUid, svc.Owner().Proc().Pid(), 0, &w); err != nil {
+		t.Fatal(err)
+	}
 	var found bool
-	for _, r := range recs {
-		tgt, ok := d.Resolve(r)
+	for i := 0; i < w.Len(); i++ {
+		tgt, ok := d.Resolve(w.Handle[i], w.Code[i])
 		if ok && tgt.Kind == "app" && tgt.Method == "setCallback" {
 			found = true
 			if tgt.AppRow == nil && row.Package != "" {

@@ -183,7 +183,7 @@ func Fig9Colluders(ctx context.Context, scale Scale, workers int) (*Fig9Result, 
 	det := hist[0]
 	res.Recovered = det.Recovered
 	top, err := parallel.Map(ctx, res.Deltas, workers, func(_ context.Context, _ int, delta time.Duration) ([]defense.AppScore, error) {
-		scores := def.ScoreWithDelta(det.RawRecords, det.RawAddTimes, delta)
+		scores := def.ScoreWithDelta(&det.RawWindow, det.RawAddTimes, delta)
 		if len(scores) > 5 {
 			scores = scores[:5]
 		}

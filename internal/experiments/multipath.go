@@ -94,7 +94,7 @@ func MultiPathStudy(scale Scale) (*MultiPathResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		for _, s := range abl.ScoreWithDelta(det.RawRecords, det.RawAddTimes, defense.DefaultDelta) {
+		for _, s := range abl.ScoreWithDelta(&det.RawWindow, det.RawAddTimes, defense.DefaultDelta) {
 			if s.Package == evil.Package() {
 				return s.Score, nil
 			}

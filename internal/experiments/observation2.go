@@ -86,11 +86,13 @@ func Observation2(scale Scale) (*Obs2Result, error) {
 		if _, err := dev.Driver().FlushLog(); err != nil {
 			return nil, err
 		}
-		records, err := dev.Driver().ReadLog(kernel.SystemUid)
-		if err != nil {
+		// Every exploitable interface is hosted in system_server, so its
+		// window holds all of the attacker's records.
+		var w binder.LogColumns
+		if _, err := dev.Driver().AppendLogColumnsSince(kernel.SystemUid, dev.SystemServer().Pid(), 0, &w); err != nil {
 			return nil, err
 		}
-		delays := causalDelays(records, adds, app.Uid())
+		delays := causalDelays(&w, adds, app.Uid())
 		if len(delays) == 0 {
 			return nil, fmt.Errorf("experiments: obs2 %s: no delay samples", row.FullName())
 		}
@@ -112,17 +114,18 @@ func Observation2(scale Scale) (*Obs2Result, error) {
 // causalDelays pairs each of the attacker's IPC records with the first
 // JGR add that follows it (the attacker is the only caller while its
 // window is measured).
-func causalDelays(records []binder.IPCRecord, adds []time.Duration, uid kernel.Uid) []time.Duration {
+func causalDelays(w *binder.LogColumns, adds []time.Duration, uid kernel.Uid) []time.Duration {
 	sorted := append([]time.Duration(nil), adds...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var out []time.Duration
-	for _, r := range records {
-		if r.FromUid != uid {
+	for row, from := range w.FromUid {
+		if from != uid {
 			continue
 		}
-		i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= r.Time })
+		t := w.Time[row]
+		i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= t })
 		if i < len(sorted) {
-			out = append(out, sorted[i]-r.Time)
+			out = append(out, sorted[i]-t)
 		}
 	}
 	return out

@@ -69,8 +69,14 @@ const DefaultCapacity = 4096
 // Journal is a bounded event ring. The zero value is not usable; create
 // with New.
 type Journal struct {
-	cap    int
+	cap int
+	// events grows by append until it holds cap events; from then on
+	// each new event overwrites the oldest, at head, so eviction is O(1).
+	// Retained events, oldest first, are events[head:] then
+	// events[:head]; head stays 0 until the journal is full. Storage is
+	// not preallocated: most devices never journal cap events.
 	events []Event
+	head   int
 	// dropped counts events discarded to honour the capacity.
 	dropped int
 }
@@ -89,17 +95,22 @@ func New(capacity int) *Journal {
 // allocating a fresh one per trial.
 func (j *Journal) Reset() {
 	j.events = j.events[:0]
+	j.head = 0
 	j.dropped = 0
 }
 
 // Record appends an event, evicting the oldest entry when full.
 func (j *Journal) Record(ev Event) {
-	if len(j.events) == j.cap {
-		copy(j.events, j.events[1:])
-		j.events = j.events[:j.cap-1]
-		j.dropped++
+	if len(j.events) < j.cap {
+		j.events = append(j.events, ev)
+		return
 	}
-	j.events = append(j.events, ev)
+	j.events[j.head] = ev
+	j.head++
+	if j.head == j.cap {
+		j.head = 0
+	}
+	j.dropped++
 }
 
 // Add is Record with the fields spelled out.
@@ -203,15 +214,14 @@ func (j *Journal) Dropped() int { return j.dropped }
 
 // Events returns a copy of the journal in order.
 func (j *Journal) Events() []Event {
-	out := make([]Event, len(j.events))
-	copy(out, j.events)
-	return out
+	out := make([]Event, 0, len(j.events))
+	return append(append(out, j.events[j.head:]...), j.events[:j.head]...)
 }
 
 // Filter returns the events of one kind, in order.
 func (j *Journal) Filter(kind Kind) []Event {
 	var out []Event
-	for _, e := range j.events {
+	for _, e := range j.Events() {
 		if e.Kind == kind {
 			out = append(out, e)
 		}
@@ -222,7 +232,7 @@ func (j *Journal) Filter(kind Kind) []Event {
 // Since returns the events at or after t.
 func (j *Journal) Since(t time.Duration) []Event {
 	var out []Event
-	for _, e := range j.events {
+	for _, e := range j.Events() {
 		if e.T >= t {
 			out = append(out, e)
 		}
@@ -233,7 +243,7 @@ func (j *Journal) Since(t time.Duration) []Event {
 // Dump writes the journal (optionally only the last n events; n <= 0
 // writes everything).
 func (j *Journal) Dump(w io.Writer, n int) {
-	evs := j.events
+	evs := j.Events()
 	if n > 0 && len(evs) > n {
 		evs = evs[len(evs)-n:]
 	}
