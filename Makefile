@@ -78,22 +78,30 @@ bench_gate = awk -v names='$(1)' ' \
 # (compile errors, fixture failures, b.Fatal) without paying full timing
 # runs in CI. The grep asserts the telemetry-overhead comparison pair
 # actually ran — it is the guard on the instrumented hot path. The
-# ns/op gates read their ceilings from BENCH_hotpath.json: the streaming
-# correlator stays >=10x under the PR-5 incremental baseline
-# (BenchmarkCorrelate/incremental), and the tracing-off logged-transact
-# paths stay within 5% of their recorded baselines
-# (BenchmarkTransactLogged, run at 2000x for a stable mean). The
-# device-clone gate holds BenchmarkDeviceClone's B/op and allocs/op
-# (deterministic, unlike its ns/op) to at most 5% over the
-# clone_bytes_per_op/clone_allocs_per_op that `make bench-json` writes
-# into BENCH_parallel.json, read from that file. BenchmarkSoftReboot
-# runs once so the reboot-layer benchmark cannot rot.
+# ns/op gates read their ceilings from BENCH_hotpath.json, and each runs
+# its benchmark at a fixed iteration count so the gate holds a mean, not
+# one cold call: the streaming correlator stays >=10x under the
+# segment-tree incremental baseline (BenchmarkCorrelate/incremental,
+# 50x), killing a client that holds 6,000 registrations stays linear in
+# them (BenchmarkKillRegistrant/entries=6000, 20x), and the tracing-off
+# logged-transact paths stay within 5% of their recorded baselines
+# (BenchmarkTransactLogged, 2000x). The device-clone gate holds
+# BenchmarkDeviceClone's B/op and allocs/op (deterministic, unlike its
+# ns/op) to at most 5% over the clone_bytes_per_op/clone_allocs_per_op
+# that `make bench-json` writes into BENCH_parallel.json, read from that
+# file. BenchmarkSoftReboot runs once so the reboot-layer benchmark
+# cannot rot.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/telemetry \
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/services ./internal/telemetry \
 		| tee /tmp/jgre-bench-smoke.out
 	@grep -q 'BenchmarkTelemetryOverhead/instrumented' /tmp/jgre-bench-smoke.out \
 		|| { echo 'bench-smoke: telemetry overhead benchmark did not run'; exit 1; }
-	@$(call bench_gate,BenchmarkCorrelate/incremental,/tmp/jgre-bench-smoke.out)
+	$(GO) test -bench='^BenchmarkCorrelate$$/^incremental$$' -benchtime=50x -run '^$$' ./internal/defense \
+		| tee /tmp/jgre-correlate-smoke.out
+	@$(call bench_gate,BenchmarkCorrelate/incremental,/tmp/jgre-correlate-smoke.out)
+	$(GO) test -bench='^BenchmarkKillRegistrant$$/^entries=6000$$' -benchtime=20x -run '^$$' ./internal/services \
+		| tee /tmp/jgre-kill-smoke.out
+	@$(call bench_gate,BenchmarkKillRegistrant/entries=6000,/tmp/jgre-kill-smoke.out)
 	$(GO) test -bench='^BenchmarkDevice(Boot|Clone)$$' -benchtime=400x -benchmem -run '^$$' . \
 		| tee /tmp/jgre-clone-smoke.out
 	@awk -F '[:,]' 'FNR == NR { if ($$1 ~ /"clone_bytes_per_op"/) jb = $$2 + 0; if ($$1 ~ /"clone_allocs_per_op"/) ja = $$2 + 0; next } \

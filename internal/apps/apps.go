@@ -279,14 +279,10 @@ type AppService struct {
 	regName    string
 	methods    map[binder.TxCode]catalog.AppInterface
 	codes      map[string]binder.TxCode
-	entries    map[string][]*appEntry
-	calls      uint64
-}
-
-type appEntry struct {
-	ref  *binder.BinderRef
-	link *binder.DeathLink
-	pid  kernel.Pid
+	// entries holds retained callbacks per short method name, each list
+	// in registration order.
+	entries map[string]*binder.CallbackList[struct{}]
+	calls   uint64
 }
 
 // AppServiceName returns the registry name an app interface is published
@@ -413,7 +409,7 @@ func (s *AppService) MethodName(code binder.TxCode) (string, bool) {
 }
 
 // EntryCount returns retained registrations for a short method name.
-func (s *AppService) EntryCount(method string) int { return len(s.entries[method]) }
+func (s *AppService) EntryCount(method string) int { return s.entries[method].Len() }
 
 func (s *AppService) onTransact(call *binder.Call) error {
 	ai, ok := s.methods[call.Code]
@@ -433,34 +429,21 @@ func (s *AppService) onTransact(call *binder.Call) error {
 	}
 	// The default base-class implementation retains the callback for the
 	// life of the calling app (paper §IV-D: "all the JGR entries can be
-	// revoked only when the requesting third-party app exits").
-	ref.Retain()
+	// revoked only when the requesting third-party app exits"). A link
+	// error is ignored: the entry then lives as long as the service.
 	name := methodNameOf(ai.Method)
-	e := &appEntry{ref: ref, pid: call.SenderPid}
-	if link, lerr := ref.Binder().LinkToDeath(func() { s.drop(name, e) }); lerr == nil {
-		e.link = link
+	l := s.entries[name]
+	if l == nil {
+		if s.entries == nil {
+			s.entries = make(map[string]*binder.CallbackList[struct{}])
+		}
+		l = new(binder.CallbackList[struct{}])
+		s.entries[name] = l
 	}
-	if s.entries == nil {
-		s.entries = make(map[string][]*appEntry)
-	}
-	s.entries[name] = append(s.entries[name], e)
+	_, _ = l.Register(ref, struct{}{})
 	s.clock.Advance(ai.Cost.ExecBase / 2)
 	call.Reply.WriteInt32(0)
 	return nil
-}
-
-func (s *AppService) drop(method string, e *appEntry) {
-	es := s.entries[method]
-	for i, cur := range es {
-		if cur == e {
-			s.entries[method] = append(es[:i], es[i+1:]...)
-			break
-		}
-	}
-	if e.link != nil {
-		e.link.Unlink()
-	}
-	e.ref.Release()
 }
 
 // InstallWithUid registers a package under a fixed uid — used for prebuilt

@@ -164,7 +164,8 @@ func (p *proxy) LinkToDeath(fn func()) (*DeathLink, error) {
 
 // DeathLink is a registered death recipient; Unlink cancels it.
 type DeathLink struct {
-	driver *Driver
+	// idx is the link's position in holder.links while it is active.
+	idx    int
 	node   *node
 	holder *procContext
 	fn     func()
@@ -178,6 +179,7 @@ func (dl *DeathLink) Unlink() {
 		return
 	}
 	dl.active = false
+	dl.holder.dropLink(dl)
 	dl.node.removeLink(dl)
 	if dl.jgr != 0 && dl.holder.proc.Alive() {
 		// Ignore stale errors: the VM may have aborted concurrently.
@@ -192,11 +194,106 @@ func (dl *DeathLink) fire() {
 		return
 	}
 	dl.active = false
+	dl.holder.dropLink(dl)
 	if dl.jgr != 0 && dl.holder.proc.Alive() {
 		_ = dl.holder.proc.VM().DeleteGlobalRef(dl.jgr)
 		dl.jgr = 0
 	}
 	dl.fn()
+}
+
+// CallbackList holds the binders a service retains for its callers, in
+// registration order: the analogue of Android's RemoteCallbackList.
+// Registering links the binder's death to the entry's removal, so a
+// caller that dies takes its entries with it. Entries sit on an intrusive
+// doubly linked list, so removing one, by death or by unregister, is
+// O(1) and leaves the others in registration order. Each entry carries a
+// cookie of the service's choosing (RemoteCallbackList.register's
+// cookie), which is how a service records who registered it. The zero
+// value is an empty list; a nil *CallbackList reads as empty.
+type CallbackList[C any] struct {
+	head, tail *Callback[C]
+	n          int
+}
+
+// Callback is one registration in a CallbackList.
+type Callback[C any] struct {
+	// Cookie is the data the service registered the entry with.
+	Cookie     C
+	ref        *BinderRef
+	link       *DeathLink
+	list       *CallbackList[C] // nil once removed
+	prev, next *Callback[C]
+}
+
+// Register retains ref and appends it with cookie, linking the death of
+// ref's binder to the entry's removal. The entry is appended even when
+// linking fails (a binder the service owns itself cannot die apart from
+// it); the link error is returned for the service to judge, and one that
+// refuses the registration removes the entry again.
+func (l *CallbackList[C]) Register(ref *BinderRef, cookie C) (*Callback[C], error) {
+	ref.Retain()
+	cb := &Callback[C]{Cookie: cookie, ref: ref, list: l}
+	link, err := ref.Binder().LinkToDeath(cb.Remove)
+	cb.link = link
+	cb.prev = l.tail
+	if l.tail != nil {
+		l.tail.next = cb
+	} else {
+		l.head = cb
+	}
+	l.tail = cb
+	l.n++
+	return cb, err
+}
+
+// Len returns the number of registrations.
+func (l *CallbackList[C]) Len() int {
+	if l == nil {
+		return 0
+	}
+	return l.n
+}
+
+// Front returns the oldest registration, or nil.
+func (l *CallbackList[C]) Front() *Callback[C] {
+	if l == nil {
+		return nil
+	}
+	return l.head
+}
+
+// Next returns the registration after cb, or nil at the end or once cb
+// has been removed.
+func (cb *Callback[C]) Next() *Callback[C] { return cb.next }
+
+// Ref returns the retained binder.
+func (cb *Callback[C]) Ref() *BinderRef { return cb.ref }
+
+// Remove takes cb off its list, cancels its death link and releases its
+// binder. It is the death recipient Register links, and a service calls
+// it to unregister; removing an entry twice is a no-op.
+func (cb *Callback[C]) Remove() {
+	l := cb.list
+	if l == nil {
+		return
+	}
+	if cb.prev != nil {
+		cb.prev.next = cb.next
+	} else {
+		l.head = cb.next
+	}
+	if cb.next != nil {
+		cb.next.prev = cb.prev
+	} else {
+		l.tail = cb.prev
+	}
+	cb.list, cb.prev, cb.next = nil, nil, nil
+	l.n--
+	if cb.link != nil {
+		cb.link.Unlink()
+	}
+	cb.ref.Release()
 }
 
 // BinderRef is a binder object materialized in a reading process by

@@ -173,7 +173,19 @@ type procContext struct {
 	proc    *kernel.Process
 	proxies map[Handle]*BinderRef
 	byJGR   map[art.IndirectRef]*BinderRef
-	links   []*DeathLink
+	// links holds the process's active death links, in no particular
+	// order: a link leaves by swap-remove when it fires or unlinks.
+	links []*DeathLink
+}
+
+// dropLink swap-removes dl from c.links in O(1).
+func (c *procContext) dropLink(dl *DeathLink) {
+	last := len(c.links) - 1
+	moved := c.links[last]
+	c.links[dl.idx] = moved
+	moved.idx = dl.idx
+	c.links[last] = nil
+	c.links = c.links[:last]
 }
 
 // materialize turns a parceled binder into this process's view of it,
@@ -786,7 +798,7 @@ func (d *Driver) linkToDeath(p *proxy, fn func()) (*DeathLink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("binder: linkToDeath in %s: %w", holder.proc.Name(), err)
 	}
-	dl := &DeathLink{driver: d, node: p.node, holder: holder, fn: fn, jgr: jgr, active: true}
+	dl := &DeathLink{idx: len(holder.links), node: p.node, holder: holder, fn: fn, jgr: jgr, active: true}
 	p.node.links = append(p.node.links, dl)
 	holder.links = append(holder.links, dl)
 	return dl, nil
@@ -807,11 +819,10 @@ func (d *Driver) onProcessDeath(p *kernel.Process) {
 			}
 		}
 		for _, dl := range ctx.links {
-			if dl.active {
-				dl.active = false
-				dl.node.removeLink(dl)
-			}
+			dl.active = false
+			dl.node.removeLink(dl)
 		}
+		ctx.links = nil
 	}
 	// Walk the nodes in handle order, so death recipients fire in handle
 	// order, and stop after the pid's last one. A recipient may re-flatten
@@ -832,7 +843,10 @@ func (d *Driver) onProcessDeath(p *kernel.Process) {
 		}
 		n.dead = true
 		n.ownerJGR = 0
-		links := append([]*DeathLink(nil), n.links...)
+		// The detached slice is walked in place: linkToDeath refuses a dead
+		// node, and a recipient that unlinks another of its links edits
+		// n.links, nil from here on, so nothing changes the slice walked.
+		links := n.links
 		n.links = nil
 		for _, dl := range links {
 			if dl.holder.proc.Alive() {
@@ -1031,7 +1045,7 @@ func (d *Driver) AttributeRetainedRefs(victim kernel.Pid) map[kernel.Uid]int {
 		out[n.owner.Uid()]++
 	}
 	for _, dl := range ctx.links {
-		if !dl.active || dl.node.dead || !dl.node.owner.Alive() || !kernel.IsAppUid(dl.node.owner.Uid()) {
+		if dl.node.dead || !dl.node.owner.Alive() || !kernel.IsAppUid(dl.node.owner.Uid()) {
 			continue
 		}
 		out[dl.node.owner.Uid()]++

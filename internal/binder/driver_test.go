@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/art"
 	"repro/internal/kernel"
@@ -742,5 +744,166 @@ func TestDeathWalkMatchesScan(t *testing.T) {
 	scan.play(t, 3)
 	if !slices.Equal(recycled.log, scan.log) {
 		t.Fatalf("recycled driver's walk diverged from the scan\nbounded: %q\nscan:    %q", recycled.log, scan.log)
+	}
+}
+
+// TestHolderLinksPruned drives seeded link, unlink and owner-death steps,
+// with recipients that unlink other links while a death is being reaped,
+// and checks after every step that each holder keeps exactly its active
+// death links and that AttributeRetainedRefs equals a count over every
+// link and proxy the test made.
+func TestHolderLinksPruned(t *testing.T) {
+	// Pruning stores the link's index where an unread driver pointer sat,
+	// so a link stays in the 48-byte size class.
+	if got := unsafe.Sizeof(DeathLink{}); got != 48 {
+		t.Fatalf("DeathLink is %d bytes, want 48", got)
+	}
+	r := newRig(t, art.Config{})
+	other := r.k.Spawn(kernel.SpawnConfig{Name: "other", Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj})
+	holders := []*kernel.Process{r.server, other}
+	apps := []*kernel.Process{r.app}
+	nextUid := kernel.Uid(10100)
+	var (
+		links  []*DeathLink
+		owner  = map[*DeathLink]*kernel.Process{}
+		tokens = map[*kernel.Process][]*LocalBinder{}
+		refs   = map[*BinderRef]bool{} // the victim's proxies
+		fired  int
+	)
+	rng := rand.New(rand.NewSource(7))
+	check := func(step int) {
+		t.Helper()
+		for _, h := range holders {
+			ctx := r.d.ctxs[h.Pid()]
+			active := 0
+			for _, dl := range links {
+				if dl.active && dl.holder.proc == h {
+					active++
+				}
+			}
+			if ctx == nil {
+				if active != 0 {
+					t.Fatalf("step %d: %s has %d active links and no context", step, h.Name(), active)
+				}
+				continue
+			}
+			if len(ctx.links) != active {
+				t.Fatalf("step %d: %s keeps %d links, %d active", step, h.Name(), len(ctx.links), active)
+			}
+			for i, dl := range ctx.links {
+				if dl.idx != i || !dl.active {
+					t.Fatalf("step %d: %s links[%d] has idx %d, active %v", step, h.Name(), i, dl.idx, dl.active)
+				}
+			}
+		}
+		want := map[kernel.Uid]int{}
+		for ref := range refs {
+			if n := ref.node(); !ref.closed && !n.dead && n.owner.Alive() {
+				want[n.owner.Uid()]++
+			}
+		}
+		for _, dl := range links {
+			if dl.active && dl.holder.proc == r.server && !dl.node.dead && owner[dl].Alive() {
+				want[owner[dl].Uid()]++
+			}
+		}
+		if got := r.d.AttributeRetainedRefs(r.server.Pid()); !maps.Equal(got, want) {
+			t.Fatalf("step %d: AttributeRetainedRefs %v, count over the links made %v", step, got, want)
+		}
+	}
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(10); {
+		case op < 6: // a holder links to a (possibly new) token of a live app
+			app := apps[rng.Intn(len(apps))]
+			ts := tokens[app]
+			if len(ts) == 0 || rng.Intn(3) == 0 {
+				ts = append(ts, r.d.NewLocalBinder(app, "android.os.Binder", nil))
+				tokens[app] = ts
+			}
+			h := holders[rng.Intn(len(holders))]
+			ref, err := r.d.Materialize(h, ts[rng.Intn(len(ts))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h == r.server {
+				refs[ref] = true
+			}
+			// Some recipients unlink another link while the death that
+			// fires them is being reaped.
+			var victim *DeathLink
+			if len(links) > 0 && rng.Intn(4) == 0 {
+				victim = links[rng.Intn(len(links))]
+			}
+			dl, err := ref.Binder().LinkToDeath(func() {
+				fired++
+				if victim != nil {
+					victim.Unlink()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			links = append(links, dl)
+			owner[dl] = app
+		case op < 8: // unlink any link made, active or not
+			if len(links) > 0 {
+				links[rng.Intn(len(links))].Unlink()
+			}
+		default: // an app dies and a new one takes its place
+			i := rng.Intn(len(apps))
+			if err := r.k.Kill(apps[i].Pid(), "test"); err != nil {
+				t.Fatal(err)
+			}
+			apps[i] = r.k.Spawn(kernel.SpawnConfig{Name: fmt.Sprintf("app%d", nextUid), Uid: nextUid})
+			nextUid++
+		}
+		check(step)
+	}
+	if fired == 0 || len(r.d.ctxs[r.server.Pid()].links) == 0 {
+		t.Fatalf("scenario did not exercise deaths and live links: fired %d", fired)
+	}
+}
+
+// TestCallbackListRemove checks what the services' oracle tests do not
+// reach: removing an entry twice is a no-op, and a binder the holder
+// owns itself is appended with no death link and the link error.
+func TestCallbackListRemove(t *testing.T) {
+	r := newRig(t, art.Config{GCTrigger: -1})
+	var l CallbackList[int]
+	var cbs []*Callback[int]
+	for i := 0; i < 3; i++ {
+		ref, err := r.d.Materialize(r.server, r.d.NewLocalBinder(r.app, "Callback", nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := l.Register(ref, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cbs = append(cbs, cb)
+	}
+	cbs[1].Remove()
+	cbs[1].Remove()
+	var got []int
+	for cb := l.Front(); cb != nil; cb = cb.Next() {
+		got = append(got, cb.Cookie)
+	}
+	if !slices.Equal(got, []int{0, 2}) || l.Len() != 2 {
+		t.Fatalf("after removing entry 1 twice: %v, Len %d", got, l.Len())
+	}
+	// Two live entries: a proxy and a death link each.
+	if n := r.server.VM().GlobalRefCount(); n != 4 {
+		t.Fatalf("server JGR = %d, want 4", n)
+	}
+	own, err := r.d.Materialize(r.server, r.d.NewLocalBinder(r.server, "Callback", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Register(own, 3); !errors.Is(err, ErrLocalBinder) || l.Len() != 3 {
+		t.Fatalf("registering a local binder: err %v, Len %d", err, l.Len())
+	}
+	r.k.Kill(r.app.Pid(), "test")
+	if l.Len() != 1 || l.Front().Cookie != 3 || r.server.VM().GlobalRefCount() != 0 {
+		t.Fatalf("after the client died: Len %d, server JGR %d", l.Len(), r.server.VM().GlobalRefCount())
 	}
 }

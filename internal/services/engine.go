@@ -113,13 +113,18 @@ type method struct {
 	unregisterFor string // set on generated unregister methods
 }
 
-// entry is one retained listener registration.
+// caller identifies who registered a callback: the kernel-reported pid
+// the per-process guards count, and the caller-supplied package string
+// the toast quota counts.
+type caller struct {
+	pid kernel.Pid
+	pkg string
+}
+
+// entry is a caller's binder held in a BehaviourMemberOverwrite slot.
 type entry struct {
-	ref    *binder.BinderRef
-	link   *binder.DeathLink
-	caller kernel.Pid
-	uid    kernel.Uid
-	pkg    string
+	ref  *binder.BinderRef
+	link *binder.DeathLink
 }
 
 // Service is one instantiated system service.
@@ -148,8 +153,9 @@ type Service struct {
 	methods    map[binder.TxCode]*method
 	codes      map[string]binder.TxCode
 
-	// entries holds retained registrations per catalogued method name.
-	entries map[string][]*entry
+	// entries holds retained registrations per catalogued method name,
+	// each list in registration order.
+	entries map[string]*binder.CallbackList[caller]
 	// member holds the single member-field slot per caller for
 	// BehaviourMemberOverwrite methods (keyed method|pid).
 	member map[string]*entry
@@ -313,13 +319,13 @@ func (s *Service) MethodNames() []string {
 }
 
 // EntryCount returns the retained registrations for a method.
-func (s *Service) EntryCount(methodName string) int { return len(s.entries[methodName]) }
+func (s *Service) EntryCount(methodName string) int { return s.entries[methodName].Len() }
 
 // TotalEntries returns all retained registrations of the service.
 func (s *Service) TotalEntries() int {
 	n := 0
-	for _, es := range s.entries {
-		n += len(es)
+	for _, l := range s.entries {
+		n += l.Len()
 	}
 	return n
 }
@@ -391,7 +397,7 @@ func (s *Service) handleCatalogued(m *method, call *binder.Call) error {
 			}
 		}
 	}
-	post := s.chargeExec(m.spec.Cost, len(s.entries[m.name]))
+	post := s.chargeExec(m.spec.Cost, s.entries[m.name].Len())
 	if variant > 0 {
 		s.clock.Advance(time.Duration(variant) * PathShift)
 	}
@@ -452,39 +458,26 @@ func (s *Service) handleCatalogued(m *method, call *binder.Call) error {
 // clipboard listeners "will not be released until the corresponding app
 // process exits" (paper §II-A).
 func (s *Service) retain(methodName string, ref *binder.BinderRef, call *binder.Call, pkg string) error {
-	ref.Retain()
-	e := &entry{ref: ref, caller: call.SenderPid, uid: call.SenderUid, pkg: pkg}
-	link, err := ref.Binder().LinkToDeath(func() { s.dropEntry(methodName, e) })
+	l := s.entries[methodName]
+	if l == nil {
+		if s.entries == nil {
+			s.entries = make(map[string]*binder.CallbackList[caller])
+		}
+		l = new(binder.CallbackList[caller])
+		s.entries[methodName] = l
+	}
+	cb, err := l.Register(ref, caller{pid: call.SenderPid, pkg: pkg})
 	if err != nil && !errors.Is(err, binder.ErrLocalBinder) {
-		ref.Release()
+		cb.Remove()
 		return fmt.Errorf("%s.%s: linkToDeath: %w", s.meta.Name, methodName, err)
 	}
-	e.link = link
-	if s.entries == nil {
-		s.entries = make(map[string][]*entry)
-	}
-	s.entries[methodName] = append(s.entries[methodName], e)
 	return nil
-}
-
-func (s *Service) dropEntry(methodName string, e *entry) {
-	es := s.entries[methodName]
-	for i, cur := range es {
-		if cur == e {
-			s.entries[methodName] = append(es[:i], es[i+1:]...)
-			break
-		}
-	}
-	if e.link != nil {
-		e.link.Unlink()
-	}
-	e.ref.Release()
 }
 
 func (s *Service) countByPid(methodName string, pid kernel.Pid) int {
 	n := 0
-	for _, e := range s.entries[methodName] {
-		if e.caller == pid {
+	for cb := s.entries[methodName].Front(); cb != nil; cb = cb.Next() {
+		if cb.Cookie.pid == pid {
 			n++
 		}
 	}
@@ -493,8 +486,8 @@ func (s *Service) countByPid(methodName string, pid kernel.Pid) int {
 
 func (s *Service) countByPackage(methodName, pkg string) int {
 	n := 0
-	for _, e := range s.entries[methodName] {
-		if e.pkg == pkg {
+	for cb := s.entries[methodName].Front(); cb != nil; cb = cb.Next() {
+		if cb.Cookie.pkg == pkg {
 			n++
 		}
 	}
@@ -503,9 +496,9 @@ func (s *Service) countByPackage(methodName, pkg string) int {
 
 // handleUnregister releases the caller's oldest registration.
 func (s *Service) handleUnregister(methodName string, call *binder.Call) error {
-	for _, e := range s.entries[methodName] {
-		if e.caller == call.SenderPid {
-			s.dropEntry(methodName, e)
+	for cb := s.entries[methodName].Front(); cb != nil; cb = cb.Next() {
+		if cb.Cookie.pid == call.SenderPid {
+			cb.Remove()
 			call.Reply.WriteInt32(0)
 			return nil
 		}
@@ -529,7 +522,7 @@ func (s *Service) handleInnocent(m *method, call *binder.Call) error {
 	}
 	switch m.behaviour {
 	case BehaviourPlain:
-		call.Reply.WriteInt32(int32(len(s.entries[m.name])))
+		call.Reply.WriteInt32(int32(s.entries[m.name].Len()))
 		return nil
 	case BehaviourThreadOnly:
 		// Thread.nativeCreate takes a JGR and Thread::CreateNativeThread
@@ -563,7 +556,7 @@ func (s *Service) handleInnocent(m *method, call *binder.Call) error {
 			}
 			prev.ref.Release()
 		}
-		e := &entry{ref: ref, caller: call.SenderPid, uid: call.SenderUid}
+		e := &entry{ref: ref}
 		if link, err := ref.Binder().LinkToDeath(func() { s.dropMember(key, e) }); err == nil {
 			e.link = link
 		}
@@ -597,17 +590,21 @@ func (s *Service) newObject(tag string) *art.Object {
 // successful deliveries is returned.
 func (s *Service) NotifyListeners(methodName string, payload string) int {
 	delivered := 0
-	// Copy: a callback erroring can trigger death handling that mutates
-	// the entry list.
-	entries := append([]*entry(nil), s.entries[methodName]...)
+	// Snapshot, as RemoteCallbackList.beginBroadcast does: a callback can
+	// trigger death handling or registrations that edit the list.
+	l := s.entries[methodName]
+	refs := make([]*binder.BinderRef, 0, l.Len())
+	for cb := l.Front(); cb != nil; cb = cb.Next() {
+		refs = append(refs, cb.Ref())
+	}
 	data, reply := binder.ObtainParcel(), binder.ObtainParcel()
 	defer data.Recycle()
 	defer reply.Recycle()
-	for _, e := range entries {
+	for _, ref := range refs {
 		data.Reset()
 		reply.Reset()
 		data.WriteString(payload)
-		if err := e.ref.Binder().Transact(1, data, reply); err != nil {
+		if err := ref.Binder().Transact(1, data, reply); err != nil {
 			continue // token binders and dead clients are expected
 		}
 		delivered++

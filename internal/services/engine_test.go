@@ -26,7 +26,7 @@ type svcRig struct {
 	svc    *Service
 }
 
-func newSvcRig(t *testing.T, serviceName string, vm art.Config) *svcRig {
+func newSvcRig(t testing.TB, serviceName string, vm art.Config) *svcRig {
 	t.Helper()
 	clock := simclock.New()
 	k := kernel.New(clock, kernel.Config{})
@@ -61,7 +61,7 @@ func newSvcRig(t *testing.T, serviceName string, vm art.Config) *svcRig {
 	return &svcRig{clock: clock, k: k, d: d, sm: sm, perms: perms, server: server, app: app, svc: svc}
 }
 
-func (r *svcRig) client(t *testing.T, pkg string) *Client {
+func (r *svcRig) client(t testing.TB, pkg string) *Client {
 	t.Helper()
 	c, err := NewClient(r.sm, r.d, r.app, pkg, r.svc.Name())
 	if err != nil {
