@@ -7,7 +7,7 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the whole evaluation. Experiments run at Quick scale inside
-// the harness (the cmd tools expose -scale full); scale factors are noted
+// the harness (jgre-run exposes -scale full); scale factors are noted
 // per benchmark.
 package repro
 

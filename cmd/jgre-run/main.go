@@ -1,23 +1,30 @@
-// Command jgre-run is the unified front end over the scenario registry:
-// one binary that can enumerate and execute every registered experiment
-// — each table, figure and study of the evaluation — and emit the shared
-// JSON result envelope.
+// Command jgre-run is the front end over the scenario registry: it
+// lists and runs every registered experiment — each table, figure and
+// study of the evaluation — and prints the result.
 //
 // Usage:
 //
 //	jgre-run list
-//	jgre-run <scenario> [-scale quick|full] [-parallel n] [-seed n]
-//	         [-filter a,b] [-json] [-metrics-json]
+//	jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b]
+//	         [-json] [-metrics-json] [-trace-out file.json] [-trace-sample n]
+//
+// Stdout carries only the result: the scenario's text report (render.go)
+// or, with -json or for a result type without a report, the shared JSON
+// envelope. The run header and the wall-clock footer go to stderr, so
+// the text report depends on the scenario, scale and filter alone;
+// results/run_all.sh writes results/<scenario>.txt from it.
 //
 // Parallelizable scenarios (marked in jgre-run list) fan out across
 // -parallel workers; every shard runs on its own simulated device, so
-// the output is identical for any worker count.
+// the output is identical for any worker count. -filter is accepted only
+// by scenarios that sweep named targets (fig3 takes interface names).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -46,8 +53,7 @@ func main() {
 	fs := flag.NewFlagSet("jgre-run "+name, flag.ExitOnError)
 	scaleName := fs.String("scale", "quick", "quick or full")
 	workers := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = sequential; results are identical)")
-	seed := fs.Int64("seed", 0, "seed label recorded in the envelope")
-	filter := fs.String("filter", "", "comma-separated sweep targets (scenario-specific; empty = all)")
+	filter := fs.String("filter", "", "comma-separated sweep targets (fig3: interface names; empty = all)")
 	asJSON := fs.Bool("json", false, "emit the shared result envelope as JSON")
 	metricsJSON := fs.Bool("metrics-json", false, "attach a telemetry snapshot (worker/pool counters) to the JSON envelope")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file of every device's causal spans (forces flight recorders on)")
@@ -72,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := scenario.Params{Scale: scale, Workers: *workers, Seed: *seed, Metrics: *metricsJSON}
+	p := scenario.Params{Scale: scale, Workers: *workers, Metrics: *metricsJSON}
 	if *metricsJSON {
 		// Start from a clean global registry so the snapshot covers only
 		// this run, then force JSON output (the snapshot lives in the
@@ -114,28 +120,25 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "jgre-run: wrote %d spans to %s (%d dropped)\n", len(spans), *traceOut, dropped)
 	}
-	if *asJSON {
-		out, err := env.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(out)
-		return
+	fmt.Fprintf(os.Stderr, "scenario %s (group %s, scale %s, workers %d)\n", env.Scenario, env.Group, env.Scale, env.Workers)
+	if err := write(os.Stdout, env, *asJSON); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("scenario %s (group %s, scale %s, workers %d)\n", env.Scenario, env.Group, env.Scale, env.Workers)
-	if text, ok := env.Result.(string); ok {
-		fmt.Print(text)
-	} else {
-		// The envelope's JSON rendering doubles as the human view for
-		// structured results; the per-figure cmd tools render prettier
-		// reports.
-		out, err := env.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(out)
+	fmt.Fprintf(os.Stderr, "completed in %.0f ms\n", env.WallMS)
+}
+
+// write prints the run's result: the text report when the result has
+// one and asJSON is off, the envelope JSON otherwise.
+func write(w io.Writer, env *scenario.Envelope, asJSON bool) error {
+	if !asJSON && render(w, env.Result) {
+		return nil
 	}
-	fmt.Printf("completed in %.0f ms\n", env.WallMS)
+	out, err := env.JSON()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(out)
+	return err
 }
 
 // list prints the registry grouped by scenario group (the registry's
@@ -159,6 +162,6 @@ func list() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   jgre-run list
-  jgre-run <scenario> [-scale quick|full] [-parallel n] [-seed n] [-filter a,b] [-json] [-metrics-json]
+  jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b] [-json] [-metrics-json]
            [-trace-out file.json] [-trace-sample n]`)
 }

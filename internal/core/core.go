@@ -15,7 +15,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -201,47 +200,4 @@ func FormatFindings(v *analysis.VerifyResult) string {
 		s += fmt.Sprintf("  %-60s %s\n", r.Service+"."+r.Method, r.Reason)
 	}
 	return s
-}
-
-// JSONReport is the machine-readable audit result.
-type JSONReport struct {
-	Funnel    analysis.Funnel      `json:"funnel"`
-	Confirmed []JSONFinding        `json:"confirmed,omitempty"`
-	Rejected  []analysis.Rejection `json:"rejected,omitempty"`
-}
-
-// JSONFinding is one confirmed vulnerability in the JSON report.
-type JSONFinding struct {
-	Interface     string  `json:"interface"`
-	GrowthPerCall float64 `json:"growth_per_call"`
-	Permission    string  `json:"permission,omitempty"`
-	Protection    string  `json:"protection"`
-	Bypassable    bool    `json:"bypassable,omitempty"`
-}
-
-// FormatJSON renders the pipeline result as indented JSON for downstream
-// tooling (CI gates, dashboards).
-func FormatJSON(res *analysis.PipelineResult) (string, error) {
-	rep := JSONReport{Funnel: res.Funnel()}
-	if res.Verify != nil {
-		for _, f := range res.Verify.Confirmed {
-			jf := JSONFinding{
-				Interface:     f.FullName(),
-				GrowthPerCall: f.GrowthPerCall,
-				Permission:    f.Permission,
-				Protection:    "none",
-			}
-			if row, ok := catalog.InterfaceByName(f.FullName()); ok {
-				jf.Protection = row.Protection.String()
-				jf.Bypassable = row.Bypassable || row.Protection == catalog.HelperGuard
-			}
-			rep.Confirmed = append(rep.Confirmed, jf)
-		}
-		rep.Rejected = res.Verify.Rejected
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("core: marshalling report: %w", err)
-	}
-	return string(b) + "\n", nil
 }

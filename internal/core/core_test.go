@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -93,37 +92,5 @@ func TestTableRendering(t *testing.T) {
 	}
 	if got := strings.Count(t4, "\n") - 2; got != len(catalog.PrebuiltAppInterfaces()) {
 		t.Errorf("Table IV rows = %d", got)
-	}
-}
-
-func TestFormatJSON(t *testing.T) {
-	res, err := Audit(AuditConfig{Dynamic: true, VerifyCalls: 80, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := FormatJSON(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep JSONReport
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if rep.Funnel.SystemServices != 104 {
-		t.Fatalf("funnel = %+v", rep.Funnel)
-	}
-	if len(rep.Confirmed) != 57 {
-		t.Fatalf("confirmed = %d, want 57", len(rep.Confirmed))
-	}
-	byIface := make(map[string]JSONFinding)
-	for _, f := range rep.Confirmed {
-		byIface[f.Interface] = f
-	}
-	wifi := byIface["wifi.acquireWifiLock"]
-	if wifi.Protection != "helper-guard" || !wifi.Bypassable {
-		t.Fatalf("wifi finding = %+v", wifi)
-	}
-	if len(rep.Rejected) != 3 {
-		t.Fatalf("rejected = %d, want 3", len(rep.Rejected))
 	}
 }

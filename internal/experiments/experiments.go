@@ -1,6 +1,6 @@
 // Package experiments implements one entry point per table and figure of
 // the paper's evaluation, on top of the device simulation, the analysis
-// pipeline and the defense. The cmd tools print their outputs and
+// pipeline and the defense. jgre-run prints their outputs and
 // bench_test.go regenerates each one.
 package experiments
 

@@ -111,6 +111,7 @@ func init() {
 		Description:    "Fig. 3: per-interface JGR growth curves to exhaustion (Filter restricts the interface set)",
 		Parallelizable: true,
 		Slow:           true,
+		Filterable:     true,
 		Run: func(ctx context.Context, p Params) (any, error) {
 			return experiments.Fig3AttackCurves(ctx, expScale(p.Scale), p.Filter, p.Workers)
 		},

@@ -22,8 +22,8 @@ func fleetWidth(s Scale) int {
 }
 
 // fleetParams maps registry params onto a fleet config. The fleet seed
-// is pinned (like every registered scenario's device seeds) so envelopes
-// are reproducible; Params.Seed stays a provenance label.
+// is pinned, like every registered scenario's device seeds, so envelopes
+// are reproducible.
 func fleetParams(p Params, devices int) fleet.Config {
 	return fleet.Config{
 		Devices: devices,

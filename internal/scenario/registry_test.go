@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/telemetry"
 )
 
@@ -106,13 +107,12 @@ func TestParseScale(t *testing.T) {
 // shared envelope: identity fields, wall time, and the canonical
 // rendering that zeroes the run metadata.
 func TestEnvelopeShape(t *testing.T) {
-	env, err := Execute(context.Background(), "table-i",
-		Params{Scale: Quick, Workers: 3, Seed: 42, Filter: []string{"x"}})
+	env, err := Execute(context.Background(), "table-i", Params{Scale: Quick, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env.Scenario != "table-i" || env.Group != GroupAnalysis || env.Scale != "quick" ||
-		env.Seed != 42 || env.Workers != 3 {
+		env.Workers != 3 {
 		t.Fatalf("envelope identity wrong: %+v", env)
 	}
 	text, ok := env.Result.(string)
@@ -128,7 +128,7 @@ func TestEnvelopeShape(t *testing.T) {
 	if err := json.Unmarshal(out, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"scenario", "group", "scale", "seed", "filter", "workers", "wall_ms", "result"} {
+	for _, key := range []string{"scenario", "group", "scale", "workers", "wall_ms", "result"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("envelope JSON missing %q", key)
 		}
@@ -145,8 +145,50 @@ func TestEnvelopeShape(t *testing.T) {
 	if c.WallMS != 0 || c.Workers != 0 {
 		t.Errorf("canonical JSON kept run metadata: wall=%v workers=%d", c.WallMS, c.Workers)
 	}
-	if c.Scenario != "table-i" || c.Seed != 42 {
+	if c.Scenario != "table-i" || c.Group != GroupAnalysis {
 		t.Errorf("canonical JSON lost identity: %+v", c)
+	}
+}
+
+// TestFilter: a filter reaches only the scenarios that declare they read
+// it. fig3 runs just the named interfaces and records the filter in its
+// envelope; every other scenario rejects a filter by name instead of
+// silently running its full sweep.
+func TestFilter(t *testing.T) {
+	ctx := context.Background()
+	for _, s := range List() {
+		if s.Filterable {
+			continue
+		}
+		_, err := s.Execute(ctx, Params{Filter: []string{"nosuch"}})
+		if err == nil || !strings.Contains(err.Error(), s.Name) {
+			t.Errorf("%s with a filter: err = %v, want an error naming the scenario", s.Name, err)
+		}
+	}
+
+	const iface = "audio.startWatchingRoutes"
+	env, err := Execute(ctx, "fig3", Params{Scale: Quick, Filter: []string{iface}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves, _ := env.Result.([]experiments.AttackCurve)
+	if len(curves) != 1 || curves[0].Interface != iface {
+		t.Fatalf("fig3 filtered to %s ran %d curves: %+v", iface, len(curves), curves)
+	}
+	out, err := env.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct{ Filter []string }
+	if err := json.Unmarshal(out, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.Filter) != 1 || decoded.Filter[0] != iface {
+		t.Errorf("envelope filter = %q, want [%s]", decoded.Filter, iface)
+	}
+
+	if _, err := Execute(ctx, "fig3", Params{Scale: Quick, Filter: []string{"nosuch.method"}}); err == nil {
+		t.Error("fig3 accepted an unknown interface")
 	}
 }
 

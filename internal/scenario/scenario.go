@@ -1,11 +1,12 @@
 // Package scenario is the experiment registry: every table, figure and
 // study of the paper's evaluation registers itself here under a stable
-// name, and every front end (the cmd tools, the unified jgre-run, the
-// jgre-bench timing harness and the equivalence/cancellation tests)
-// drives the same registry instead of maintaining its own experiment
-// list. A scenario couples a Run function to the metadata the front ends
-// need: its group, whether its sweep fans out over a worker pool with
-// worker-count-independent results, and how to count its shards.
+// name, and every front end (jgre-run, the jgre-bench timing harness,
+// jgre-report and the equivalence/cancellation tests) drives the same
+// registry instead of maintaining its own experiment list. A scenario
+// couples a Run function to the metadata the front ends need: its group,
+// whether its sweep fans out over a worker pool with
+// worker-count-independent results, whether it takes a filter, and how
+// to count its shards.
 package scenario
 
 import (
@@ -38,7 +39,8 @@ func (s Scale) String() string {
 	return "quick"
 }
 
-// ParseScale maps the cmd tools' -scale flag values to a Scale.
+// ParseScale maps the -scale flag values of jgre-run and jgre-bench to a
+// Scale.
 func ParseScale(name string) (Scale, error) {
 	switch name {
 	case "quick", "":
@@ -59,13 +61,9 @@ type Params struct {
 	// sequential). Parallelizable scenarios produce identical results
 	// for any value; the rest ignore it.
 	Workers int
-	// Seed is recorded in the envelope for provenance. Registered
-	// scenarios pin their own device seeds, so today it only labels the
-	// run.
-	Seed int64
-	// Filter restricts a sweep to the named targets (scenario-specific;
-	// fig3 takes interface names like "audio.startWatchingRoutes"). Nil
-	// means the full sweep.
+	// Filter restricts a sweep to the named targets (fig3 takes
+	// interface names like "audio.startWatchingRoutes"). Nil means the
+	// full sweep. Only Filterable scenarios accept one.
 	Filter []string
 	// Metrics exports a snapshot of the process-global telemetry registry
 	// (worker-pool and object-pool counters) into the envelope after the
@@ -90,6 +88,9 @@ type Scenario struct {
 	// Slow marks scenarios too expensive to run twice under -short; the
 	// registry-driven equivalence tests skip them in short mode.
 	Slow bool
+	// Filterable marks scenarios whose Run reads Params.Filter. Execute
+	// rejects a filter for every other scenario rather than ignore it.
+	Filterable bool
 	// Run executes the experiment and returns its result (a
 	// JSON-marshalable value).
 	Run func(ctx context.Context, p Params) (any, error)
@@ -151,7 +152,6 @@ type Envelope struct {
 	Scenario string   `json:"scenario"`
 	Group    string   `json:"group"`
 	Scale    string   `json:"scale"`
-	Seed     int64    `json:"seed,omitempty"`
 	Filter   []string `json:"filter,omitempty"`
 	Workers  int      `json:"workers"`
 	// FleetDevices is the fleet width of a fleet scenario's sweep (how
@@ -167,6 +167,9 @@ type Envelope struct {
 
 // Execute runs the scenario and wraps its result in the envelope.
 func (s Scenario) Execute(ctx context.Context, p Params) (*Envelope, error) {
+	if len(p.Filter) > 0 && !s.Filterable {
+		return nil, fmt.Errorf("scenario: %s takes no filter (got %q)", s.Name, p.Filter)
+	}
 	start := time.Now()
 	res, err := s.Run(ctx, p)
 	if err != nil {
@@ -176,7 +179,6 @@ func (s Scenario) Execute(ctx context.Context, p Params) (*Envelope, error) {
 		Scenario: s.Name,
 		Group:    s.Group,
 		Scale:    p.Scale.String(),
-		Seed:     p.Seed,
 		Filter:   p.Filter,
 		Workers:  p.Workers,
 		WallMS:   float64(time.Since(start)) / float64(time.Millisecond),
@@ -200,8 +202,8 @@ func Execute(ctx context.Context, name string, p Params) (*Envelope, error) {
 	return s.Execute(ctx, p)
 }
 
-// JSON renders the envelope indented, newline-terminated — the -json
-// output of every cmd tool.
+// JSON renders the envelope indented, newline-terminated — jgre-run's
+// -json output.
 func (e *Envelope) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {

@@ -1,20 +1,21 @@
 #!/bin/bash
-# Regenerates every full-scale experiment output in this directory.
-set -x
-go run ./cmd/jgre-analyze > results/analyze.txt 2>&1
-go run ./cmd/jgre-baseline -scale full > results/fig4.txt 2>&1
-go run ./cmd/jgre-attack -fig 3 -scale full > results/fig3.txt 2>&1
-go run ./cmd/jgre-attack -fig 5 -scale full > results/fig5.txt 2>&1
-go run ./cmd/jgre-attack -fig 6 -scale full > results/fig6.txt 2>&1
-go run ./cmd/jgre-attack -obs2 -scale full > results/obs2.txt 2>&1
-go run ./cmd/jgre-attack -bypass > results/bypass.txt 2>&1
-go run ./cmd/jgre-defend -fig 10 -scale full > results/fig10.txt 2>&1
-go run ./cmd/jgre-defend -fig 9 -scale full > results/fig9.txt 2>&1
-go run ./cmd/jgre-defend -delays -scale full > results/delays.txt 2>&1
-go run ./cmd/jgre-defend -fig 8 -scale full > results/fig8.txt 2>&1
-go run ./cmd/jgre-defend -multipath -scale full > results/multipath.txt 2>&1
-go run ./cmd/jgre-defend -thresholds > results/thresholds.txt 2>&1
-go run ./cmd/jgre-defend -limitations -scale full > results/limitations.txt 2>&1
-go run ./cmd/jgre-defend -patch > results/patch.txt 2>&1
+# Regenerates every full-scale experiment output in this directory. Run
+# from the repository root:
+#
+#   bash results/run_all.sh
+#
+# Each results/<scenario>.txt is the stdout of
+# `jgre-run <scenario> -scale full`, so the files themselves are the
+# scenario list: add a scenario's file to pin its report. report.md is
+# jgre-report's assessment. TestResultsCurrent (cmd/jgre-run) fails when
+# a file here no longer matches what the code prints.
+set -euo pipefail
+
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/jgre-run" ./cmd/jgre-run
+
+for f in results/*.txt; do
+	"$bin/jgre-run" "$(basename "$f" .txt)" -scale full > "$f"
+done
 go run ./cmd/jgre-report -o results/report.md
-echo ALL DONE
