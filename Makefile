@@ -34,14 +34,17 @@ race:
 # invariant (virtual time, then priority, then sequence) under arbitrary
 # push/pop interleavings, the defender checkpoint codec (decode
 # never panics on arbitrary bytes; any accepted input re-encodes
-# byte-identically), and the Chrome trace-event exporter (never panics
-# on arbitrary span records, always emits schema-valid JSON).
+# byte-identically), the Chrome trace-event exporter (never panics
+# on arbitrary span records, always emits schema-valid JSON), and the
+# bounded record ring under every buffer (matches the copy-shift
+# reference over random capacities, push runs, drains and resets).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseIPCRecord -fuzztime=10s -run '^$$' ./internal/binder
 	$(GO) test -fuzz=FuzzCorrelatorDifferential -fuzztime=5s -run '^$$' ./internal/defense
 	$(GO) test -fuzz=FuzzEventQueue -fuzztime=5s -run '^$$' ./internal/event
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=5s -run '^$$' ./internal/defense
 	$(GO) test -fuzz=FuzzTraceExport -fuzztime=5s -run '^$$' ./internal/trace
+	$(GO) test -fuzz=FuzzRing -fuzztime=5s -run '^$$' ./internal/trace
 
 # Regenerate the sequential-vs-parallel sweep timings (BENCH_parallel.json).
 bench-json:

@@ -2,7 +2,8 @@
 // device, drives a scenario while sampling the telemetry registry on the
 // virtual clock, then renders a dumpsys/top-style report — sparklines
 // for the sampled series, bucket bars for the latency/size histograms,
-// and the defender's span timeline when one is attached.
+// and, when a defender is attached, each poll-window phase's count and
+// mean.
 //
 // Usage:
 //
@@ -22,9 +23,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
 	"time"
 
@@ -44,38 +48,47 @@ const jgrSeries = `jgre_jgr_table_size{process="system_server"}`
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("jgre-top: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	scenarioF := flag.String("scenario", "attack", "idle | benign | attack | defended | chaos | fleet")
-	tick := flag.Duration("tick", time.Second, "virtual sampling interval")
-	duration := flag.Duration("duration", 2*time.Minute, "virtual time to simulate")
-	width := flag.Int("width", 60, "sparkline width in cells")
-	fleetDevices := flag.Int("fleet-devices", 512, "fleet width for -scenario fleet")
-	traceF := flag.Bool("trace", false, "turn the causal flight recorder on (populates the TRACE panel)")
-	flag.Parse()
+// run parses args, drives the chosen scenario and writes the dashboard
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("jgre-top", flag.ContinueOnError)
+	scenarioF := fs.String("scenario", "attack", "idle | benign | attack | defended | chaos | fleet")
+	tick := fs.Duration("tick", time.Second, "virtual sampling interval")
+	duration := fs.Duration("duration", 2*time.Minute, "virtual time to simulate")
+	width := fs.Int("width", 60, "sparkline width in cells")
+	fleetDevices := fs.Int("fleet-devices", 512, "fleet width for -scenario fleet")
+	traceF := fs.Bool("trace", false, "turn the causal flight recorder on (populates the TRACE panel)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	tcfg := trace.Config{Enabled: *traceF}
 	if *scenarioF == "fleet" {
-		runFleet(*fleetDevices, tcfg)
-		return
+		return runFleet(stdout, *fleetDevices, tcfg)
 	}
 
 	dev, err := device.Boot(device.Config{Seed: 4, Trace: tcfg})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var def *defense.Defender
 	var bouncer *defense.Bouncer
 	switch *scenarioF {
 	case "defended":
 		if def, err = defense.New(dev, defense.Config{}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	case "chaos":
 		// Clients retry dead handles so the workload survives the churn the
 		// chaos engine is about to inject.
 		dev.SetClientRetry(services.RetryPolicy{Deadline: 3 * time.Second, Backoff: 50 * time.Millisecond})
 		if bouncer, err = defense.NewBouncer(dev, defense.Config{}, defense.BounceSync); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -106,16 +119,16 @@ func main() {
 		}
 		benign, err := workload.Population(dev, sched, pop, 4, time.Second)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if *scenarioF != "benign" {
 			evil, err := dev.Apps().Install("com.evil.app")
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			atk, err := workload.NewAttacker(dev, evil, "clipboard.addPrimaryClipChangedListener")
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			sched.Add(atk)
 			if *scenarioF == "chaos" {
@@ -140,8 +153,7 @@ func main() {
 			return dev.Clock().Now() >= *duration
 		}, 5_000_000)
 	default:
-		log.Printf("unknown scenario %q", *scenarioF)
-		os.Exit(2)
+		return fmt.Errorf("unknown scenario %q", *scenarioF)
 	}
 	sample()
 
@@ -149,30 +161,32 @@ func main() {
 		// Render whatever incarnation survived the chaos run.
 		def = bouncer.Defender()
 	}
-	render(os.Stdout, dev, def, sampler, *scenarioF, *width)
+	render(stdout, dev, def, sampler, *scenarioF, *width)
+	return nil
 }
 
 // runFleet drives the fleet engine's baseline and attack-rollout sweeps
 // and renders the FLEET panel from the engine's process-global counters
 // plus each sweep's rollup.
-func runFleet(devices int, tcfg trace.Config) {
+func runFleet(stdout io.Writer, devices int, tcfg trace.Config) error {
 	ctx := context.Background()
 	var results []*fleet.Result
 	for _, w := range []fleet.Workload{fleet.BaselineProbe(), fleet.AttackRollout(devices)} {
 		res, err := fleet.Run(ctx, fleet.Config{Devices: devices, Seed: 1042,
 			Device: device.Config{Trace: tcfg}}, w)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		results = append(results, res)
 	}
-	renderFleet(os.Stdout, results)
+	renderFleet(stdout, results)
+	return nil
 }
 
 // renderFleet prints the FLEET panel. Like the RECOVERY panel it is
 // keyed on metric presence: the slot-turnover line renders only when the
 // fleet engine registered its jgre_fleet_* counters this process.
-func renderFleet(w *os.File, results []*fleet.Result) {
+func renderFleet(w io.Writer, results []*fleet.Result) {
 	g := telemetry.Global()
 	counter := func(name string) float64 {
 		v, _ := g.Value(name)
@@ -219,7 +233,7 @@ func renderFleet(w *os.File, results []*fleet.Result) {
 	}
 }
 
-func render(w *os.File, dev *device.Device, def *defense.Defender, sampler *telemetry.Sampler, scen string, width int) {
+func render(w io.Writer, dev *device.Device, def *defense.Defender, sampler *telemetry.Sampler, scen string, width int) {
 	s := dev.Stats()
 	fmt.Fprintf(w, "JGRE-TOP  scenario=%s  t=%.0fs  tick=%v  samples=%d\n",
 		scen, s.UptimeSeconds, sampler.Interval(), len(sampler.Series(jgrSeries)))
@@ -298,11 +312,16 @@ func render(w *os.File, dev *device.Device, def *defense.Defender, sampler *tele
 		fmt.Fprintf(w, "read-phase latency (s, %d windows)\n", h.Count())
 		fmt.Fprint(w, ascii.HistogramBars(h.Bounds(), h.BucketCounts(), 40))
 	}
-	spans := dev.Journal().Spans()
-	if len(spans) > 0 {
-		fmt.Fprintf(w, "poll-window spans (last %d):\n", min(len(spans), 5))
-		for _, ev := range spans[max(0, len(spans)-5):] {
-			fmt.Fprintf(w, "  %8.1fs %s %s\n", ev.T.Seconds(), ev.Subject, ev.Detail)
+	// Poll windows: each phase's window count and mean virtual time. The
+	// four phases partition every window, so the means add up to the mean
+	// window; the flight recorder (-trace) holds each window as a span.
+	if len(def.History()) > 0 {
+		fmt.Fprintf(w, "poll-window phases:\n")
+		for _, phase := range []string{"read", "correlate", "score", "decide"} {
+			if h, ok := histogram(dev, `jgre_defender_phase_seconds{phase="`+phase+`"}`); ok && h.Count() > 0 {
+				mean := time.Duration(math.Round(h.Sum() / float64(h.Count()) * float64(time.Second)))
+				fmt.Fprintf(w, "  %-10s %d windows  mean %v\n", phase, h.Count(), mean)
+			}
 		}
 	}
 	for _, det := range def.History() {
@@ -315,7 +334,7 @@ func render(w *os.File, dev *device.Device, def *defense.Defender, sampler *tele
 // empty series — a clone whose lazy telemetry had not materialized when
 // sampling started, or a metric the scenario never drives — renders as
 // an explicit placeholder rather than a blank (or panicking) row.
-func spark(w *os.File, label string, values []float64, width int) {
+func spark(w io.Writer, label string, values []float64, width int) {
 	if len(values) == 0 {
 		fmt.Fprintf(w, "%-10s (no samples)\n", label)
 		return

@@ -269,19 +269,19 @@ type Driver struct {
 	logging bool
 	logSeq  uint64
 	// pending buffers records between flushes (bounded when the fault
-	// injector models a kernel ring); flushed is the procfs file's
+	// injector models a kernel ring; its eviction count is the log's
+	// ring-drop counter); flushed is the procfs file's
 	// contents in native struct form, seq-ascending, with byPid holding
 	// positions into it so a victim's window is read without scanning
 	// every record. AppendLogColumnsSince is the one struct reader; the
 	// text /proc format is rendered lazily from flushed only when the
 	// file itself is read.
-	pending      logRing
+	pending      trace.Ring[IPCRecord]
 	flushed      []IPCRecord
 	byPid        map[kernel.Pid][]int
 	totalTx      uint64
 	totalLogged  uint64
 	droppedFault uint64
-	droppedRing  uint64
 	readErrs     uint64
 	procfsOpened bool
 	statsOpened  bool
@@ -352,8 +352,17 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 	if cfg.LogCost == (LatencyModel{}) {
 		cfg.LogCost = DefaultLogCost
 	}
+	ringCap := 0
+	if cfg.Faults != nil {
+		ringCap = cfg.Faults.RingCapacity()
+	}
+	pending := trace.NewRing[IPCRecord](ringCap)
 	var d *Driver
 	if prev != nil {
+		if prev.pending.Cap() == ringCap {
+			pending = prev.pending
+			pending.Reset()
+		}
 		d = prev
 		clear(d.owned)
 		clear(d.ctxs)
@@ -368,7 +377,7 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 			byPid:    d.byPid,
 			nodeSlab: d.nodeSlab[:0],
 			lbSlab:   d.lbSlab[:0],
-			pending:  logRing{buf: d.pending.buf},
+			pending:  pending,
 			flushed:  d.flushed[:0],
 		}
 	} else {
@@ -378,10 +387,11 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 			clock: k.Clock(),
 			// Booting (or cloning) a device mints a node per census service;
 			// presizing skips the append-growth copies on that path.
-			nodes: make([]*node, 0, 128),
-			owned: make(map[kernel.Pid]int),
-			ctxs:  make(map[kernel.Pid]*procContext),
-			byPid: make(map[kernel.Pid][]int),
+			nodes:   make([]*node, 0, 128),
+			owned:   make(map[kernel.Pid]int),
+			ctxs:    make(map[kernel.Pid]*procContext),
+			byPid:   make(map[kernel.Pid][]int),
+			pending: pending,
 		}
 	}
 	k.OnKill(func(p *kernel.Process, _ string) { d.onProcessDeath(p) })
@@ -426,21 +436,21 @@ func (d *Driver) registerMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(d.droppedFault) })
 	reg.GaugeFunc("jgre_binder_log_ring_evictions_total",
 		"IPC records evicted by bounded-ring overflow.",
-		func() float64 { return float64(d.droppedRing) })
+		func() float64 { return float64(d.pending.Dropped()) })
 	reg.GaugeFunc("jgre_binder_log_read_errors_total",
 		"Injected IPC log read failures observed by readers.",
 		func() float64 { return float64(d.readErrs) })
 	reg.GaugeFunc("jgre_binder_log_pending",
 		"IPC records buffered awaiting flush (ring occupancy when bounded).",
-		func() float64 { return float64(d.pending.len()) })
+		func() float64 { return float64(d.pending.Len()) })
 	reg.GaugeFunc("jgre_binder_log_flushed",
 		"IPC records currently in the flushed procfs log.",
 		func() float64 { return float64(len(d.flushed)) })
 	reg.GaugeFunc("jgre_binder_ring_occupancy_ratio",
 		"Pending-ring fill fraction; NaN-free zero when the buffer is unbounded.",
 		func() float64 {
-			if in := d.cfg.Faults; in != nil && in.RingCapacity() > 0 {
-				return float64(d.pending.len()) / float64(in.RingCapacity())
+			if c := d.pending.Cap(); c > 0 {
+				return float64(d.pending.Len()) / float64(c)
 			}
 			return 0
 		})
@@ -653,8 +663,8 @@ func (d *Driver) transact(from *kernel.Process, n *node, code TxCode, data, repl
 		} else {
 			// Fault-order pin: the jittered timestamp is a pure function
 			// of (clock, seq), fixed BEFORE the ring decides whether this
-			// append evicts, and eviction (droppedRing) happens before the
-			// append is counted (totalLogged). Eviction therefore can
+			// append evicts, and eviction (the ring's drop count) happens
+			// before the append is counted (totalLogged). Eviction therefore can
 			// never perturb a surviving record's timestamp, and the
 			// counters reconcile as Seq = Logged + DroppedRate,
 			// Delivered = Logged - DroppedRing (pinned by
@@ -668,19 +678,13 @@ func (d *Driver) transact(from *kernel.Process, n *node, code TxCode, data, repl
 			// with what a String/Parse round-trip of the rendered file
 			// would produce.
 			t -= t % time.Microsecond
-			capacity := 0
-			if in != nil {
-				capacity = in.RingCapacity()
-			}
-			if d.pending.push(IPCRecord{
+			// A bounded ring evicts its oldest unflushed record when
+			// full, like a real kernel ring buffer overflow.
+			d.pending.Push(IPCRecord{
 				Seq: d.logSeq, Time: t,
 				FromPid: from.Pid(), FromUid: from.Uid(),
 				ToPid: n.owner.Pid(), Handle: n.handle, Code: code, Size: size,
-			}, capacity) {
-				// Bounded ring: the oldest unflushed record was evicted,
-				// like a real kernel ring buffer overflow.
-				d.droppedRing++
-			}
+			})
 			d.totalLogged++
 		}
 	}
@@ -912,7 +916,7 @@ func (d *Driver) LogStats() LogStats {
 		Seq:         d.logSeq,
 		Logged:      d.totalLogged,
 		DroppedRate: d.droppedFault,
-		DroppedRing: d.droppedRing,
+		DroppedRing: d.pending.Dropped(),
 		ReadErrors:  d.readErrs,
 	}
 }
@@ -932,7 +936,7 @@ func (d *Driver) publishStats() {
 func (d *Driver) DisableIPCLogging() { d.logging = false }
 
 // PendingLogLen reports how many records are buffered awaiting FlushLog.
-func (d *Driver) PendingLogLen() int { return d.pending.len() }
+func (d *Driver) PendingLogLen() int { return d.pending.Len() }
 
 // LoggingEnabled reports whether transactions are being recorded.
 func (d *Driver) LoggingEnabled() bool { return d.logging }
@@ -959,16 +963,17 @@ func (d *Driver) renderLog() []byte {
 // (matching a failed append after the write-side buffer was consumed);
 // the records are then lost, as before.
 func (d *Driver) FlushLog() (int, error) {
-	n := d.pending.len()
+	n := d.pending.Len()
 	if n == 0 {
 		return 0, nil
 	}
 	if err := d.k.ProcFS().CheckRead(LogPath, kernel.RootUid); err != nil {
-		d.pending.discard()
+		d.pending.Clear()
 		return 0, err
 	}
 	base := len(d.flushed)
-	d.flushed = d.pending.drain(d.flushed)
+	d.flushed = d.pending.AppendTo(d.flushed)
+	d.pending.Clear()
 	for i := base; i < len(d.flushed); i++ {
 		r := &d.flushed[i]
 		d.byPid[r.ToPid] = append(d.byPid[r.ToPid], i)

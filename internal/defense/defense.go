@@ -599,22 +599,12 @@ func (m *monitor) respond() {
 		d.met.fallbacks.Inc()
 	}
 	d.met.coverage.Set(det.Coverage)
-	phases := []trace.Phase{
-		{Name: "read", D: tRead - det.EngagedAt},
-		{Name: "correlate", D: tCorrelate - tRead},
-		{Name: "score", D: tScore - tCorrelate},
-		{Name: "decide", D: end - tScore},
-	}
-	d.met.phaseRead.Observe(phases[0].D.Seconds())
-	d.met.phaseCorrelate.Observe(phases[1].D.Seconds())
-	d.met.phaseScore.Observe(phases[2].D.Seconds())
-	d.met.phaseDecide.Observe(phases[3].D.Seconds())
-	d.dev.Journal().AddSpan(trace.Span{
-		Name:   "defender.poll",
-		Start:  det.EngagedAt,
-		End:    end,
-		Phases: phases,
-	})
+	// The poll window's four phases partition [EngagedAt, end]: the
+	// histograms' sums grow by exactly the defender.window span's extent.
+	d.met.phaseRead.Observe((tRead - det.EngagedAt).Seconds())
+	d.met.phaseCorrelate.Observe((tCorrelate - tRead).Seconds())
+	d.met.phaseScore.Observe((tScore - tCorrelate).Seconds())
+	d.met.phaseDecide.Observe((end - tScore).Seconds())
 	// Flight-recorder spans for the engagement. respond() runs
 	// synchronously inside the AddGlobalRef that crossed the threshold,
 	// inside the service handler — so the recorder's live context IS the

@@ -67,11 +67,18 @@ func TestDefenderRebootStormRecovery(t *testing.T) {
 	// preceded by a detection inside its own round (the defender noticed,
 	// engaged, could not attribute the covert channel, and the device went
 	// down anyway — the §VI limitation, three times over).
-	reboots := dev.Journal().Filter(trace.KindReboot)
+	var reboots, detections []trace.Event
+	for _, ev := range dev.Journal().Events() {
+		switch ev.Kind {
+		case trace.KindReboot:
+			reboots = append(reboots, ev)
+		case trace.KindDetection:
+			detections = append(detections, ev)
+		}
+	}
 	if len(reboots) != rounds {
 		t.Fatalf("journal reboots = %d, want %d", len(reboots), rounds)
 	}
-	detections := dev.Journal().Filter(trace.KindDetection)
 	if len(detections) < rounds {
 		t.Fatalf("journal detections = %d, want >= %d", len(detections), rounds)
 	}

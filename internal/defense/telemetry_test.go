@@ -1,9 +1,12 @@
 package defense
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/device"
 	"repro/internal/kernel"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -30,46 +33,115 @@ func runDefendedAttack(t *testing.T) *defRig {
 	return r
 }
 
-func TestEngagementEmitsSpan(t *testing.T) {
-	r := runDefendedAttack(t)
-
-	spans := r.dev.Journal().Spans()
-	if len(spans) != len(r.def.History()) {
-		t.Fatalf("spans = %d, want one per engagement (%d)", len(spans), len(r.def.History()))
+// runTracedDefendedAttack boots a traced, defended device, attacks it
+// until the attacker dies and calls onDetection from the defender's
+// OnDetection hook after each engagement. It fails the test unless
+// every engagement reached the hook.
+func runTracedDefendedAttack(t *testing.T, onDetection func(dev *device.Device, det Detection)) {
+	t.Helper()
+	dev, err := device.Boot(device.Config{Seed: 7, Trace: trace.Config{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sp := spans[0]
-	if sp.Subject != "defender.poll" {
-		t.Fatalf("span subject = %q, want defender.poll", sp.Subject)
+	def, err := New(dev, smallCfg())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sp.T != r.def.History()[0].EngagedAt {
-		t.Fatalf("span stamped at %v, want engagement time %v", sp.T, r.def.History()[0].EngagedAt)
+	sched := workload.NewScheduler(dev)
+	if _, err := workload.Population(dev, sched, 10, 7, 2*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	for _, phase := range []string{"dur=", "read=", "correlate=", "score=", "decide="} {
-		if !strings.Contains(sp.Detail, phase) {
-			t.Fatalf("span detail %q missing %q", sp.Detail, phase)
-		}
+	evil, err := dev.Apps().Install("com.evil.app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk, err := workload.NewAttacker(dev, evil, "audio.startWatchingRoutes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Add(atk)
+	checked := 0
+	def.OnDetection = func(det Detection) {
+		onDetection(dev, det)
+		checked++
+	}
+	sched.Run(func() bool { return !evil.Running() }, 200000)
+	if checked == 0 || checked != len(def.History()) {
+		t.Fatalf("checked %d engagements, defender made %d", checked, len(def.History()))
 	}
 }
 
+// TestEngagementEmitsSpan: on a traced device each engagement records
+// its poll window once in the flight recorder, as one defender.window
+// span starting at the engagement with its score and decision spans
+// as children.
+func TestEngagementEmitsSpan(t *testing.T) {
+	windows := 0
+	runTracedDefendedAttack(t, func(dev *device.Device, det Detection) {
+		spans := dev.Recorder().Spans()
+		n := 0
+		for i := range spans {
+			if spans[i].Kind == trace.SpanDefenderWindow {
+				n++
+			}
+		}
+		if dev.Recorder().Dropped() == 0 && n != windows+1 {
+			t.Fatalf("engagement at %v: %d defender.window spans, want %d", det.EngagedAt, n, windows+1)
+		}
+		windows++
+		if len(spans) < 3 {
+			t.Fatalf("engagement at %v: recorder holds %d spans, want the window, score and decision", det.EngagedAt, len(spans))
+		}
+		win, score, decision := spans[len(spans)-3], spans[len(spans)-2], spans[len(spans)-1]
+		if win.Kind != trace.SpanDefenderWindow || score.Kind != trace.SpanScore || decision.Kind != trace.SpanDecision {
+			t.Fatalf("engagement at %v: last spans are %v, %v, %v, want defender.window, score, decision",
+				det.EngagedAt, win.Kind, score.Kind, decision.Kind)
+		}
+		if win.Start != det.EngagedAt || win.End < win.Start {
+			t.Fatalf("engagement at %v: window span [%v, %v]", det.EngagedAt, win.Start, win.End)
+		}
+		if win.Val != int64(det.Records) || decision.Val != int64(len(det.Killed)) {
+			t.Fatalf("engagement at %v: window records %d (want %d), decision kills %d (want %d)",
+				det.EngagedAt, win.Val, det.Records, decision.Val, len(det.Killed))
+		}
+		for _, child := range []trace.SpanRecord{score, decision} {
+			if child.Trace != win.Trace || child.Parent != win.ID || child.Start < win.Start || child.End > win.End {
+				t.Fatalf("engagement at %v: %v span %+v is not a child of window %+v", det.EngagedAt, child.Kind, child, win)
+			}
+		}
+	})
+}
+
+// TestSpanPhasesSumToDuration: each engagement adds one observation to
+// each of the four jgre_defender_phase_seconds histograms, and the four
+// sums grow by the extent of that engagement's defender.window span.
 func TestSpanPhasesSumToDuration(t *testing.T) {
-	s := trace.Span{
-		Name:  "defender.poll",
-		Start: 0,
-		End:   100,
-		Phases: []trace.Phase{
-			{Name: "read", D: 40},
-			{Name: "correlate", D: 60},
-			{Name: "score", D: 0},
-			{Name: "decide", D: 0},
-		},
-	}
-	var sum int64
-	for _, p := range s.Phases {
-		sum += int64(p.D)
-	}
-	if sum != int64(s.Duration()) {
-		t.Fatalf("phase sum %d != duration %d", sum, s.Duration())
-	}
+	var lastCount uint64
+	var lastSum float64
+	runTracedDefendedAttack(t, func(dev *device.Device, det Detection) {
+		var sum float64
+		for _, name := range []string{"read", "correlate", "score", "decide"} {
+			h := dev.Metrics().Histogram(`jgre_defender_phase_seconds{phase="`+name+`"}`, "", nil)
+			if h.Count() != lastCount+1 {
+				t.Fatalf("engagement at %v: %s histogram count %d, want %d", det.EngagedAt, name, h.Count(), lastCount+1)
+			}
+			sum += h.Sum()
+		}
+		var win *trace.SpanRecord
+		spans := dev.Recorder().Spans()
+		for i := range spans {
+			if spans[i].Kind == trace.SpanDefenderWindow {
+				win = &spans[i]
+			}
+		}
+		if win == nil || win.Start != det.EngagedAt {
+			t.Fatalf("engagement at %v: no defender.window span for it (last %+v)", det.EngagedAt, win)
+		}
+		if got, want := sum-lastSum, (win.End - win.Start).Seconds(); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("engagement at %v: phase sums grew %.12fs, window span is %.12fs", det.EngagedAt, got, want)
+		}
+		lastCount, lastSum = lastCount+1, sum
+	})
 }
 
 func TestEngagementMetrics(t *testing.T) {

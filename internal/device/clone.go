@@ -191,6 +191,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			appReg:      nd.appReg,
 			journal:     nd.journal,
 			rec:         nd.rec,
+			flightDumps: trace.NewRing[FlightDump](MaxFlightDumps),
 			hosts:       hosts,
 			services:    svcMap,
 			appServices: appSvcMap,
@@ -200,7 +201,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			appOrder:    nd.appOrder[:0],
 		}
 	} else {
-		nd = &Device{cfg: d.cfg, journal: trace.New(0)}
+		nd = &Device{cfg: d.cfg, journal: trace.New(0), flightDumps: trace.NewRing[FlightDump](MaxFlightDumps)}
 	}
 	nd.cfg.Seed = seed
 	nd.clock = simclock.New()

@@ -145,9 +145,8 @@ type Device struct {
 
 	// rec is the causal flight recorder (nil = tracing off); flightDumps
 	// retains the most recent MaxFlightDumps snapshots (see flight.go).
-	rec              *trace.Recorder
-	flightDumps      []FlightDump
-	flightDumpsTotal int
+	rec         *trace.Recorder
+	flightDumps trace.Ring[FlightDump]
 
 	// onServiceRestart observers fire after RestartHost/RestartAppService
 	// completes a re-registration; clientRetry, when non-zero, is applied
@@ -218,7 +217,7 @@ func BootFresh(cfg Config) (*Device, error) {
 		cfg.BaselineProcesses = DefaultBaselineProcesses
 	}
 	applyCapture(&cfg)
-	d := &Device{cfg: cfg}
+	d := &Device{cfg: cfg, flightDumps: trace.NewRing[FlightDump](MaxFlightDumps)}
 	d.clock = simclock.New()
 	d.rec = newRecorder(cfg)
 

@@ -317,16 +317,17 @@ func TestJournalRecordsLifecycle(t *testing.T) {
 	for i := 0; i < 3000 && d.SoftReboots() == 0; i++ {
 		c.Register("addPrimaryClipChangedListener")
 	}
-	j := d.Journal()
-	if len(j.Filter(trace.KindReboot)) != 1 {
-		t.Fatalf("journal reboots = %d, want 1", len(j.Filter(trace.KindReboot)))
-	}
-	kills := j.Filter(trace.KindKill)
-	foundAttacker := false
-	for _, e := range kills {
-		if e.Subject == "com.evil.app" {
+	reboots, foundAttacker := 0, false
+	for _, e := range d.Journal().Events() {
+		switch {
+		case e.Kind == trace.KindReboot:
+			reboots++
+		case e.Kind == trace.KindKill && e.Subject == "com.evil.app":
 			foundAttacker = true
 		}
+	}
+	if reboots != 1 {
+		t.Fatalf("journal reboots = %d, want 1", reboots)
 	}
 	if !foundAttacker {
 		t.Fatal("attacker's death not journalled")

@@ -16,7 +16,7 @@ import (
 // instrumented layer pays one nil check.
 
 // MaxFlightDumps bounds how many dump snapshots a device retains; older
-// dumps are discarded first (the count of all dumps ever taken is kept).
+// dumps are discarded first, and counted.
 const MaxFlightDumps = 8
 
 // FlightDump is one flight-recorder snapshot.
@@ -67,22 +67,20 @@ func (d *Device) DumpFlightRecorder(reason string) {
 		return
 	}
 	dump := FlightDump{T: d.clock.Now(), Reason: reason, Spans: d.rec.Spans()}
-	d.flightDumpsTotal++
-	if len(d.flightDumps) == MaxFlightDumps {
-		copy(d.flightDumps, d.flightDumps[1:])
-		d.flightDumps = d.flightDumps[:MaxFlightDumps-1]
-	}
-	d.flightDumps = append(d.flightDumps, dump)
+	d.flightDumps.Push(dump)
 	d.journal.Add(dump.T, trace.KindNote, "flight-recorder",
 		fmt.Sprintf("dump: %s (%d spans, %d evicted)", reason, len(dump.Spans), d.rec.Dropped()))
 }
 
-// FlightDumps returns the retained dump snapshots, oldest first.
-func (d *Device) FlightDumps() []FlightDump { return d.flightDumps }
+// FlightDumps returns a copy of the retained dump snapshots, oldest
+// first.
+func (d *Device) FlightDumps() []FlightDump { return d.flightDumps.AppendTo(nil) }
 
 // FlightDumpsTotal returns how many dumps were ever taken (retention may
 // have discarded some).
-func (d *Device) FlightDumpsTotal() int { return d.flightDumpsTotal }
+func (d *Device) FlightDumpsTotal() int {
+	return d.flightDumps.Len() + int(d.flightDumps.Dropped())
+}
 
 // ProcNames maps the pids that appear in flight-recorder spans to
 // display names for the exporter's process tracks: the host processes

@@ -76,10 +76,10 @@ func (d *Device) Stats() Stats {
 		IPCLogDropped:       ls.DroppedRate,
 		IPCLogRingDropped:   ls.DroppedRing,
 		IPCLogReadErrors:    ls.ReadErrors,
-		TraceDropped:        d.journal.Dropped(),
+		TraceDropped:        int(d.journal.Dropped()),
 		TraceSpans:          d.rec.Len(),
 		TraceSpanDrops:      d.rec.Dropped(),
-		FlightDumps:         d.flightDumpsTotal,
+		FlightDumps:         d.FlightDumpsTotal(),
 		Defender:            health,
 	}
 }

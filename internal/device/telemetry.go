@@ -115,7 +115,7 @@ func (d *Device) registerMetrics() {
 		func() float64 { return float64(d.rec.Dropped()) })
 	reg.GaugeFunc("jgre_trace_flight_dumps_total",
 		"Flight-recorder dumps captured (detections, chaos crashes).",
-		func() float64 { return float64(d.flightDumpsTotal) })
+		func() float64 { return float64(d.FlightDumpsTotal()) })
 
 	// Per-process JGR and frame-churn series for the monitored hosts:
 	// system_server plus the dedicated service hosts (~10 processes, not

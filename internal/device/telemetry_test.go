@@ -22,7 +22,7 @@ func TestTraceDroppedSurfacesInStats(t *testing.T) {
 	if s.TraceDropped < 50 {
 		t.Fatalf("TraceDropped = %d, want >= 50", s.TraceDropped)
 	}
-	if s.TraceDropped != d.Journal().Dropped() {
+	if uint64(s.TraceDropped) != d.Journal().Dropped() {
 		t.Fatalf("TraceDropped = %d, journal reports %d", s.TraceDropped, d.Journal().Dropped())
 	}
 	var b strings.Builder

@@ -68,7 +68,7 @@ func Write(w io.Writer, in Input) error {
 	if len(in.Detections) > 0 {
 		writeDetections(p, in.Detections)
 	}
-	if s := in.Telemetry; s != nil && (s.IPCLogSeq > 0 || s.TraceDropped > 0 || s.Defender != nil) {
+	if s := in.Telemetry; s != nil && anyHealthCounter(s) {
 		p("## Telemetry health\n\n")
 		p("| Counter | Value |\n|---|---|\n")
 		p("| IPC-log records generated | %d |\n", s.IPCLogSeq)
@@ -136,6 +136,16 @@ func Write(w io.Writer, in Input) error {
 	p("- Registrations must be bounded or reclaimed: pair every `register` with\n")
 	p("  death-linked cleanup and an `unregister` path.\n")
 	return nil
+}
+
+// anyHealthCounter reports whether a telemetry-health counter is
+// nonzero: IPC-log volume, loss or read errors, journal or
+// flight-recorder evictions, retained spans or dumps, or an attached
+// defender's health.
+func anyHealthCounter(s *device.Stats) bool {
+	return s.IPCLogSeq > 0 || s.IPCLogDropped > 0 || s.IPCLogRingDropped > 0 || s.IPCLogReadErrors > 0 ||
+		s.TraceDropped > 0 || s.TraceSpans > 0 || s.TraceSpanDrops > 0 || s.FlightDumps > 0 ||
+		s.Defender != nil
 }
 
 func writePipeline(p func(string, ...interface{}), res *analysis.PipelineResult) {

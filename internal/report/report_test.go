@@ -155,6 +155,15 @@ func TestWriteTelemetryDefenderOnly(t *testing.T) {
 	if !strings.Contains(sb.String(), "### Defender health") {
 		t.Error("defender-only telemetry section not rendered")
 	}
+	// A traced, undefended device whose span ring overflowed still gets
+	// the section and its eviction warning.
+	sb.Reset()
+	if err := Write(&sb, Input{Telemetry: &device.Stats{TraceSpans: 8192, TraceSpanDrops: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "5 causal spans were evicted") {
+		t.Error("flight-recorder evictions not reported without IPC-log records or a defender")
+	}
 	// A clean snapshot renders nothing.
 	sb.Reset()
 	if err := Write(&sb, Input{Telemetry: &device.Stats{}}); err != nil {

@@ -3,37 +3,14 @@ package telemetry
 import (
 	"math"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Sample is one (virtual time, value) reading of a tracked series.
 type Sample struct {
 	T time.Duration
 	V float64
-}
-
-// ring is a bounded sample buffer; older samples are overwritten.
-type ring struct {
-	buf   []Sample
-	start int
-	n     int
-}
-
-func (r *ring) push(s Sample) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = s
-		r.n++
-		return
-	}
-	r.buf[r.start] = s
-	r.start = (r.start + 1) % len(r.buf)
-}
-
-func (r *ring) slice() []Sample {
-	out := make([]Sample, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
 }
 
 // Sampler periodically snapshots selected registry series on the
@@ -48,7 +25,7 @@ type Sampler struct {
 	interval time.Duration
 	capacity int
 	tracked  []string
-	rings    map[string]*ring
+	rings    map[string]*trace.Ring[Sample]
 	lastTick time.Duration
 	primed   bool
 }
@@ -70,7 +47,7 @@ func NewSampler(reg *Registry, interval time.Duration, capacity int) *Sampler {
 		reg:      reg,
 		interval: interval,
 		capacity: capacity,
-		rings:    make(map[string]*ring),
+		rings:    make(map[string]*trace.Ring[Sample]),
 	}
 }
 
@@ -83,7 +60,8 @@ func (s *Sampler) Track(names ...string) {
 			continue
 		}
 		s.tracked = append(s.tracked, name)
-		s.rings[name] = &ring{buf: make([]Sample, s.capacity)}
+		r := trace.NewRing[Sample](s.capacity)
+		s.rings[name] = &r
 	}
 }
 
@@ -106,7 +84,7 @@ func (s *Sampler) MaybeSample(now time.Duration) bool {
 		if !ok || math.IsNaN(v) {
 			continue
 		}
-		s.rings[name].push(Sample{T: now, V: v})
+		s.rings[name].Push(Sample{T: now, V: v})
 	}
 	return true
 }
@@ -118,7 +96,7 @@ func (s *Sampler) Series(name string) []Sample {
 	if !ok {
 		return nil
 	}
-	return r.slice()
+	return r.AppendTo(nil)
 }
 
 // Values returns just the values of a tracked series, oldest first —

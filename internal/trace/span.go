@@ -117,8 +117,10 @@ type SpanRecord struct {
 }
 
 // DefaultSpanCapacity bounds a flight recorder; oldest spans are
-// overwritten first. At 56 bytes per record this is ~460 KiB per traced
-// device — the documented memory bound (DESIGN.md §15).
+// overwritten first. At 64 bytes per record this is 512 KiB per traced
+// device — the documented memory bound (DESIGN.md §15). The ring grows
+// to it as spans arrive, so a device that records few spans holds
+// little.
 const DefaultSpanCapacity = 8192
 
 // Config is the comparable tracing knob a device boots with. The zero
@@ -143,14 +145,7 @@ type Config struct {
 type Recorder struct {
 	seed   int64
 	sample uint64
-	buf    []SpanRecord
-	// start/n are the ring window: buf[start..start+n) modulo len(buf)
-	// holds the retained spans, oldest first.
-	start int
-	n     int
-	// total counts spans ever emitted; total - n is the dropped count
-	// ("no silent caps": eviction is always accounted).
-	total uint64
+	spans  Ring[SpanRecord]
 	// spanSeq mints span IDs; it survives ring eviction so IDs stay
 	// unique per device lifetime.
 	spanSeq uint64
@@ -166,7 +161,7 @@ func NewRecorder(capacity int, sample uint64, seed int64) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &Recorder{seed: seed, sample: sample, buf: make([]SpanRecord, capacity)}
+	return &Recorder{seed: seed, sample: sample, spans: NewRing[SpanRecord](capacity)}
 }
 
 // Enabled reports whether spans are being recorded; safe on nil.
@@ -179,7 +174,8 @@ func (r *Recorder) Reset(seed int64) {
 		return
 	}
 	r.seed = seed
-	r.start, r.n, r.total, r.spanSeq = 0, 0, 0, 0
+	r.spans.Reset()
+	r.spanSeq = 0
 	r.ctxTrace, r.ctxSpan, r.ctxUid = 0, 0, 0
 }
 
@@ -221,20 +217,13 @@ func (r *Recorder) Context() (TraceID, SpanID, int32) {
 }
 
 // Emit stores one span record, overwriting the oldest when the ring is
-// full. Zero-alloc: the record is copied by value into preallocated
-// storage.
+// full. The record is copied by value; once the ring has grown to its
+// working size, emitting allocates nothing.
 func (r *Recorder) Emit(rec SpanRecord) {
 	if r == nil {
 		return
 	}
-	r.total++
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = rec
-		r.n++
-		return
-	}
-	r.buf[r.start] = rec
-	r.start = (r.start + 1) % len(r.buf)
+	r.spans.Push(rec)
 }
 
 // EmitJGR records a global-reference table mutation as a point span in
@@ -259,7 +248,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.n
+	return r.spans.Len()
 }
 
 // Total returns how many spans were ever emitted.
@@ -267,7 +256,7 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.total
+	return uint64(r.spans.Len()) + r.spans.Dropped()
 }
 
 // Dropped returns how many spans ring eviction discarded — the "no
@@ -276,21 +265,13 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.total - uint64(r.n)
+	return r.spans.Dropped()
 }
 
 // Spans returns a copy of the retained spans, oldest first.
 func (r *Recorder) Spans() []SpanRecord {
-	if r == nil || r.n == 0 {
+	if r == nil {
 		return nil
 	}
-	out := make([]SpanRecord, r.n)
-	head := len(r.buf) - r.start
-	if r.n <= head {
-		copy(out, r.buf[r.start:r.start+r.n])
-	} else {
-		copy(out, r.buf[r.start:])
-		copy(out[head:], r.buf[:r.n-head])
-	}
-	return out
+	return r.spans.AppendTo(nil)
 }

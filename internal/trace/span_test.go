@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestMintTraceIDDeterministicAndNonZero(t *testing.T) {
@@ -161,64 +162,15 @@ func TestSpanKindStrings(t *testing.T) {
 	}
 }
 
-func TestParseSpanDetailRoundTrip(t *testing.T) {
-	in := Span{
-		Name:  "defender.window",
-		Start: 1500 * time.Millisecond,
-		End:   1552300 * time.Microsecond,
-		Phases: []Phase{
-			{Name: "read", D: 0},
-			{Name: "correlate", D: 52300 * time.Microsecond},
-			{Name: "score", D: 0},
-			{Name: "decide", D: 0},
-		},
+// TestSpanRecordSize pins the record size DefaultSpanCapacity's
+// documented memory bound is computed from: 8,192 records of 64 bytes
+// are 512 KiB per traced device (DESIGN.md §15).
+func TestSpanRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(SpanRecord{}); got != 64 {
+		t.Fatalf("SpanRecord is %d bytes, want 64; update DefaultSpanCapacity's memory bound and DESIGN.md §15", got)
 	}
-	j := New(8)
-	j.AddSpan(in)
-	evs := j.Spans()
-	if len(evs) != 1 {
-		t.Fatalf("journal holds %d span events, want 1", len(evs))
-	}
-	out, err := ParseSpanDetail(evs[0])
-	if err != nil {
-		t.Fatalf("ParseSpanDetail: %v", err)
-	}
-	if out.Name != in.Name || out.Start != in.Start || out.End != in.End {
-		t.Fatalf("round-trip changed the span: got %+v, want %+v", out, in)
-	}
-	if len(out.Phases) != len(in.Phases) {
-		t.Fatalf("round-trip changed phase count: %d vs %d", len(out.Phases), len(in.Phases))
-	}
-	for i := range in.Phases {
-		if out.Phases[i] != in.Phases[i] {
-			t.Fatalf("phase %d changed: got %+v, want %+v", i, out.Phases[i], in.Phases[i])
-		}
-	}
-	if out.Duration() != in.Duration() {
-		t.Fatalf("Duration = %v, want %v", out.Duration(), in.Duration())
-	}
-}
-
-func TestParseSpanDetailErrors(t *testing.T) {
-	if _, err := ParseSpanDetail(Event{Kind: KindNote, Detail: "dur=1s"}); err == nil {
-		t.Fatal("accepted a non-span event")
-	}
-	if _, err := ParseSpanDetail(Event{Kind: KindSpan, Detail: "dur=1s junk"}); err == nil {
-		t.Fatal("accepted a field with no '='")
-	}
-	if _, err := ParseSpanDetail(Event{Kind: KindSpan, Detail: "dur=notaduration"}); err == nil {
-		t.Fatal("accepted an unparsable duration")
-	}
-	if _, err := ParseSpanDetail(Event{Kind: KindSpan, Detail: "=1s"}); err == nil {
-		t.Fatal("accepted an empty key")
-	}
-	// Empty detail is a zero-extent span, not an error.
-	s, err := ParseSpanDetail(Event{T: time.Second, Kind: KindSpan, Subject: "x"})
-	if err != nil {
-		t.Fatalf("empty detail: %v", err)
-	}
-	if s.Start != time.Second || s.End != time.Second || len(s.Phases) != 0 {
-		t.Fatalf("empty detail parsed as %+v", s)
+	if got := DefaultSpanCapacity * unsafe.Sizeof(SpanRecord{}); got != 512<<10 {
+		t.Fatalf("a full default recorder holds %d bytes, want 512 KiB", got)
 	}
 }
 
