@@ -93,7 +93,9 @@ bench_gate = awk -v names='$(1)' ' \
 # ns/op) to at most 5% over the clone_bytes_per_op/clone_allocs_per_op
 # that `make bench-json` writes into BENCH_parallel.json, read from that
 # file. BenchmarkSoftReboot runs once so the reboot-layer benchmark
-# cannot rot.
+# cannot rot. The fleet gate holds recycled slots to at least
+# min_recycle_clone_ratio times clone-per-device throughput
+# (BenchmarkFleet), read from BENCH_fleet.json.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/services ./internal/telemetry \
 		| tee /tmp/jgre-bench-smoke.out
@@ -120,13 +122,15 @@ bench-smoke:
 	@$(call bench_gate,BenchmarkTransactLogged/unbounded BenchmarkTransactLogged/ring-flood,/tmp/jgre-hotpath-smoke.out)
 	$(GO) test -bench='^BenchmarkFleet$$' -benchtime=2x -run '^$$' ./internal/fleet \
 		| tee /tmp/jgre-fleet-smoke.out
-	@awk '/^BenchmarkFleet\/recycle/ { for (i = 1; i <= NF; i++) if ($$i == "devices/sec") rec = $$(i-1) + 0 } \
+	@awk 'FNR == NR { if ($$1 == "\"min_recycle_clone_ratio\":") min = $$2 + 0; next } \
+		/^BenchmarkFleet\/recycle/ { for (i = 1; i <= NF; i++) if ($$i == "devices/sec") rec = $$(i-1) + 0 } \
 		/^BenchmarkFleet\/clone/ { for (i = 1; i <= NF; i++) if ($$i == "devices/sec") cl = $$(i-1) + 0 } \
-		END { if (!rec || !cl) { print "bench-smoke: fleet slot-mode benchmarks did not run"; exit 1 } \
+		END { if (!min) { print "bench-smoke: BENCH_fleet.json has no min_recycle_clone_ratio"; exit 1 } \
+			if (!rec || !cl) { print "bench-smoke: fleet slot-mode benchmarks did not run"; exit 1 } \
 			ratio = rec / cl; \
-			if (ratio < 2) { printf "bench-smoke: fleet recycle only %.2fx clone-per-device throughput (want >= 2x)\n", ratio; exit 1 } \
-			printf "bench-smoke: fleet recycle %.1fx clone-per-device throughput\n", ratio }' \
-		/tmp/jgre-fleet-smoke.out
+			if (ratio < min) { printf "bench-smoke: fleet recycle only %.2fx clone-per-device throughput (want >= %gx, BENCH_fleet.json)\n", ratio, min; exit 1 } \
+			printf "bench-smoke: fleet recycle %.1fx clone-per-device throughput (floor %gx)\n", ratio, min }' \
+		BENCH_fleet.json /tmp/jgre-fleet-smoke.out
 
 # Coverage floors. The telemetry registry's zero-alloc counters and
 # Prometheus renderer are pure library code every layer leans on, so

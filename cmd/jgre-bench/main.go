@@ -94,31 +94,39 @@ type FleetTiming struct {
 	BytesPerDev   uint64  `json:"alloc_bytes_per_device"`
 }
 
+// minRecycleCloneRatio is the floor `make bench-smoke` holds
+// BenchmarkFleet's recycle-vs-clone throughput ratio to. It is written
+// into BENCH_fleet.json, where the gate reads it, so regenerating the
+// file keeps the gate.
+const minRecycleCloneRatio = 2
+
 // FleetReport is the -fleet-json output (BENCH_fleet.json): the
-// devices/sec headline per slot mode and the recycle-vs-clone ratio
-// `make bench-smoke` gates at >= 2x.
+// devices/sec headline per slot mode, the recycle-vs-clone ratio and
+// the floor `make bench-smoke` gates that ratio at.
 type FleetReport struct {
-	GeneratedUnix     int64         `json:"generated_unix"`
-	GoMaxProcs        int           `json:"gomaxprocs"`
-	NumCPU            int           `json:"num_cpu"`
-	Workers           int           `json:"workers"`
-	Workload          string        `json:"workload"`
-	Devices           int           `json:"devices"`
-	Modes             []FleetTiming `json:"modes"`
-	RecycleCloneRatio float64       `json:"recycle_clone_ratio"`
-	RecycleFreshRatio float64       `json:"recycle_fresh_ratio"`
-	Identical         bool          `json:"identical_output"`
+	GeneratedUnix        int64         `json:"generated_unix"`
+	GoMaxProcs           int           `json:"gomaxprocs"`
+	NumCPU               int           `json:"num_cpu"`
+	Workers              int           `json:"workers"`
+	Workload             string        `json:"workload"`
+	Devices              int           `json:"devices"`
+	Modes                []FleetTiming `json:"modes"`
+	RecycleCloneRatio    float64       `json:"recycle_clone_ratio"`
+	MinRecycleCloneRatio float64       `json:"min_recycle_clone_ratio"`
+	RecycleFreshRatio    float64       `json:"recycle_fresh_ratio"`
+	Identical            bool          `json:"identical_output"`
 }
 
 // fleetBench runs the fleet-baseline workload once per slot mode and
 // checks all modes roll up to the identical Result.
 func fleetBench(devices, workers int) (FleetReport, error) {
 	rep := FleetReport{
-		GeneratedUnix: time.Now().Unix(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Workers:       workers,
-		Devices:       devices,
+		GeneratedUnix:        time.Now().Unix(),
+		GoMaxProcs:           runtime.GOMAXPROCS(0),
+		NumCPU:               runtime.NumCPU(),
+		Workers:              workers,
+		Devices:              devices,
+		MinRecycleCloneRatio: minRecycleCloneRatio,
 	}
 	ctx := context.Background()
 	perSec := make(map[fleet.Mode]float64)

@@ -6,7 +6,7 @@
 //
 //	jgre-run list
 //	jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b]
-//	         [-json] [-metrics-json] [-trace-out file.json] [-trace-sample n]
+//	         [-json] [-metrics-json]
 //
 // Stdout carries only the result: the scenario's text report (render.go)
 // or, with -json or for a result type without a report, the shared JSON
@@ -30,10 +30,8 @@ import (
 	"runtime"
 	"strings"
 
-	"repro/internal/device"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -56,8 +54,6 @@ func main() {
 	filter := fs.String("filter", "", "comma-separated sweep targets (fig3: interface names; empty = all)")
 	asJSON := fs.Bool("json", false, "emit the shared result envelope as JSON")
 	metricsJSON := fs.Bool("metrics-json", false, "attach a telemetry snapshot (worker/pool counters) to the JSON envelope")
-	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file of every device's causal spans (forces flight recorders on)")
-	traceSample := fs.Uint64("trace-sample", 1, "with -trace-out: trace one in every n transactions")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -94,31 +90,9 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" {
-		// Capture mode: every device the scenario boots (or recycles) gets
-		// a flight recorder; spans are harvested as slots retire and
-		// drained after the run. Tracing never advances the virtual clock,
-		// so the envelope is unchanged.
-		device.StartTraceCapture(trace.Config{Sample: *traceSample}, 0)
-	}
-
 	env, err := s.Execute(context.Background(), p)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *traceOut != "" {
-		spans, names, dropped := device.CollectCapturedTraces()
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.ExportChrome(f, spans, names); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "jgre-run: wrote %d spans to %s (%d dropped)\n", len(spans), *traceOut, dropped)
 	}
 	fmt.Fprintf(os.Stderr, "scenario %s (group %s, scale %s, workers %d)\n", env.Scenario, env.Group, env.Scale, env.Workers)
 	if err := write(os.Stdout, env, *asJSON); err != nil {
@@ -162,6 +136,5 @@ func list() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   jgre-run list
-  jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b] [-json] [-metrics-json]
-           [-trace-out file.json] [-trace-sample n]`)
+  jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b] [-json] [-metrics-json]`)
 }

@@ -66,6 +66,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *tick <= 0 {
+		return fmt.Errorf("-tick must be positive, got %v", *tick)
+	}
 
 	tcfg := trace.Config{Enabled: *traceF}
 	if *scenarioF == "fleet" {
@@ -287,16 +290,9 @@ func render(w io.Writer, dev *device.Device, def *defense.Defender, sampler *tel
 	// mirroring spark()'s empty-series fix — renders an explicit
 	// placeholder instead of a blank when a family is absent from the
 	// registry entirely.
-	fmt.Fprintf(w, "\nTRACE  spans=%s  evicted=%s  dumps=%s\n",
+	fmt.Fprintf(w, "\nTRACE  spans=%s  evicted=%s\n",
 		gaugeField(dev, "jgre_trace_spans"),
-		gaugeField(dev, "jgre_trace_span_drops_total"),
-		gaugeField(dev, "jgre_trace_flight_dumps_total"))
-	if dumps := dev.FlightDumps(); len(dumps) > 0 {
-		fmt.Fprintf(w, "flight dumps (last %d):\n", min(len(dumps), 5))
-		for _, d := range dumps[max(0, len(dumps)-5):] {
-			fmt.Fprintf(w, "  %8.1fs %-32s %d spans\n", d.T.Seconds(), d.Reason, len(d.Spans))
-		}
-	}
+		gaugeField(dev, "jgre_trace_span_drops_total"))
 
 	if def == nil {
 		return

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -36,6 +37,18 @@ func TestGoldenDefended(t *testing.T) {
 		}
 		if g != w {
 			t.Fatalf("dashboard differs from testdata/defended.txt at line %d:\n  file: %q\n  code: %q", i+1, w, g)
+		}
+	}
+}
+
+// TestRejectsNonPositiveTick checks that a zero or negative sampling
+// interval is an error naming the flag, not a division by zero or a
+// backwards clock advance.
+func TestRejectsNonPositiveTick(t *testing.T) {
+	for _, tick := range []string{"0", "-1s"} {
+		err := run([]string{"-scenario", "idle", "-tick", tick}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-tick") {
+			t.Errorf("-tick %s: err = %v, want an error naming -tick", tick, err)
 		}
 	}
 }

@@ -8,15 +8,15 @@
 // Usage:
 //
 //	jgre-trace [-seed n] [-sample n] [-capacity n] [-o file]
-//	jgre-trace -fleet n [-workers n] [-mode recycle|clone|fresh] ...
+//	jgre-trace -fleet n [-workers n] ...
 //
 // The default is a single traced device running the Fig. 4 population
 // plus one attacker on the fastest exploitable interface under a
-// quick-scale defender, to first detection. -fleet runs the staged
-// attack-rollout workload across n traced devices instead, merging each
-// device's spans keyed by device index — the output is byte-identical
-// for any worker count and any slot mode, which TestFleetTraceIdentical
-// pins.
+// quick-scale defender, to first detection, exported from the device's
+// Recorder().Spans(). -fleet runs the staged attack-rollout workload
+// across n traced devices instead, merging each device's spans keyed by
+// device index — the output is byte-identical for any worker count and
+// any slot mode, which TestFleetTraceIdentical pins.
 package main
 
 import (
@@ -48,7 +48,6 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	fleetN := flag.Int("fleet", 0, "run the attack-rollout workload across n traced devices")
 	workers := flag.Int("workers", 0, "fleet worker count (0 = one per CPU)")
-	modeName := flag.String("mode", "recycle", "fleet slot mode: recycle, clone or fresh")
 	flag.Parse()
 
 	tcfg := trace.Config{Enabled: true, Capacity: *capacity, Sample: *sample}
@@ -64,29 +63,13 @@ func main() {
 
 	var err error
 	if *fleetN > 0 {
-		mode, ok := parseMode(*modeName)
-		if !ok {
-			log.Fatalf("unknown mode %q (want recycle, clone or fresh)", *modeName)
-		}
-		err = runFleet(w, *fleetN, *workers, mode, *seed, tcfg)
+		err = runFleet(w, *fleetN, *workers, fleet.ModeRecycle, *seed, tcfg)
 	} else {
 		err = runSingle(w, *seed, tcfg)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-func parseMode(name string) (fleet.Mode, bool) {
-	switch name {
-	case "recycle":
-		return fleet.ModeRecycle, true
-	case "clone":
-		return fleet.ModeClone, true
-	case "fresh":
-		return fleet.ModeFresh, true
-	}
-	return 0, false
 }
 
 // fastestInterface is the attack target: the exploitable interface with
@@ -128,15 +111,16 @@ func runSingle(w io.Writer, seed int64, tcfg trace.Config) error {
 	sched.Run(func() bool { return len(def.History()) > 0 }, 2_000_000)
 
 	rec := dev.Recorder()
-	fmt.Fprintf(os.Stderr, "jgre-trace: %d spans (%d evicted), %d flight dumps, %d detections\n",
-		rec.Len(), rec.Dropped(), dev.FlightDumpsTotal(), len(def.History()))
+	fmt.Fprintf(os.Stderr, "jgre-trace: %d spans (%d evicted), %d detections\n",
+		rec.Len(), rec.Dropped(), len(def.History()))
 	return trace.ExportChrome(w, rec.Spans(), dev.ProcNames())
 }
 
 // runFleet traces the staged attack rollout across n devices. Each
 // trial's spans are captured keyed by device index with pids remapped
 // into a per-device range, so the merged export is independent of the
-// worker count and the slot mode.
+// worker count and the slot mode (the command always recycles;
+// TestFleetTraceIdentical varies the mode).
 func runFleet(w io.Writer, n, workers int, mode fleet.Mode, seed int64, tcfg trace.Config) error {
 	// pidStride separates the per-device pid ranges in the merged trace;
 	// simulated pids stay far below it.

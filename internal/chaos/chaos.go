@@ -183,9 +183,6 @@ func (e *Engine) crashOne() {
 		return
 	}
 	v := victims[int(e.draw()%uint64(len(victims)))]
-	// Crash forensics: snapshot the flight recorder before the kill so
-	// the dump still holds the spans leading up to it (no-op untraced).
-	e.dev.DumpFlightRecorder("chaos: crash " + v.Name())
 	e.dev.Kernel().Kill(v.Pid(), ReasonCrash)
 	e.stats.Crashes++
 	e.faults++
@@ -201,7 +198,6 @@ func (e *Engine) reboot() {
 	if ss == nil || !ss.Alive() {
 		return
 	}
-	e.dev.DumpFlightRecorder("chaos: reboot")
 	e.dev.Kernel().Kill(ss.Pid(), ReasonReboot)
 	e.stats.Reboots++
 	e.faults++

@@ -231,6 +231,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	// A defender's coverage is delivered/generated records, never NaN,
+	// and a NaN would not decode equal to itself.
+	if math.IsNaN(cp.LastCoverage) {
+		return nil, fmt.Errorf("%w: NaN coverage", ErrCheckpointCorrupt)
+	}
 	if int64(monCount)*monitorWireMin > int64(len(r.buf)) {
 		return nil, fmt.Errorf("%w: monitor count %d exceeds input", ErrCheckpointCorrupt, monCount)
 	}

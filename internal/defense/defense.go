@@ -104,9 +104,6 @@ type Config struct {
 	// engagement. 0 keeps the paper's unbounded kill loop; positive
 	// allows that many low-confidence kills; negative allows none.
 	InnocentKillBudget int
-	// DisableAdaptiveDelta turns off Δ widening under measured
-	// timestamp jitter.
-	DisableAdaptiveDelta bool
 }
 
 func (c Config) withDefaults() Config {
@@ -630,7 +627,6 @@ func (m *monitor) respond() {
 			Trace: ctxTrace, ID: rec.NextSpanID(), Parent: win, Kind: trace.SpanDecision,
 			Start: tScore, End: end, Pid: pid, Uid: ctxUid, Val: int64(len(det.Killed)),
 		})
-		d.dev.DumpFlightRecorder("detection: " + det.Victim)
 	}
 
 	if d.OnDetection != nil {
@@ -710,9 +706,6 @@ func correctSkew(w *binder.LogColumns, now time.Duration) {
 // true delay inside the correlation window. On a healthy chain the
 // measurement is zero and Δ is untouched.
 func (d *Defender) effectiveDelta(w *binder.LogColumns) time.Duration {
-	if d.cfg.DisableAdaptiveDelta {
-		return DefaultDelta
-	}
 	var inversion time.Duration
 	for i := 1; i < w.Len(); i++ {
 		if w.Seq[i] > w.Seq[i-1] {

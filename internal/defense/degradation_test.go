@@ -126,14 +126,6 @@ func TestAdaptiveDeltaWidensUnderJitter(t *testing.T) {
 	if len(det.Scores) == 0 || det.Scores[0].Package != "com.evil.app" || !det.Recovered {
 		t.Fatalf("jittered engagement failed: %+v", det)
 	}
-
-	// The ablation switch keeps Δ fixed.
-	fixed, _ := faultedEngagement(t, fcfg, Config{
-		AlarmThreshold: 400, EngageThreshold: 1200, DisableAdaptiveDelta: true,
-	})
-	if fixed.EffectiveDelta != DefaultDelta {
-		t.Fatalf("DisableAdaptiveDelta ignored: Δ=%v", fixed.EffectiveDelta)
-	}
 }
 
 func TestClockSkewIsCorrected(t *testing.T) {

@@ -113,7 +113,6 @@ func Template(cfg Config) (*Device, error) {
 	if cfg.BaselineProcesses == 0 {
 		cfg.BaselineProcesses = DefaultBaselineProcesses
 	}
-	applyCapture(&cfg)
 	key, cacheable := templateKeyOf(cfg)
 	if !cacheable {
 		return nil, nil
@@ -173,9 +172,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			return nil, fmt.Errorf("device: recycling a sealed template")
 		}
 		// Harvest the retired clone's storage, rewound in place; the
-		// zeroing assignment below drops everything else. The trace
-		// capture, when active, drains the retiring trial's spans first.
-		retireCapture(nd)
+		// zeroing assignment below drops everything else.
 		hosts, svcMap, appSvcMap, handleIdx := nd.hosts, nd.services, nd.appServices, nd.handleIndex
 		clear(hosts)
 		clear(svcMap)
@@ -191,7 +188,6 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			appReg:      nd.appReg,
 			journal:     nd.journal,
 			rec:         nd.rec,
-			flightDumps: trace.NewRing[FlightDump](MaxFlightDumps),
 			hosts:       hosts,
 			services:    svcMap,
 			appServices: appSvcMap,
@@ -201,7 +197,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			appOrder:    nd.appOrder[:0],
 		}
 	} else {
-		nd = &Device{cfg: d.cfg, journal: trace.New(0), flightDumps: trace.NewRing[FlightDump](MaxFlightDumps)}
+		nd = &Device{cfg: d.cfg, journal: trace.New(0)}
 	}
 	nd.cfg.Seed = seed
 	nd.clock = simclock.New()
@@ -334,7 +330,6 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 	nd.bootCount = d.bootCount
 	nd.broadcastSeq = d.broadcastSeq
 	nd.attachTraceVMs()
-	registerCapture(nd)
 
 	if err := nd.kern.ProcFS().CreateProvider(MetricsPath, kernel.RootUid, false, func() []byte {
 		return nd.Metrics().RenderProm()

@@ -143,10 +143,9 @@ type Device struct {
 	onReboot     []func(reason string)
 	journal      *trace.Journal
 
-	// rec is the causal flight recorder (nil = tracing off); flightDumps
-	// retains the most recent MaxFlightDumps snapshots (see flight.go).
-	rec         *trace.Recorder
-	flightDumps trace.Ring[FlightDump]
+	// rec is the causal flight recorder (nil = tracing off; see
+	// flight.go).
+	rec *trace.Recorder
 
 	// onServiceRestart observers fire after RestartHost/RestartAppService
 	// completes a re-registration; clientRetry, when non-zero, is applied
@@ -216,8 +215,7 @@ func BootFresh(cfg Config) (*Device, error) {
 	if cfg.BaselineProcesses == 0 {
 		cfg.BaselineProcesses = DefaultBaselineProcesses
 	}
-	applyCapture(&cfg)
-	d := &Device{cfg: cfg, flightDumps: trace.NewRing[FlightDump](MaxFlightDumps)}
+	d := &Device{cfg: cfg}
 	d.clock = simclock.New()
 	d.rec = newRecorder(cfg)
 
@@ -277,7 +275,6 @@ func BootFresh(cfg Config) (*Device, error) {
 	}
 	d.spawnBaselineFillers()
 	d.attachTraceVMs()
-	registerCapture(d)
 	d.registerMetrics()
 	if err := d.kern.ProcFS().CreateProvider(MetricsPath, kernel.RootUid, false, d.metrics.RenderProm); err != nil {
 		return nil, err

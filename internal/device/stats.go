@@ -33,14 +33,12 @@ type Stats struct {
 	// silently evicted — nonzero means the forensic timeline is
 	// incomplete and post-mortem tooling should say so.
 	TraceDropped int
-	// Flight-recorder health (all zero when tracing is off): spans
-	// currently retained, spans ring eviction overwrote, and how many
-	// flight dumps (detections, chaos crashes) were captured. Like
+	// Flight-recorder health (both zero when tracing is off): spans
+	// currently retained and spans ring eviction overwrote. Like
 	// TraceDropped, TraceSpanDrops is a "no silent caps" counter —
 	// nonzero means exported traces are missing their oldest spans.
 	TraceSpans     int
 	TraceSpanDrops uint64
-	FlightDumps    int
 	// Defender carries the defense layer's self-reported health when one
 	// is attached (nil otherwise): last-window coverage, whether fallback
 	// attribution was used, and the cumulative degradation counters.
@@ -79,7 +77,6 @@ func (d *Device) Stats() Stats {
 		TraceDropped:        int(d.journal.Dropped()),
 		TraceSpans:          d.rec.Len(),
 		TraceSpanDrops:      d.rec.Dropped(),
-		FlightDumps:         d.FlightDumpsTotal(),
 		Defender:            health,
 	}
 }
@@ -100,9 +97,8 @@ func (d *Device) DumpState(w io.Writer) {
 	if s.TraceDropped > 0 {
 		fmt.Fprintf(w, "  trace journal: %d events evicted (timeline incomplete)\n", s.TraceDropped)
 	}
-	if s.TraceSpans > 0 || s.TraceSpanDrops > 0 || s.FlightDumps > 0 {
-		fmt.Fprintf(w, "  flight recorder: %d spans held, %d evicted, %d dumps\n",
-			s.TraceSpans, s.TraceSpanDrops, s.FlightDumps)
+	if s.TraceSpans > 0 || s.TraceSpanDrops > 0 {
+		fmt.Fprintf(w, "  flight recorder: %d spans held, %d evicted\n", s.TraceSpans, s.TraceSpanDrops)
 	}
 	if h := s.Defender; h != nil {
 		fmt.Fprintf(w, "  defender: %d detections, last coverage %.2f, fallback %v, %d read retries, %d analysis restarts, %d guard stops\n",

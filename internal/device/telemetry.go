@@ -113,9 +113,6 @@ func (d *Device) registerMetrics() {
 	reg.GaugeFunc("jgre_trace_span_drops_total",
 		"Flight-recorder spans overwritten by ring eviction.",
 		func() float64 { return float64(d.rec.Dropped()) })
-	reg.GaugeFunc("jgre_trace_flight_dumps_total",
-		"Flight-recorder dumps captured (detections, chaos crashes).",
-		func() float64 { return float64(d.FlightDumpsTotal()) })
 
 	// Per-process JGR and frame-churn series for the monitored hosts:
 	// system_server plus the dedicated service hosts (~10 processes, not

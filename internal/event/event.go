@@ -49,15 +49,6 @@ func (q *Queue[T]) Push(at time.Duration, pri uint64, v T) {
 	q.up(len(q.items) - 1)
 }
 
-// Peek returns the virtual time of the next item without removing it.
-// ok is false when the queue is empty.
-func (q *Queue[T]) Peek() (at time.Duration, ok bool) {
-	if len(q.items) == 0 {
-		return 0, false
-	}
-	return q.items[0].at, true
-}
-
 // Pop removes and returns the earliest item. ok is false when the queue
 // is empty.
 func (q *Queue[T]) Pop() (v T, at time.Duration, ok bool) {

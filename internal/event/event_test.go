@@ -15,9 +15,6 @@ func TestQueueOrdersByTime(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
-	if at, ok := q.Peek(); !ok || at != 10 {
-		t.Fatalf("Peek = (%v, %v), want (10, true)", at, ok)
-	}
 	for _, want := range []string{"a", "b", "c"} {
 		v, _, ok := q.Pop()
 		if !ok || v != want {
@@ -26,9 +23,6 @@ func TestQueueOrdersByTime(t *testing.T) {
 	}
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue reported ok")
-	}
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue reported ok")
 	}
 }
 

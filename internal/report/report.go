@@ -77,10 +77,9 @@ func Write(w io.Writer, in Input) error {
 		p("| Failed log reads | %d |\n", s.IPCLogReadErrors)
 		p("| Binder transactions total | %d |\n", s.Transactions)
 		p("| Trace-journal events evicted | %d |\n", s.TraceDropped)
-		if s.TraceSpans > 0 || s.TraceSpanDrops > 0 || s.FlightDumps > 0 {
+		if s.TraceSpans > 0 || s.TraceSpanDrops > 0 {
 			p("| Flight-recorder spans held | %d |\n", s.TraceSpans)
 			p("| Flight-recorder spans evicted | %d |\n", s.TraceSpanDrops)
-			p("| Flight-recorder dumps | %d |\n", s.FlightDumps)
 		}
 		p("\n")
 		if s.TraceDropped > 0 {
@@ -140,12 +139,11 @@ func Write(w io.Writer, in Input) error {
 
 // anyHealthCounter reports whether a telemetry-health counter is
 // nonzero: IPC-log volume, loss or read errors, journal or
-// flight-recorder evictions, retained spans or dumps, or an attached
-// defender's health.
+// flight-recorder evictions, retained spans, or an attached defender's
+// health.
 func anyHealthCounter(s *device.Stats) bool {
 	return s.IPCLogSeq > 0 || s.IPCLogDropped > 0 || s.IPCLogRingDropped > 0 || s.IPCLogReadErrors > 0 ||
-		s.TraceDropped > 0 || s.TraceSpans > 0 || s.TraceSpanDrops > 0 || s.FlightDumps > 0 ||
-		s.Defender != nil
+		s.TraceDropped > 0 || s.TraceSpans > 0 || s.TraceSpanDrops > 0 || s.Defender != nil
 }
 
 func writePipeline(p func(string, ...interface{}), res *analysis.PipelineResult) {

@@ -16,9 +16,8 @@ import (
 // Clock is safe for concurrent use, although the simulation core drives it
 // from a single goroutine for determinism.
 type Clock struct {
-	mu      sync.Mutex
-	now     time.Duration
-	horizon []func() (time.Duration, bool)
+	mu  sync.Mutex
+	now time.Duration
 }
 
 // New returns a clock starting at t = 0.
@@ -65,35 +64,4 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	if t > c.now {
 		c.now = t
 	}
-}
-
-// AttachHorizon registers a deadline source consulted by NextDeadline —
-// typically an event queue's Peek. The source returns its earliest
-// pending virtual time, or ok=false when it has nothing scheduled.
-// Sources cannot be detached; a source for a drained queue simply reports
-// ok=false.
-func (c *Clock) AttachHorizon(fn func() (time.Duration, bool)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.horizon = append(c.horizon, fn)
-}
-
-// NextDeadline returns the earliest pending deadline across all attached
-// horizon sources; ok is false when no source has anything scheduled.
-// It is the introspection point for "how far could virtual time jump" —
-// dashboards and the workload scheduler's telemetry read it.
-func (c *Clock) NextDeadline() (time.Duration, bool) {
-	c.mu.Lock()
-	sources := c.horizon
-	c.mu.Unlock()
-	var (
-		best  time.Duration
-		found bool
-	)
-	for _, fn := range sources {
-		if at, ok := fn(); ok && (!found || at < best) {
-			best, found = at, true
-		}
-	}
-	return best, found
 }

@@ -76,31 +76,6 @@ func TestAdvanceToForwardOnly(t *testing.T) {
 	}
 }
 
-func TestNextDeadlineAcrossHorizonSources(t *testing.T) {
-	c := New()
-	if _, ok := c.NextDeadline(); ok {
-		t.Fatal("NextDeadline with no sources reported a deadline")
-	}
-	empty := true
-	c.AttachHorizon(func() (time.Duration, bool) {
-		if empty {
-			return 0, false
-		}
-		return 3 * time.Second, true
-	})
-	if _, ok := c.NextDeadline(); ok {
-		t.Fatal("NextDeadline with only empty sources reported a deadline")
-	}
-	c.AttachHorizon(func() (time.Duration, bool) { return 5 * time.Second, true })
-	if at, ok := c.NextDeadline(); !ok || at != 5*time.Second {
-		t.Fatalf("NextDeadline = (%v, %v), want (5s, true)", at, ok)
-	}
-	empty = false
-	if at, ok := c.NextDeadline(); !ok || at != 3*time.Second {
-		t.Fatalf("NextDeadline = (%v, %v), want (3s, true)", at, ok)
-	}
-}
-
 func TestConcurrentAdvance(t *testing.T) {
 	c := New()
 	const (

@@ -1,12 +1,13 @@
 // Package trace holds the simulator's bounded records and the causal
 // tracing built on them. Ring is the one bounded buffer: it keeps the
 // newest entries oldest first and counts what it evicts. This package's
-// Journal and Recorder, the telemetry sampler's series, the binder
-// driver's pending IPC log and the device's flight dumps are all Rings.
-// The Journal is the virtual-time event log — process lifecycle, LMK
-// evictions, soft reboots, defender detections: the simulator's logcat.
-// The Recorder is the per-device flight recorder of causal spans, which
-// ExportChrome writes as trace-event JSON for Perfetto.
+// Journal and Recorder, the telemetry sampler's series and the binder
+// driver's pending IPC log are all Rings. The Journal is the
+// virtual-time event log — process lifecycle, LMK evictions, soft
+// reboots, defender detections: the simulator's logcat. The Recorder is
+// the per-device flight recorder of causal spans; its Spans is the one
+// way spans leave a device, and ExportChrome writes them as trace-event
+// JSON for Perfetto.
 package trace
 
 import (

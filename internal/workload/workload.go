@@ -79,11 +79,10 @@ type timerEvent struct {
 const timerPriBase = uint64(1) << 32
 
 // NewScheduler creates a scheduler on the device clock. The scheduler
-// attaches its event queue as a clock horizon source and publishes
-// queue-depth and virtual-time gauges into the device registry.
+// publishes queue-depth and virtual-time gauges into the device
+// registry.
 func NewScheduler(dev *device.Device) *Scheduler {
 	s := &Scheduler{dev: dev}
-	dev.Clock().AttachHorizon(s.queue.Peek)
 	if reg := dev.Metrics(); reg != nil {
 		reg.GaugeFunc("jgre_event_queue_depth",
 			"Events pending in the workload scheduler's virtual-time queue.",
