@@ -23,9 +23,10 @@ vet:
 # queue and the device snapshot/clone layer every concurrent shard now
 # boots through, plus the tracing-enabled paths (binder span emission,
 # art JGR hooks, defender causal spans, the recorder/exporter) and the
-# traced-fleet capture that runs them across worker goroutines.
+# traced-fleet capture that runs them across worker goroutines, and the
+# lock-free virtual clock every layer reads.
 race:
-	$(GO) test -race ./internal/parallel ./internal/experiments ./internal/analysis ./internal/scenario ./internal/defense ./internal/binder ./internal/faults ./internal/event ./internal/device ./internal/chaos ./internal/fleet ./internal/art ./internal/trace ./cmd/jgre-trace
+	$(GO) test -race ./internal/parallel ./internal/experiments ./internal/analysis ./internal/scenario ./internal/defense ./internal/binder ./internal/faults ./internal/event ./internal/device ./internal/chaos ./internal/fleet ./internal/art ./internal/trace ./internal/simclock ./cmd/jgre-trace
 
 # Coverage-guided fuzzing smoke: the kernel log-record parser (the one
 # spot where the defender consumes a wire format), the differential pin
@@ -35,9 +36,11 @@ race:
 # push/pop interleavings, the defender checkpoint codec (decode
 # never panics on arbitrary bytes; any accepted input re-encodes
 # byte-identically), the Chrome trace-event exporter (never panics
-# on arbitrary span records, always emits schema-valid JSON), and the
+# on arbitrary span records, always emits schema-valid JSON), the
 # bounded record ring under every buffer (matches the copy-shift
-# reference over random capacities, push runs, drains and resets).
+# reference over random capacities, push runs, drains and resets), and
+# the ART reference tables (match a map model op by op, on a fresh VM and
+# on a template clone, and rewind to a fresh clone's state).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseIPCRecord -fuzztime=10s -run '^$$' ./internal/binder
 	$(GO) test -fuzz=FuzzCorrelatorDifferential -fuzztime=5s -run '^$$' ./internal/defense
@@ -45,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=5s -run '^$$' ./internal/defense
 	$(GO) test -fuzz=FuzzTraceExport -fuzztime=5s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzRing -fuzztime=5s -run '^$$' ./internal/trace
+	$(GO) test -fuzz=FuzzRefTable -fuzztime=5s -run '^$$' ./internal/art
 
 # Regenerate the sequential-vs-parallel sweep timings (BENCH_parallel.json).
 bench-json:
@@ -86,7 +90,10 @@ bench_gate = awk -v names='$(1)' ' \
 # one cold call: the streaming correlator stays >=10x under the
 # segment-tree incremental baseline (BenchmarkCorrelate/incremental,
 # 50x), killing a client that holds 6,000 registrations stays linear in
-# them (BenchmarkKillRegistrant/entries=6000, 20x), and the tracing-off
+# them (BenchmarkKillRegistrant/entries=6000, 20x), one attack trial's
+# JGR table work — 12,000 adds and 6,000 deletes on a template clone,
+# then the rewind — stays on the slot array (BenchmarkJGRTableAttack,
+# 50x), and the tracing-off
 # logged-transact paths stay within 5% of their recorded baselines
 # (BenchmarkTransactLogged, 2000x). The device-clone gate holds
 # BenchmarkDeviceClone's B/op and allocs/op (deterministic, unlike its
@@ -107,6 +114,9 @@ bench-smoke:
 	$(GO) test -bench='^BenchmarkKillRegistrant$$/^entries=6000$$' -benchtime=20x -run '^$$' ./internal/services \
 		| tee /tmp/jgre-kill-smoke.out
 	@$(call bench_gate,BenchmarkKillRegistrant/entries=6000,/tmp/jgre-kill-smoke.out)
+	$(GO) test -bench='^BenchmarkJGRTableAttack$$' -benchtime=50x -run '^$$' ./internal/art \
+		| tee /tmp/jgre-table-smoke.out
+	@$(call bench_gate,BenchmarkJGRTableAttack,/tmp/jgre-table-smoke.out)
 	$(GO) test -bench='^BenchmarkDevice(Boot|Clone)$$' -benchtime=400x -benchmem -run '^$$' . \
 		| tee /tmp/jgre-clone-smoke.out
 	@awk -F '[:,]' 'FNR == NR { if ($$1 ~ /"clone_bytes_per_op"/) jb = $$2 + 0; if ($$1 ~ /"clone_allocs_per_op"/) ja = $$2 + 0; next } \

@@ -34,9 +34,10 @@ const DefaultMaxWeakGlobalRefs = 51200
 // accumulate between explicit GC cycles forever.
 const DefaultGCTrigger = 512
 
-// DefaultMaxLocalRefs is the per-frame local reference budget. ART's local
-// table is growable, but well-behaved native code stays within 512 entries
-// per JNI frame; we enforce that to catch simulator bugs.
+// DefaultMaxLocalRefs is the per-frame local reference budget that
+// AddLocalRef enforces: 8,192 entries, far more than any simulated native
+// method takes, so an overflow means a simulator bug rather than modelled
+// behaviour.
 const DefaultMaxLocalRefs = 8192
 
 // RefKind distinguishes the three JNI indirect reference kinds.
@@ -75,17 +76,28 @@ type Object struct {
 }
 
 // IndirectRef is an opaque handle into one of a runtime's reference
-// tables, as returned to "native code". The top bits encode the kind so
-// that a ref can never be deleted from the wrong table.
+// tables, as returned to "native code". Like ART's IndirectRef it encodes
+// the table kind (top bits, so that a ref can never be deleted from the
+// wrong table), a serial number and the slot index. The serial is the
+// table's add count at the time of the add, modulo 2^30, so a stale
+// reference to a slot that has since been reused no longer matches the
+// slot's entry.
 type IndirectRef uint64
 
-const refKindShift = 62
+const (
+	refKindShift  = 62
+	refIndexBits  = 32
+	refIndexMask  = 1<<refIndexBits - 1
+	refSerialMask = 1<<(refKindShift-refIndexBits) - 1
+)
 
 // Kind extracts the table kind encoded in the reference.
 func (r IndirectRef) Kind() RefKind { return RefKind(r >> refKindShift) }
 
-func makeRef(kind RefKind, serial uint64) IndirectRef {
-	return IndirectRef(uint64(kind)<<refKindShift | serial)
+func (r IndirectRef) index() int { return int(r & refIndexMask) }
+
+func makeRef(kind RefKind, serial uint64, index int) IndirectRef {
+	return IndirectRef(uint64(kind)<<refKindShift | (serial&refSerialMask)<<refIndexBits | uint64(index))
 }
 
 // RefOp is the operation recorded in a JGREvent.
@@ -147,8 +159,10 @@ func (e *StaleRefError) Error() string {
 	return fmt.Sprintf("art: use of stale or foreign %s reference %#x", e.Ref.Kind(), uint64(e.Ref))
 }
 
-// refEntry is one slot of an indirect reference table.
-type refEntry struct {
+// slot is one entry of an indirect reference table; a zero ref marks a
+// hole.
+type slot struct {
+	ref     IndirectRef
 	obj     ObjectID
 	addedAt time.Duration
 	// collectable marks an entry whose referent became unreachable from
@@ -158,122 +172,134 @@ type refEntry struct {
 	collectable bool
 }
 
-// table is a single indirect reference table. Entries are stored by
-// value: a refEntry is three words, so the map holds the slots inline the
-// way ART's IRT segment array does, instead of one heap allocation per
-// reference.
+// table is a single indirect reference table, laid out the way ART's
+// IndirectReferenceTable is: a slot array indexed by the reference's slot
+// index, plus a list of holes that deletes leave behind. Adds fill the
+// most recently freed hole before they append, so add, lookup and delete
+// are O(1) array operations.
 type table struct {
-	kind    RefKind
-	max     int
-	serial  uint64
-	entries map[IndirectRef]refEntry
-	// shared marks the entry map as copy-on-write: it is owned by a
-	// snapshot template and referenced read-only by any number of clones.
-	// Every mutation path unshares first, so a clone pays for its private
-	// copy only if (and when) it actually touches the table — the
+	kind   RefKind
+	max    int
+	serial uint64
+	slots  []slot
+	holes  []int32 // free slot indices, the next add takes the last
+	// shared marks slots and holes as copy-on-write: they belong to a
+	// snapshot template and are read by any number of clones. Every
+	// mutation path unshares first, so a clone pays for its private copy
+	// only if (and when) it actually touches the table — the
 	// system_server boot table is ~1,500 entries most shards never mutate.
 	shared bool
 
-	// Rewind support for recycled device slots. A recycled VM is rewound
-	// to its template over and over; re-sharing the template map on every
-	// rewind would make each trial's first mutation pay a fresh full COW
-	// copy. Instead, when a table is armed (rewindArm set by resetFrom),
-	// the next unshare starts logging every mutation's pre-image, and the
-	// following resetFrom undoes the log in O(mutations) — keeping the
-	// private map, already equal to the template, for the next trial.
-	//
-	// rewindArm is set on a shared table: the base to start logging
-	// against at unshare time. rewindBase marks an owned map as "base +
-	// rewindLog". rewindOff records a log overflow (a trial that mutated
-	// more than half the base table — an exhaustion attack, say): the
-	// next resetFrom falls back to plain re-sharing.
-	rewindArm  *table
-	rewindBase *table
-	rewindLog  []rewindOp
-	rewindOff  bool
-}
-
-// rewindOp is one undoable table mutation: the entry's pre-image (or its
-// absence) at the mutated reference.
-type rewindOp struct {
-	ref  IndirectRef
-	prev refEntry
-	had  bool
-}
-
-// rewindCap bounds the mutation log: past half the base table, undoing
-// stops being cheaper than the COW copy the log exists to avoid.
-func rewindCap(base int) int {
-	if c := base / 2; c > 64 {
-		return c
-	}
-	return 64
+	// Rewind support for recycled device slots. base is the frozen
+	// template this table was cloned or last reset from. touched lists
+	// the template slots (index < len(base.slots)) written since then;
+	// everything past them was appended by the trial. resetFrom restores
+	// just those slots, truncates the appended ones and restores the hole
+	// list, keeping the storage. overflow records that touched reached
+	// the template's size, where copying every template slot is cheaper.
+	base     *table
+	touched  []int32
+	overflow bool
 }
 
 func newTable(kind RefKind, max int) *table {
-	return &table{kind: kind, max: max, entries: make(map[IndirectRef]refEntry)}
+	return &table{kind: kind, max: max}
 }
 
-// unshare materializes a private copy of a COW-shared entry map. On an
-// armed table the copy doubles as the rewind baseline: mutation logging
-// starts here.
+// len returns the number of live entries.
+func (t *table) len() int { return len(t.slots) - len(t.holes) }
+
+// lookup returns the slot index of a live ref, or -1 if ref is stale or
+// belongs to another table.
+func (t *table) lookup(ref IndirectRef) int {
+	i := ref.index()
+	if ref.Kind() != t.kind || i >= len(t.slots) || t.slots[i].ref != ref {
+		return -1
+	}
+	return i
+}
+
+// add stores a new entry and returns its reference. The caller enforces
+// the cap.
+func (t *table) add(obj ObjectID, now time.Duration) IndirectRef {
+	t.unshare()
+	t.serial++
+	i := len(t.slots)
+	if n := len(t.holes); n > 0 {
+		i = int(t.holes[n-1])
+		t.holes = t.holes[:n-1]
+		t.touch(i)
+	}
+	ref := makeRef(t.kind, t.serial, i)
+	e := slot{ref: ref, obj: obj, addedAt: now}
+	if i == len(t.slots) {
+		t.slots = append(t.slots, e)
+	} else {
+		t.slots[i] = e
+	}
+	return ref
+}
+
+// remove turns live slot i into a hole.
+func (t *table) remove(i int) {
+	t.unshare()
+	t.touch(i)
+	t.slots[i] = slot{}
+	t.holes = append(t.holes, int32(i))
+}
+
+// share returns a copy-on-write view of t, which rewinds to t.
+func (t *table) share() *table {
+	return &table{kind: t.kind, max: t.max, serial: t.serial,
+		slots: t.slots, holes: t.holes, shared: true, base: t}
+}
+
+// unshare gives the table private copies of COW-shared slots and holes.
 func (t *table) unshare() {
 	if !t.shared {
 		return
 	}
-	entries := make(map[IndirectRef]refEntry, len(t.entries))
-	for k, v := range t.entries {
-		entries[k] = v
-	}
-	t.entries = entries
+	t.slots = append([]slot(nil), t.slots...)
+	t.holes = append([]int32(nil), t.holes...)
 	t.shared = false
-	if t.rewindArm != nil {
-		t.rewindBase = t.rewindArm
-		t.rewindArm = nil
-		t.rewindOff = false
-		t.rewindLog = t.rewindLog[:0]
-	}
 }
 
-// touch records ref's pre-mutation state into the rewind log. Callers
-// invoke it after unshare and before the mutation itself. Once the log
-// overflows its cap the table stops logging and the next resetFrom falls
-// back to re-sharing.
-func (t *table) touch(ref IndirectRef) {
-	if t.rewindBase == nil || t.rewindOff {
+// touch records a write to slot i, which resetFrom must undo if the slot
+// is one of the template's.
+func (t *table) touch(i int) {
+	if t.base == nil || i >= len(t.base.slots) || t.overflow {
 		return
 	}
-	if len(t.rewindLog) >= rewindCap(len(t.rewindBase.entries)) {
-		t.rewindOff = true
+	if len(t.touched) == len(t.base.slots) {
+		t.overflow = true
 		return
 	}
-	prev, had := t.entries[ref]
-	t.rewindLog = append(t.rewindLog, rewindOp{ref: ref, prev: prev, had: had})
+	t.touched = append(t.touched, int32(i))
 }
 
-// resetFrom rewinds t to the frozen base table. When the owned map's
-// deviation from base is covered by the mutation log, the log is undone
-// in place (newest first) and the map is kept; otherwise t re-shares
-// base's map copy-on-write and arms logging for the next unshare.
+// resetFrom rewinds t to the frozen base table. A table still sharing
+// some template's storage re-points at base's. An owned table rewound to
+// its own base restores the touched template slots and drops the
+// appended ones; any other owned table copies base's slots into the
+// storage it already has.
 func (t *table) resetFrom(base *table) {
-	if t.rewindBase == base && !t.rewindOff && !t.shared {
-		for i := len(t.rewindLog) - 1; i >= 0; i-- {
-			op := t.rewindLog[i]
-			if op.had {
-				t.entries[op.ref] = op.prev
-			} else {
-				delete(t.entries, op.ref)
-			}
+	switch {
+	case t.shared:
+		t.slots, t.holes = base.slots, base.holes
+	case t.base == base && !t.overflow:
+		for _, i := range t.touched {
+			t.slots[i] = base.slots[i]
 		}
-		t.rewindLog = t.rewindLog[:0]
-		t.kind = base.kind
-		t.max = base.max
-		t.serial = base.serial
-		return
+		t.slots = t.slots[:len(base.slots)]
+		t.holes = append(t.holes[:0], base.holes...)
+	default:
+		t.slots = append(t.slots[:0], base.slots...)
+		t.holes = append(t.holes[:0], base.holes...)
 	}
-	*t = table{kind: base.kind, max: base.max, serial: base.serial,
-		entries: base.entries, shared: true,
-		rewindArm: base, rewindLog: t.rewindLog[:0]}
+	t.kind, t.max, t.serial = base.kind, base.max, base.serial
+	t.base = base
+	t.touched = t.touched[:0]
+	t.overflow = false
 }
 
 // Config parameterizes a VM. The zero value selects the AOSP 6.0.1
@@ -309,8 +335,8 @@ type VM struct {
 	globals *table
 	weaks   *table
 	frames  []*table // local reference frame stack
-	// framePool recycles popped local frames (their cleared entry maps
-	// keep their buckets), so the push/pop around every transaction stops
+	// framePool recycles popped local frames (their truncated slot arrays
+	// keep their storage), so the push/pop around every transaction stops
 	// allocating once the frame stack has reached its working depth.
 	framePool []*table
 
@@ -380,13 +406,13 @@ func (vm *VM) AbortReason() string { return vm.abortedReason }
 func (vm *VM) MaxGlobal() int { return vm.globals.max }
 
 // GlobalRefCount returns the current number of JGR entries.
-func (vm *VM) GlobalRefCount() int { return len(vm.globals.entries) }
+func (vm *VM) GlobalRefCount() int { return vm.globals.len() }
 
 // WeakGlobalRefCount returns the current number of weak-global entries.
-func (vm *VM) WeakGlobalRefCount() int { return len(vm.weaks.entries) }
+func (vm *VM) WeakGlobalRefCount() int { return vm.weaks.len() }
 
 // LocalRefCount returns the number of local references in the current frame.
-func (vm *VM) LocalRefCount() int { return len(vm.frames[len(vm.frames)-1].entries) }
+func (vm *VM) LocalRefCount() int { return vm.frames[len(vm.frames)-1].len() }
 
 // PeakGlobalRefCount returns the historical maximum JGR table size.
 func (vm *VM) PeakGlobalRefCount() int { return vm.peakGlobals }
@@ -431,7 +457,7 @@ func (vm *VM) SetTraceRecorder(r *trace.Recorder, pid int32) {
 
 func (vm *VM) emit(op RefOp, ref IndirectRef, obj ObjectID) {
 	if vm.rec.Enabled() {
-		vm.rec.EmitJGR(op == OpAdd, vm.clock.Now(), vm.recPid, len(vm.globals.entries))
+		vm.rec.EmitJGR(op == OpAdd, vm.clock.Now(), vm.recPid, vm.globals.len())
 	}
 	if len(vm.hooks) == 0 {
 		return
@@ -441,7 +467,7 @@ func (vm *VM) emit(op RefOp, ref IndirectRef, obj ObjectID) {
 		Op:    op,
 		Ref:   ref,
 		Obj:   obj,
-		Count: len(vm.globals.entries),
+		Count: vm.globals.len(),
 	}
 	for _, h := range vm.hooks {
 		h(ev)
@@ -458,18 +484,14 @@ func (vm *VM) AddGlobalRef(obj *Object) (IndirectRef, error) {
 	if vm.aborted {
 		return 0, ErrRuntimeAborted
 	}
-	if len(vm.globals.entries) >= vm.globals.max {
+	if vm.globals.len() >= vm.globals.max {
 		err := &OverflowError{Process: vm.process, Kind: KindGlobal, Max: vm.globals.max}
 		vm.abort(err.Error())
 		return 0, err
 	}
-	vm.globals.unshare()
-	vm.globals.serial++
-	ref := makeRef(KindGlobal, vm.globals.serial)
-	vm.globals.touch(ref)
-	vm.globals.entries[ref] = refEntry{obj: obj.ID, addedAt: vm.clock.Now()}
+	ref := vm.globals.add(obj.ID, vm.clock.Now())
 	vm.totalGlobalAdds++
-	if n := len(vm.globals.entries); n > vm.peakGlobals {
+	if n := vm.globals.len(); n > vm.peakGlobals {
 		vm.peakGlobals = n
 	}
 	vm.emit(OpAdd, ref, obj.ID)
@@ -483,18 +505,14 @@ func (vm *VM) DeleteGlobalRef(ref IndirectRef) error {
 	if vm.aborted {
 		return ErrRuntimeAborted
 	}
-	if ref.Kind() != KindGlobal {
+	i := vm.globals.lookup(ref)
+	if i < 0 {
 		return &StaleRefError{Ref: ref}
 	}
-	e, ok := vm.globals.entries[ref]
-	if !ok {
-		return &StaleRefError{Ref: ref}
-	}
-	vm.globals.unshare()
-	vm.globals.touch(ref)
-	delete(vm.globals.entries, ref)
+	obj := vm.globals.slots[i].obj
+	vm.globals.remove(i)
 	vm.totalGlobalRemoves++
-	vm.emit(OpRemove, ref, e.obj)
+	vm.emit(OpRemove, ref, obj)
 	return nil
 }
 
@@ -508,14 +526,13 @@ func (vm *VM) MarkCollectable(ref IndirectRef) error {
 	if vm.aborted {
 		return ErrRuntimeAborted
 	}
-	e, ok := vm.globals.entries[ref]
-	if !ok {
+	i := vm.globals.lookup(ref)
+	if i < 0 {
 		return &StaleRefError{Ref: ref}
 	}
 	vm.globals.unshare()
-	vm.globals.touch(ref)
-	e.collectable = true
-	vm.globals.entries[ref] = e
+	vm.globals.touch(i)
+	vm.globals.slots[i].collectable = true
 	vm.collectable++
 	if vm.gcTrigger > 0 && vm.collectable >= vm.gcTrigger {
 		vm.GC()
@@ -524,8 +541,9 @@ func (vm *VM) MarkCollectable(ref IndirectRef) error {
 }
 
 // GC runs one garbage collection cycle, freeing every collectable global
-// reference, and returns how many entries were freed. The dynamic JGRE
-// verifier triggers GC periodically (paper §III-D uses DDMS for this).
+// reference in slot order, and returns how many entries were freed. The
+// dynamic JGRE verifier triggers GC periodically (paper §III-D uses DDMS
+// for this).
 func (vm *VM) GC() int {
 	if vm.aborted {
 		return 0
@@ -533,18 +551,16 @@ func (vm *VM) GC() int {
 	vm.gcCycles++
 	vm.collectable = 0
 	freed := 0
-	// Unshare before the delete-while-ranging loop: deleting from a map
-	// that clones still read would corrupt them mid-iteration.
-	vm.globals.unshare()
-	for ref, e := range vm.globals.entries {
+	g := vm.globals
+	for i := range g.slots {
+		e := g.slots[i]
 		if !e.collectable {
 			continue
 		}
-		vm.globals.touch(ref)
-		delete(vm.globals.entries, ref)
+		g.remove(i)
 		vm.totalGlobalRemoves++
 		freed++
-		vm.emit(OpRemove, ref, e.obj)
+		vm.emit(OpRemove, e.ref, e.obj)
 	}
 	return freed
 }
@@ -558,15 +574,12 @@ func (vm *VM) AddLocalRef(obj *Object) (IndirectRef, error) {
 		return 0, ErrRuntimeAborted
 	}
 	fr := vm.frames[len(vm.frames)-1]
-	if len(fr.entries) >= fr.max {
+	if fr.len() >= fr.max {
 		err := &OverflowError{Process: vm.process, Kind: KindLocal, Max: fr.max}
 		vm.abort(err.Error())
 		return 0, err
 	}
-	fr.serial++
-	ref := makeRef(KindLocal, fr.serial)
-	fr.entries[ref] = refEntry{obj: obj.ID, addedAt: vm.clock.Now()}
-	return ref, nil
+	return fr.add(obj.ID, vm.clock.Now()), nil
 }
 
 // PushLocalFrame enters a new native method frame. Local references taken
@@ -597,8 +610,8 @@ func (vm *VM) PopLocalFrame() int {
 	top := vm.frames[len(vm.frames)-1]
 	vm.frames[len(vm.frames)-1] = nil
 	vm.frames = vm.frames[:len(vm.frames)-1]
-	n := len(top.entries)
-	clear(top.entries)
+	n := top.len()
+	top.slots, top.holes = top.slots[:0], top.holes[:0]
 	vm.framePool = append(vm.framePool, top)
 	return n
 }
@@ -611,17 +624,12 @@ func (vm *VM) AddWeakGlobalRef(obj *Object) (IndirectRef, error) {
 	if vm.aborted {
 		return 0, ErrRuntimeAborted
 	}
-	if len(vm.weaks.entries) >= vm.weaks.max {
+	if vm.weaks.len() >= vm.weaks.max {
 		err := &OverflowError{Process: vm.process, Kind: KindWeakGlobal, Max: vm.weaks.max}
 		vm.abort(err.Error())
 		return 0, err
 	}
-	vm.weaks.unshare()
-	vm.weaks.serial++
-	ref := makeRef(KindWeakGlobal, vm.weaks.serial)
-	vm.weaks.touch(ref)
-	vm.weaks.entries[ref] = refEntry{obj: obj.ID, addedAt: vm.clock.Now()}
-	return ref, nil
+	return vm.weaks.add(obj.ID, vm.clock.Now()), nil
 }
 
 // DeleteWeakGlobalRef releases a weak global reference.
@@ -629,34 +637,23 @@ func (vm *VM) DeleteWeakGlobalRef(ref IndirectRef) error {
 	if vm.aborted {
 		return ErrRuntimeAborted
 	}
-	if ref.Kind() != KindWeakGlobal {
+	i := vm.weaks.lookup(ref)
+	if i < 0 {
 		return &StaleRefError{Ref: ref}
 	}
-	if _, ok := vm.weaks.entries[ref]; !ok {
-		return &StaleRefError{Ref: ref}
-	}
-	vm.weaks.unshare()
-	vm.weaks.touch(ref)
-	delete(vm.weaks.entries, ref)
+	vm.weaks.remove(i)
 	return nil
 }
 
 // RefAge returns how long ago the given global reference was created.
 func (vm *VM) RefAge(ref IndirectRef) (time.Duration, bool) {
-	e, ok := vm.globals.entries[ref]
-	if !ok {
+	i := vm.globals.lookup(ref)
+	if i < 0 {
 		return 0, false
 	}
-	return vm.clock.Now() - e.addedAt, true
+	return vm.clock.Now() - vm.globals.slots[i].addedAt, true
 }
 
-// Clone creates a copy of the runtime for a snapshot clone of its
-// device. The global and weak tables share their entry maps with the
-// receiver copy-on-write: both sides are marked shared, and whichever
-// mutates first materializes its own copy. The clone gets a fresh root
-// local frame (the template's is empty at snapshot), no hooks (the
-// clone's binder layer re-installs its own), and the supplied clock and
-// abort callback. Statistics carry over.
 // Freeze marks the VM's reference tables copy-on-write shared. A
 // snapshot template calls this once, single-threaded, so that later
 // concurrent Clone calls only read the shared flags and never write
@@ -666,6 +663,13 @@ func (vm *VM) Freeze() {
 	vm.weaks.shared = true
 }
 
+// Clone creates a copy of the runtime for a snapshot clone of its
+// device. The global and weak tables share their slot arrays with the
+// receiver copy-on-write: both sides are marked shared, and whichever
+// mutates first copies the slots into its own array. The clone gets a
+// fresh root local frame (the template's is empty at snapshot), no hooks
+// (the clone's binder layer re-installs its own), and the supplied clock
+// and abort callback. Statistics carry over.
 func (vm *VM) Clone(clock *simclock.Clock, onAbort func(reason string)) *VM {
 	if clock == nil {
 		panic("art: Clone requires a clock")
@@ -679,12 +683,10 @@ func (vm *VM) Clone(clock *simclock.Clock, onAbort func(reason string)) *VM {
 		vm.weaks.shared = true
 	}
 	nv := &VM{
-		process: vm.process,
-		clock:   clock,
-		globals: &table{kind: KindGlobal, max: vm.globals.max, serial: vm.globals.serial,
-			entries: vm.globals.entries, shared: true},
-		weaks: &table{kind: KindWeakGlobal, max: vm.weaks.max, serial: vm.weaks.serial,
-			entries: vm.weaks.entries, shared: true},
+		process:            vm.process,
+		clock:              clock,
+		globals:            vm.globals.share(),
+		weaks:              vm.weaks.share(),
 		collectable:        vm.collectable,
 		gcTrigger:          vm.gcTrigger,
 		aborted:            vm.aborted,
@@ -700,9 +702,9 @@ func (vm *VM) Clone(clock *simclock.Clock, onAbort func(reason string)) *VM {
 }
 
 // ResetFromTemplate rewinds vm in place to the state Clone(tmpl) would
-// return — fresh copy-on-write views of the frozen template's tables —
-// reusing the table structs, frame stack, frame pool and local-frame map
-// storage. The abort hook is preserved: it was bound to this VM's owning
+// return — tables equal to the frozen template's, handing out the same
+// refs next — reusing the table structs and slot storage, frame stack
+// and frame pool. The abort hook is preserved: it was bound to this VM's owning
 // process at materialization, and a recycled process keeps its identity.
 // The caller must guarantee nothing references the VM's retired state.
 func (vm *VM) ResetFromTemplate(tmpl *VM, clock *simclock.Clock) {
@@ -718,9 +720,8 @@ func (vm *VM) ResetFromTemplate(tmpl *VM, clock *simclock.Clock) {
 	var local *table
 	if len(vm.frames) > 0 {
 		local = vm.frames[0]
-		ents := local.entries
-		clear(ents)
-		*local = table{kind: KindLocal, max: DefaultMaxLocalRefs, entries: ents}
+		*local = table{kind: KindLocal, max: DefaultMaxLocalRefs,
+			slots: local.slots[:0], holes: local.holes[:0]}
 	} else {
 		local = newTable(KindLocal, DefaultMaxLocalRefs)
 	}

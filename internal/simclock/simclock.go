@@ -2,11 +2,15 @@
 // device simulation. All timestamps in the simulator are expressed as a
 // time.Duration since (virtual) device boot, so experiments are exactly
 // reproducible and "hours" of attack time execute in milliseconds.
+//
+// The clock is one atomic word: Now is a single load, and every layer
+// that stamps an event (the binder driver, the ART tables, the defender)
+// reads it far more often than the event loop moves it.
 package simclock
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,19 +20,14 @@ import (
 // Clock is safe for concurrent use, although the simulation core drives it
 // from a single goroutine for determinism.
 type Clock struct {
-	mu  sync.Mutex
-	now time.Duration
+	now atomic.Int64
 }
 
 // New returns a clock starting at t = 0.
 func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time since boot.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // Advance moves the clock forward by d. It panics if d is negative: the
 // simulator's clock is monotonic and a negative advance always indicates a
@@ -37,20 +36,21 @@ func (c *Clock) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: negative advance %v", d))
 	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
+	c.now.Add(int64(d))
 }
 
 // Set moves the clock to an absolute time t. It panics if t is earlier than
 // the current time.
 func (c *Clock) Set(t time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t < c.now {
-		panic(fmt.Sprintf("simclock: Set(%v) would move clock backwards from %v", t, c.now))
+	for {
+		now := c.now.Load()
+		if int64(t) < now {
+			panic(fmt.Sprintf("simclock: Set(%v) would move clock backwards from %v", t, time.Duration(now)))
+		}
+		if c.now.CompareAndSwap(now, int64(t)) {
+			return
+		}
 	}
-	c.now = t
 }
 
 // AdvanceTo moves the clock forward to the absolute time t, the
@@ -59,9 +59,10 @@ func (c *Clock) Set(t time.Duration) {
 // — or scheduled "now" by an actor whose Step already advanced the clock
 // through IPC costs — must not panic the core.
 func (c *Clock) AdvanceTo(t time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
+	for {
+		now := c.now.Load()
+		if int64(t) <= now || c.now.CompareAndSwap(now, int64(t)) {
+			return
+		}
 	}
 }

@@ -97,3 +97,37 @@ func TestConcurrentAdvance(t *testing.T) {
 		t.Fatalf("Now() = %v, want %v", got, want)
 	}
 }
+
+// AdvanceTo to distinct targets racing Now: every reader sees the clock
+// move forward only, and the largest target wins however the
+// compare-and-swap loops interleave.
+func TestConcurrentAdvanceToMonotonic(t *testing.T) {
+	c := New()
+	const (
+		workers = 8
+		perG    = 2000
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			last := c.Now()
+			for j := 0; j < perG; j++ {
+				// Targets interleave across workers and are distinct:
+				// worker w owns every target congruent to w mod workers.
+				c.AdvanceTo(time.Duration((j*workers + w) * 1000))
+				now := c.Now()
+				if now < last {
+					t.Errorf("worker %d: Now went back from %v to %v", w, last, now)
+					return
+				}
+				last = now
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := c.Now(), time.Duration(((perG-1)*workers+workers-1)*1000); got != want {
+		t.Fatalf("final Now() = %v, want the largest target %v", got, want)
+	}
+}
