@@ -10,11 +10,16 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# fleetbench/ is its own module, so ./... never compiles it: test and vet
+# also run inside it, which catches a change to an API the benchmark
+# harness uses (device.Config, fleet.Run) before the benchmark does.
 test:
 	$(GO) test ./...
+	cd fleetbench && $(GO) test .
 
 vet:
 	$(GO) vet ./...
+	cd fleetbench && $(GO) vet .
 
 # The parallel engine and its consumers must stay race-clean: the fan-out
 # pool, the converted experiment sweeps, the pipeline's parallel

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	jgre-run list
-//	jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b]
-//	         [-json] [-metrics-json]
+//	jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b] [-json]
 //
 // Stdout carries only the result: the scenario's text report (render.go)
 // or, with -json or for a result type without a report, the shared JSON
@@ -31,7 +30,6 @@ import (
 	"strings"
 
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -53,7 +51,6 @@ func main() {
 	workers := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = sequential; results are identical)")
 	filter := fs.String("filter", "", "comma-separated sweep targets (fig3: interface names; empty = all)")
 	asJSON := fs.Bool("json", false, "emit the shared result envelope as JSON")
-	metricsJSON := fs.Bool("metrics-json", false, "attach a telemetry snapshot (worker/pool counters) to the JSON envelope")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -74,14 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := scenario.Params{Scale: scale, Workers: *workers, Metrics: *metricsJSON}
-	if *metricsJSON {
-		// Start from a clean global registry so the snapshot covers only
-		// this run, then force JSON output (the snapshot lives in the
-		// envelope).
-		telemetry.ResetGlobal()
-		*asJSON = true
-	}
+	p := scenario.Params{Scale: scale, Workers: *workers}
 	if *filter != "" {
 		for _, f := range strings.Split(*filter, ",") {
 			if f = strings.TrimSpace(f); f != "" {
@@ -136,5 +126,5 @@ func list() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   jgre-run list
-  jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b] [-json] [-metrics-json]`)
+  jgre-run <scenario> [-scale quick|full] [-parallel n] [-filter a,b] [-json]`)
 }

@@ -1,11 +1,10 @@
 // Command jgre-top is the simulator's live-metrics dashboard: it boots a
-// device, drives a scenario while sampling the telemetry registry on the
-// virtual clock, then renders a dumpsys/top-style report — sparklines
-// for the sampled series, bucket bars for the latency/size histograms,
-// and, when a defender is attached, each poll-window phase's count and
-// mean.
-//
-// Usage:
+// device, drives a scenario while sampling the device's telemetry
+// registry on the virtual clock, then renders a dumpsys/top-style report
+// — sparklines for the sampled series, bucket bars for the latency/size
+// histograms, and, when a defender is attached, each poll-window phase's
+// count and mean. The header counts the samples each sparkline holds and
+// any the sampler's rings evicted.
 //
 // The chaos scenario adds the lifecycle fault layer — supervised service
 // crashes, a defender that is killed and restored from its checkpoint,
@@ -15,8 +14,11 @@
 // The fleet scenario is different in kind: instead of one device on the
 // virtual clock it runs the fleet engine's baseline and attack-rollout
 // sweeps across -fleet-devices recycled slots and renders a FLEET panel
-// — the engine's slot-turnover counters plus each sweep's streaming
-// rollup (detection rate, innocent kills, time-to-detect percentiles).
+// from each sweep's streaming rollup alone (detection rate, innocent
+// kills, time-to-detect percentiles), so the panel is the same for any
+// worker count.
+//
+// Usage:
 //
 //	jgre-top [-scenario idle|benign|attack|defended|chaos|fleet] [-tick 1s] [-duration 2m] [-width 60] [-fleet-devices 512]
 package main
@@ -95,7 +97,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	sampler := telemetry.NewSampler(dev.Metrics(), *tick, int(*duration / *tick)+1)
+	// One sample per started tick plus the final one: ceil(duration/tick)+1.
+	sampler := telemetry.NewSampler(dev.Metrics(), *tick, int((*duration+*tick-1) / *tick)+1)
 	sampler.Track(
 		jgrSeries,
 		"jgre_binder_transactions_total",
@@ -169,8 +172,7 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // runFleet drives the fleet engine's baseline and attack-rollout sweeps
-// and renders the FLEET panel from the engine's process-global counters
-// plus each sweep's rollup.
+// and renders the FLEET panel from their rollups.
 func runFleet(stdout io.Writer, devices int, tcfg trace.Config) error {
 	ctx := context.Background()
 	var results []*fleet.Result
@@ -186,23 +188,14 @@ func runFleet(stdout io.Writer, devices int, tcfg trace.Config) error {
 	return nil
 }
 
-// renderFleet prints the FLEET panel. Like the RECOVERY panel it is
-// keyed on metric presence: the slot-turnover line renders only when the
-// fleet engine registered its jgre_fleet_* counters this process.
+// renderFleet prints the FLEET panel: a header with the devices every
+// sweep ran, then one block per sweep rollup.
 func renderFleet(w io.Writer, results []*fleet.Result) {
-	g := telemetry.Global()
-	counter := func(name string) float64 {
-		v, _ := g.Value(name)
-		return v
+	devices := 0
+	for _, r := range results {
+		devices += r.Devices
 	}
-	if _, ok := g.Value("jgre_fleet_devices_total"); ok {
-		fmt.Fprintf(w, "FLEET  devices=%.0f  trials=%.0f\n",
-			counter("jgre_fleet_devices_total"), counter("jgre_fleet_trials_total"))
-		fmt.Fprintf(w, "slots  clones=%.0f  recycles=%.0f  fresh boots=%.0f\n",
-			counter("jgre_fleet_slot_clones_total"),
-			counter("jgre_fleet_slot_recycles_total"),
-			counter("jgre_fleet_slot_fresh_total"))
-	}
+	fmt.Fprintf(w, "FLEET  devices=%d\n", devices)
 	lat := func(label string, s fleet.Summary) {
 		if s.Count == 0 {
 			fmt.Fprintf(w, "  %-16s (no samples)\n", label)
@@ -238,8 +231,12 @@ func renderFleet(w io.Writer, results []*fleet.Result) {
 
 func render(w io.Writer, dev *device.Device, def *defense.Defender, sampler *telemetry.Sampler, scen string, width int) {
 	s := dev.Stats()
-	fmt.Fprintf(w, "JGRE-TOP  scenario=%s  t=%.0fs  tick=%v  samples=%d\n",
+	fmt.Fprintf(w, "JGRE-TOP  scenario=%s  t=%.0fs  tick=%v  samples=%d",
 		scen, s.UptimeSeconds, sampler.Interval(), len(sampler.Series(jgrSeries)))
+	if n := sampler.Dropped(); n > 0 {
+		fmt.Fprintf(w, "  evicted=%d", n)
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "procs %d  apps %d  reboots %d  lmk %d  tx %d\n\n",
 		s.Processes, s.RunningApps, s.SoftReboots, s.LMKKills, s.Transactions)
 

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -15,12 +17,34 @@ import (
 //
 //	go run ./cmd/jgre-top -scenario defended -duration 6m > cmd/jgre-top/testdata/defended.txt
 func TestGoldenDefended(t *testing.T) {
-	want, err := os.ReadFile("testdata/defended.txt")
+	checkGolden(t, "testdata/defended.txt", "-scenario", "defended", "-duration", "6m")
+}
+
+// TestGoldenFleet pins the FLEET panel at one and at two workers: the
+// panel renders the sweeps' rollups only, which are the same for any
+// worker count. Regenerate after an intended change with
+//
+//	go run ./cmd/jgre-top -scenario fleet -fleet-devices 256 > cmd/jgre-top/testdata/fleet.txt
+func TestGoldenFleet(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			checkGolden(t, "testdata/fleet.txt", "-scenario", "fleet", "-fleet-devices", "256")
+		})
+	}
+}
+
+// checkGolden runs jgre-top with args and fails at the first line where
+// its output differs from the file at path.
+func checkGolden(t *testing.T, path string, args ...string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := run([]string{"-scenario", "defended", "-duration", "6m"}, &got); err != nil {
+	if err := run(args, &got); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(got.Bytes(), want) {
@@ -36,8 +60,22 @@ func TestGoldenDefended(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("dashboard differs from testdata/defended.txt at line %d:\n  file: %q\n  code: %q", i+1, w, g)
+			t.Fatalf("dashboard differs from %s at line %d:\n  file: %q\n  code: %q", path, i+1, w, g)
 		}
+	}
+}
+
+// TestSamplerKeepsEverySample checks that the sampler holds every
+// snapshot when the tick does not divide the duration: 2m at 7s samples
+// t = 0, 7, …, 119 s and the final 126 s, 19 in all, with none evicted.
+func TestSamplerKeepsEverySample(t *testing.T) {
+	var got bytes.Buffer
+	if err := run([]string{"-scenario", "idle", "-duration", "2m", "-tick", "7s"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(got.String(), "\n")
+	if want := "JGRE-TOP  scenario=idle  t=126s  tick=7s  samples=19"; header != want {
+		t.Errorf("header = %q, want %q", header, want)
 	}
 }
 

@@ -24,11 +24,6 @@ type VerifyConfig struct {
 	// GCEvery triggers the victim's garbage collector every n calls
 	// (the paper drives GC through DDMS). 0 means 50.
 	GCEvery int
-	// PackageHints carries the manually-extracted parameters of §III-D
-	// ("we manually extract parameters, e.g., package name ... and feed
-	// them to IPC interfaces"). The enqueueToast entry reproduces the
-	// Code-Snippet 3 spoof. Nil selects DefaultPackageHints.
-	PackageHints map[string]string
 	// Workers sizes the verification worker pool (0 = one per CPU,
 	// 1 = sequential). Every candidate is tested on its own device booted
 	// from the template device's configuration, so the confirmed and
@@ -36,9 +31,12 @@ type VerifyConfig struct {
 	Workers int
 }
 
-// DefaultPackageHints is the manual parameter analysis the paper's
-// semi-automatic test generation performs.
-var DefaultPackageHints = map[string]string{
+// packageHints carries the manually-extracted parameters of §III-D
+// ("we manually extract parameters, e.g., package name ... and feed them
+// to IPC interfaces"), the manual step of the paper's semi-automatic
+// test generation. The enqueueToast entry reproduces the Code-Snippet 3
+// spoof.
+var packageHints = map[string]string{
 	"notification.enqueueToast": "android",
 }
 
@@ -85,9 +83,6 @@ func Verify(ctx context.Context, dev *device.Device, kept []RiskyMethod, cfg Ver
 	}
 	if cfg.GCEvery == 0 {
 		cfg.GCEvery = 50
-	}
-	if cfg.PackageHints == nil {
-		cfg.PackageHints = DefaultPackageHints
 	}
 	bootCfg := dev.BootConfig()
 	type verdict struct {
@@ -160,7 +155,7 @@ func verifySystem(dev *device.Device, rm RiskyMethod, seq int, cfg VerifyConfig)
 		return nil, nil, fmt.Errorf("analysis: client for %s: %w", serviceName, err)
 	}
 	pkg := tester.Package()
-	if hint, ok := cfg.PackageHints[serviceName+"."+methodName]; ok {
+	if hint, ok := packageHints[serviceName+"."+methodName]; ok {
 		pkg = hint
 	}
 	victim := svc.Host().VM()

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/art"
@@ -311,11 +310,10 @@ type clockIface interface {
 	Advance(time.Duration)
 }
 
-// Config parameterizes a Driver. Zero-value fields select defaults.
+// Config parameterizes a Driver. The zero value is a lossless,
+// uninstrumented driver; every transaction costs DefaultLatency, and
+// DefaultLogCost more while IPC logging is on.
 type Config struct {
-	Latency LatencyModel
-	LogCost LatencyModel
-
 	// Faults, when non-nil, perturbs the IPC telemetry path: record
 	// drops, a bounded pending-log ring, and timestamp jitter/skew are
 	// applied at log-write time; read errors at log-read time. The
@@ -346,12 +344,6 @@ func New(k *kernel.Kernel, cfg Config) *Driver {
 // slabs turns those into writes over warm memory instead of fresh heap.
 // Passing a prev that is still in use corrupts both devices.
 func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
-	if cfg.Latency == (LatencyModel{}) {
-		cfg.Latency = DefaultLatency
-	}
-	if cfg.LogCost == (LatencyModel{}) {
-		cfg.LogCost = DefaultLogCost
-	}
 	ringCap := 0
 	if cfg.Faults != nil {
 		ringCap = cfg.Faults.RingCapacity()
@@ -454,18 +446,6 @@ func (d *Driver) registerMetrics(reg *telemetry.Registry) {
 			}
 			return 0
 		})
-	reg.GaugeFunc("jgre_binder_parcel_pool_gets_total",
-		"ObtainParcel calls (process-wide; the pool is shared).",
-		func() float64 { g, _ := ParcelPoolStats(); return float64(g) })
-	reg.GaugeFunc("jgre_binder_parcel_pool_misses_total",
-		"ObtainParcel calls that allocated instead of reusing (process-wide).",
-		func() float64 { _, m := ParcelPoolStats(); return float64(m) })
-	reg.GaugeFunc("jgre_binder_call_pool_gets_total",
-		"Call-frame pool gets (process-wide).",
-		func() float64 { g, _ := CallPoolStats(); return float64(g) })
-	reg.GaugeFunc("jgre_binder_call_pool_misses_total",
-		"Call-frame pool misses (process-wide).",
-		func() float64 { _, m := CallPoolStats(); return float64(m) })
 }
 
 // SetRecorder installs (or, with nil, removes) the flight recorder the
@@ -635,7 +615,7 @@ func (d *Driver) transact(from *kernel.Process, n *node, code TxCode, data, repl
 		txStart = d.clock.Now()
 	}
 
-	d.clock.Advance(d.cfg.Latency.cost(size))
+	d.clock.Advance(DefaultLatency.cost(size))
 	d.totalTx++
 	if rec.Enabled() && rec.SampleTx(d.totalTx) {
 		// The trace ID is a pure function of (device seed, transaction
@@ -656,7 +636,7 @@ func (d *Driver) transact(from *kernel.Process, n *node, code TxCode, data, repl
 		// happens downstream of the write — so the simulation trajectory
 		// is identical across fault configurations and only the surviving
 		// evidence differs.
-		d.clock.Advance(d.cfg.LogCost.cost(size))
+		d.clock.Advance(DefaultLogCost.cost(size))
 		d.logSeq++
 		if in := d.cfg.Faults; in != nil && in.DropRecord(d.logSeq) {
 			d.droppedFault++
@@ -763,28 +743,10 @@ func (d *Driver) transact(from *kernel.Process, n *node, code TxCode, data, repl
 
 // callPool recycles Call frames across transactions. Handlers must not
 // retain the *Call past OnTransact — the same contract Binder.onTransact
-// has with its transaction buffers. Like parcelPool, gets and misses
-// are counted process-wide for the pool-hit-rate gauges.
-var (
-	callPoolGets   atomic.Uint64
-	callPoolMisses atomic.Uint64
+// has with its transaction buffers.
+var callPool = sync.Pool{New: func() any { return new(Call) }}
 
-	callPool = sync.Pool{New: func() any {
-		callPoolMisses.Add(1)
-		return new(Call)
-	}}
-)
-
-// CallPoolStats returns the process-wide count of Call-frame pool gets
-// and misses.
-func CallPoolStats() (gets, misses uint64) {
-	return callPoolGets.Load(), callPoolMisses.Load()
-}
-
-func obtainCall() *Call {
-	callPoolGets.Add(1)
-	return callPool.Get().(*Call)
-}
+func obtainCall() *Call { return callPool.Get().(*Call) }
 
 func recycleCall(c *Call) {
 	*c = Call{}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/art"
 )
@@ -123,32 +122,13 @@ func NewParcel() *Parcel { return &Parcel{} }
 // parcelPool recycles parcels across transactions, mirroring
 // Parcel.obtain()/recycle(): the framework's hot paths churn through two
 // parcels per call, and pooling keeps that churn off the allocator.
-// Gets and misses are counted (process-wide, since the pool itself is
-// package-global) so the telemetry layer can report the pool hit rate.
-var (
-	parcelPoolGets   atomic.Uint64
-	parcelPoolMisses atomic.Uint64
-
-	parcelPool = sync.Pool{New: func() any {
-		parcelPoolMisses.Add(1)
-		return new(Parcel)
-	}}
-)
-
-// ParcelPoolStats returns the process-wide count of ObtainParcel calls
-// and how many missed the pool (allocated). The hit rate is
-// (gets-misses)/gets; misses can exceed steady-state expectations under
-// GC pressure, which is exactly what the gauge is for.
-func ParcelPoolStats() (gets, misses uint64) {
-	return parcelPoolGets.Load(), parcelPoolMisses.Load()
-}
+var parcelPool = sync.Pool{New: func() any { return new(Parcel) }}
 
 // ObtainParcel returns an empty parcel from the pool. Callers that can
 // bound the parcel's lifetime (it must not escape the transaction) should
 // pair it with Recycle; letting it leak to the GC instead is safe, just
 // slower.
 func ObtainParcel() *Parcel {
-	parcelPoolGets.Add(1)
 	return parcelPool.Get().(*Parcel)
 }
 

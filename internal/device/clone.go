@@ -37,35 +37,24 @@ type templateKey struct {
 	maxGlobalRefs     int
 	maxWeakGlobalRefs int
 	gcTrigger         int
-	appMemoryBudgetKB int
-	latency           binder.LatencyModel
-	logCost           binder.LatencyModel
 	faults            faults.Config
-	baselineProcesses int
-	skipBaselineRefs  bool
 	universalQuota    int
 	installThirdParty bool
 	traceCfg          trace.Config
 }
 
-// templateKeyOf reduces cfg to its template key. Configurations carrying
-// caller-supplied hooks, injectors or registries are not cacheable —
-// those pointers are per-device state a template cannot share.
+// templateKeyOf reduces cfg to its template key. A configuration
+// carrying a caller-supplied abort hook is not cacheable — the hook is
+// per-device state a template cannot share.
 func templateKeyOf(cfg Config) (templateKey, bool) {
-	if cfg.ServerVM.OnAbort != nil || cfg.Kernel.OnSystemServerDeath != nil ||
-		cfg.Driver.Faults != nil || cfg.Driver.Metrics != nil {
+	if cfg.ServerVM.OnAbort != nil {
 		return templateKey{}, false
 	}
 	return templateKey{
 		maxGlobalRefs:     cfg.ServerVM.MaxGlobalRefs,
 		maxWeakGlobalRefs: cfg.ServerVM.MaxWeakGlobalRefs,
 		gcTrigger:         cfg.ServerVM.GCTrigger,
-		appMemoryBudgetKB: cfg.Kernel.AppMemoryBudgetKB,
-		latency:           cfg.Driver.Latency,
-		logCost:           cfg.Driver.LogCost,
 		faults:            cfg.Faults,
-		baselineProcesses: cfg.BaselineProcesses,
-		skipBaselineRefs:  cfg.SkipBaselineRefs,
 		universalQuota:    cfg.UniversalQuota,
 		installThirdParty: cfg.InstallThirdPartyApps,
 		traceCfg:          cfg.Trace,
@@ -105,14 +94,11 @@ func (d *Device) Clone() (*Device, error) { return d.CloneWithSeed(d.cfg.Seed) }
 // Template resolves the sealed clone template for cfg through the same
 // cache Boot uses, booting and sealing one if the shape is new. It
 // returns (nil, nil) when no template is possible — the configuration
-// carries uncacheable hooks, or SetCloneBoot(false) is in effect — in
+// carries an abort hook, or SetCloneBoot(false) is in effect — in
 // which case callers must fall back to BootFresh. The fleet Slot uses
 // this to pin a template once per worker instead of re-consulting the
 // cache on every trial.
 func Template(cfg Config) (*Device, error) {
-	if cfg.BaselineProcesses == 0 {
-		cfg.BaselineProcesses = DefaultBaselineProcesses
-	}
 	key, cacheable := templateKeyOf(cfg)
 	if !cacheable {
 		return nil, nil
@@ -217,13 +203,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 		nd.rec = nil
 	}
 
-	userReboot := nd.cfg.Kernel.OnSystemServerDeath
-	nd.kern = d.kern.CloneReusing(nd.kern, nd.clock, func(reason string) {
-		if userReboot != nil {
-			userReboot(reason)
-		}
-		nd.restartSystem(reason)
-	})
+	nd.kern = d.kern.CloneReusing(nd.kern, nd.clock, nd.restartSystem)
 	// Kill observers re-register in boot order: journal first, then the
 	// binder driver (inside binder.NewReusing).
 	nd.kern.OnKill(func(p *kernel.Process, reason string) {
@@ -234,20 +214,16 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 		nd.journal.Add(nd.clock.Now(), kind, p.Name(), reason)
 	})
 
-	dcfg := nd.cfg.Driver
+	// Telemetry is deferred: Metrics() builds the registry and attaches
+	// the driver's instruments on first use, keeping the clone path free
+	// of the ~120 gauge registrations a boot pays eagerly.
+	var dcfg binder.Config
 	if nd.cfg.Faults.Enabled() {
-		if dcfg.Faults != nil {
-			return nil, fmt.Errorf("device: both Config.Faults and Driver.Faults set")
-		}
 		if err := nd.cfg.Faults.Validate(); err != nil {
 			return nil, err
 		}
 		dcfg.Faults = faults.New(nd.cfg.Faults, seed)
 	}
-	// Telemetry is deferred: Metrics() builds the registry and attaches
-	// the driver's instruments on first use, keeping the clone path free
-	// of the ~120 gauge registrations a boot pays eagerly.
-	dcfg.Metrics = nil
 	nd.driver = binder.NewReusing(nd.driver, nd.kern, dcfg)
 	nd.driver.SetRecorder(nd.rec)
 	nd.sm = d.sm.Clone(nd.driver)

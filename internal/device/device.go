@@ -34,30 +34,24 @@ const (
 // third-party apps."
 const DefaultBaselineProcesses = 382
 
-// Config parameterizes a device boot.
+// Config parameterizes a device boot. Every device runs the stock
+// DefaultBaselineProcesses processes with the per-service boot-time JGR
+// pins of Fig. 4, and its binder driver charges binder.DefaultLatency
+// per transaction; Config sets only what the experiments vary.
 type Config struct {
 	// Seed drives all randomized cost jitter; equal seeds give identical
 	// runs.
 	Seed int64
-	// ServerVM overrides the system_server runtime config (tests use
-	// small JGR caps to exhaust quickly). The abort hook is always
-	// chained to the kernel.
+	// ServerVM overrides the system_server runtime config (tests and
+	// the exhaust benchmark use small JGR caps to exhaust quickly). The
+	// abort hook is always chained to the kernel.
 	ServerVM art.Config
-	// Kernel and Driver pass through to the respective layers.
-	Kernel kernel.Config
-	Driver binder.Config
 	// Faults declares the telemetry fault model. The zero value is the
-	// paper's lossless chain. Boot derives the injector from this and
-	// Seed, so BootConfig round trips cleanly: the stored config never
-	// carries injector state, and a re-boot gets a fresh injector making
-	// the same seeded decisions.
+	// paper's lossless chain. Boot derives the binder driver's injector
+	// from this and Seed, so BootConfig round trips cleanly: the stored
+	// config never carries injector state, and a re-boot gets a fresh
+	// injector making the same seeded decisions.
 	Faults faults.Config
-	// BaselineProcesses is the stock-Android process count to simulate;
-	// 0 means DefaultBaselineProcesses.
-	BaselineProcesses int
-	// SkipBaselineRefs disables the per-service boot-time JGR pins (unit
-	// tests that count references exactly set this).
-	SkipBaselineRefs bool
 	// UniversalQuota applies a per-caller-pid cap to every catalogued
 	// interface on every service — the §IV-B "patch all services"
 	// counterfactual. 0 disables it.
@@ -190,7 +184,7 @@ func (d *Device) invalidateResolve() {
 }
 
 // Boot returns a booted device. When the configuration is cacheable —
-// no caller-supplied hooks, injectors or registries — the device is a
+// no caller-supplied ServerVM.OnAbort hook — the device is a
 // microsecond copy-on-write clone of a snapshot template that was booted
 // once per configuration shape and sealed (see Snapshot/CloneWithSeed);
 // otherwise it falls through to BootFresh. Clones are byte-identical to
@@ -212,22 +206,11 @@ func Boot(cfg Config) (*Device, error) {
 // BootFresh builds and starts a device from scratch, bypassing the
 // clone-template cache (benchmarks comparing boot vs clone use this).
 func BootFresh(cfg Config) (*Device, error) {
-	if cfg.BaselineProcesses == 0 {
-		cfg.BaselineProcesses = DefaultBaselineProcesses
-	}
 	d := &Device{cfg: cfg}
 	d.clock = simclock.New()
 	d.rec = newRecorder(cfg)
 
-	kcfg := cfg.Kernel
-	userReboot := kcfg.OnSystemServerDeath
-	kcfg.OnSystemServerDeath = func(reason string) {
-		if userReboot != nil {
-			userReboot(reason)
-		}
-		d.restartSystem(reason)
-	}
-	d.kern = kernel.New(d.clock, kcfg)
+	d.kern = kernel.New(d.clock, kernel.Config{OnSystemServerDeath: d.restartSystem})
 	d.journal = trace.New(0)
 	d.kern.OnKill(func(p *kernel.Process, reason string) {
 		kind := trace.KindKill
@@ -236,21 +219,13 @@ func BootFresh(cfg Config) (*Device, error) {
 		}
 		d.journal.Add(d.clock.Now(), kind, p.Name(), reason)
 	})
-	dcfg := cfg.Driver
+	d.metrics = telemetry.NewRegistry()
+	dcfg := binder.Config{Metrics: d.metrics}
 	if cfg.Faults.Enabled() {
-		if dcfg.Faults != nil {
-			return nil, fmt.Errorf("device: both Config.Faults and Driver.Faults set")
-		}
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, err
 		}
 		dcfg.Faults = faults.New(cfg.Faults, cfg.Seed)
-	}
-	// The registry lives on the local copy of the driver config so the
-	// stored BootConfig round-trips without carrying registry state.
-	d.metrics = telemetry.NewRegistry()
-	if dcfg.Metrics == nil {
-		dcfg.Metrics = d.metrics
 	}
 	d.driver = binder.New(d.kern, dcfg)
 	d.driver.SetRecorder(d.rec)
@@ -349,13 +324,6 @@ func (d *Device) startSystem() error {
 			})
 			d.hosts[hostName] = host
 		}
-		bootRefs := 0
-		if !d.cfg.SkipBaselineRefs {
-			// 8–20 long-lived internal pins per service: across 104
-			// services this yields the 1,000–3,000 baseline JGR table of
-			// Fig. 4.
-			bootRefs = int(8 + spreadByte(meta.Name)%13)
-		}
 		svc, err := services.New(services.Config{
 			Meta:           meta,
 			Ifaces:         catalog.InterfacesForService(meta.Name),
@@ -365,7 +333,7 @@ func (d *Device) startSystem() error {
 			Perms:          d.perms,
 			Seed:           d.cfg.Seed,
 			UniversalQuota: d.cfg.UniversalQuota,
-			ExtraBootRefs:  bootRefs,
+			ExtraBootRefs:  bootRefs(meta.Name),
 		}, d.sm)
 		if err != nil {
 			return fmt.Errorf("device: starting %s: %w", meta.Name, err)
@@ -426,7 +394,7 @@ func (d *Device) publishPrebuiltServices() error {
 // spawnBaselineFillers brings the process count up to the stock-Android
 // level (Fig. 4's 382) with inert native daemons.
 func (d *Device) spawnBaselineFillers() {
-	for i := d.kern.RunningCount(); i < d.cfg.BaselineProcesses; i++ {
+	for i := d.kern.RunningCount(); i < DefaultBaselineProcesses; i++ {
 		d.kern.Spawn(kernel.SpawnConfig{
 			Name:        fmt.Sprintf("daemon%d", i),
 			Uid:         kernel.RootUid,
@@ -467,9 +435,9 @@ func (d *Device) restartSystem(reason string) {
 // Clock returns the device's virtual clock.
 func (d *Device) Clock() *simclock.Clock { return d.clock }
 
-// BootConfig returns the (defaults-resolved) configuration this device was
-// booted with. Boot(dev.BootConfig()) yields an identical fresh device —
-// the isolation primitive behind the parallel experiment engine.
+// BootConfig returns the configuration this device was booted with.
+// Boot(dev.BootConfig()) yields an identical fresh device — the
+// isolation primitive behind the parallel experiment engine.
 func (d *Device) BootConfig() Config { return d.cfg }
 
 // Journal returns the device's event journal (process lifecycle, LMK,
@@ -591,10 +559,6 @@ func (d *Device) RestartHost(name string) error {
 		if meta.HostProcess() != name {
 			continue
 		}
-		bootRefs := 0
-		if !d.cfg.SkipBaselineRefs {
-			bootRefs = int(8 + spreadByte(meta.Name)%13)
-		}
 		d.sm.RemoveService(meta.Name)
 		svc, err := services.New(services.Config{
 			Meta:           meta,
@@ -605,7 +569,7 @@ func (d *Device) RestartHost(name string) error {
 			Perms:          d.perms,
 			Seed:           d.cfg.Seed,
 			UniversalQuota: d.cfg.UniversalQuota,
-			ExtraBootRefs:  bootRefs,
+			ExtraBootRefs:  bootRefs(meta.Name),
 		}, d.sm)
 		if err != nil {
 			return fmt.Errorf("device: restarting %s on %s: %w", meta.Name, name, err)
@@ -724,13 +688,16 @@ func (d *Device) resolveUncached(handle binder.Handle, code binder.TxCode) (IPCT
 	return t, true
 }
 
-// spreadByte gives a small deterministic per-name value.
-func spreadByte(name string) uint32 {
+// bootRefs is how many long-lived internal JGR pins the named service
+// holds from boot: 8–20 per service, a deterministic spread over its
+// name, which across 104 services yields the 1,000–3,000 baseline JGR
+// table of Fig. 4.
+func bootRefs(service string) int {
 	var h uint32 = 2166136261
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
+	for i := 0; i < len(service); i++ {
+		h = (h ^ uint32(service[i])) * 16777619
 	}
-	return h
+	return int(8 + h%13)
 }
 
 // RegisterBroadcastReceiver models the non-Binder IPC surfaces the paper's

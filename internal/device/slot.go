@@ -20,9 +20,9 @@ type Slot struct {
 	stats SlotStats
 }
 
-// SlotStats counts how a slot satisfied its Acquires; the fleet engine
-// surfaces the totals through telemetry (they depend on worker count and
-// so never enter a FleetResult).
+// SlotStats counts how a slot satisfied its Acquires. The counts depend
+// on how many slots a run opened, and so on its worker count; no fleet
+// Result or metric carries them.
 type SlotStats struct {
 	// Clones counts cold starts (a full CloneWithSeed).
 	Clones int
@@ -38,9 +38,6 @@ type SlotStats struct {
 // back to a fresh boot (which keeps slot-driven runs byte-identical to
 // the equivalence tests' SetCloneBoot(false) mode).
 func NewSlot(cfg Config) (*Slot, error) {
-	if cfg.BaselineProcesses == 0 {
-		cfg.BaselineProcesses = DefaultBaselineProcesses
-	}
 	tmpl, err := Template(cfg)
 	if err != nil {
 		return nil, err

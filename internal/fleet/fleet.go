@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/parallel"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -136,7 +135,6 @@ type slotPool struct {
 	mode Mode
 	mu   sync.Mutex
 	free []*device.Slot
-	all  []*device.Slot
 }
 
 func newSlotPool(cfg device.Config, mode Mode) *slotPool {
@@ -154,12 +152,7 @@ func (p *slotPool) get() (*device.Slot, error) {
 		p.free = p.free[:n-1]
 		return s, nil
 	}
-	s, err := device.NewSlot(p.cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.all = append(p.all, s)
-	return s, nil
+	return device.NewSlot(p.cfg)
 }
 
 func (p *slotPool) put(s *device.Slot) {
@@ -169,20 +162,6 @@ func (p *slotPool) put(s *device.Slot) {
 	p.mu.Lock()
 	p.free = append(p.free, s)
 	p.mu.Unlock()
-}
-
-// stats sums the slot counters across the pool.
-func (p *slotPool) stats() device.SlotStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var t device.SlotStats
-	for _, s := range p.all {
-		st := s.Stats()
-		t.Clones += st.Clones
-		t.Recycles += st.Recycles
-		t.Fresh += st.Fresh
-	}
-	return t
 }
 
 // acquire produces the device for one trial according to the mode.
@@ -198,33 +177,6 @@ func (p *slotPool) acquire(s *device.Slot, seed int64) (*device.Device, error) {
 		return device.BootFresh(cfg)
 	default:
 		return s.Acquire(seed)
-	}
-}
-
-// fleetMetrics are the process-global fleet counters (jgre-top's FLEET
-// panel reads these). Slot clone/recycle counts are deliberately kept
-// here and out of Result: they depend on the worker count.
-type fleetMetrics struct {
-	devices  *telemetry.Counter
-	trials   *telemetry.Counter
-	clones   *telemetry.Counter
-	recycles *telemetry.Counter
-	fresh    *telemetry.Counter
-}
-
-func newFleetMetrics() fleetMetrics {
-	reg := telemetry.Global()
-	return fleetMetrics{
-		devices: reg.Counter("jgre_fleet_devices_total",
-			"Devices dispatched to fleet workloads."),
-		trials: reg.Counter("jgre_fleet_trials_total",
-			"Fleet trials completed."),
-		clones: reg.Counter("jgre_fleet_slot_clones_total",
-			"Cold template clones performed by fleet slots."),
-		recycles: reg.Counter("jgre_fleet_slot_recycles_total",
-			"In-place device recycles performed by fleet slots."),
-		fresh: reg.Counter("jgre_fleet_slot_fresh_total",
-			"Full boots performed by fleet slots (template cache off)."),
 	}
 }
 
@@ -247,7 +199,6 @@ func Run(ctx context.Context, cfg Config, w Workload) (*Result, error) {
 	for i := range chunks {
 		chunks[i] = i
 	}
-	m := newFleetMetrics()
 	pool := newSlotPool(cfg.Device, cfg.Mode)
 	accs, err := parallel.Map(ctx, chunks, cfg.Workers,
 		func(ctx context.Context, _ int, chunk int) (*Accumulator, error) {
@@ -267,7 +218,6 @@ func Run(ctx context.Context, cfg Config, w Workload) (*Result, error) {
 					return nil, err
 				}
 				seed := DeviceSeed(cfg.Seed, i)
-				m.devices.Inc()
 				dev, err := pool.acquire(slot, seed)
 				if err != nil {
 					return nil, fmt.Errorf("fleet: %s: device %d: %w", w.Name, i, err)
@@ -277,7 +227,6 @@ func Run(ctx context.Context, cfg Config, w Workload) (*Result, error) {
 					return nil, fmt.Errorf("fleet: %s: device %d: %w", w.Name, i, err)
 				}
 				acc.Add(trial)
-				m.trials.Inc()
 			}
 			return acc, nil
 		})
@@ -288,9 +237,5 @@ func Run(ctx context.Context, cfg Config, w Workload) (*Result, error) {
 	for _, acc := range accs {
 		total.Merge(acc)
 	}
-	st := pool.stats()
-	m.clones.Add(uint64(st.Clones))
-	m.recycles.Add(uint64(st.Recycles))
-	m.fresh.Add(uint64(st.Fresh))
 	return total.result(w.Name, cfg.Devices, chunkSize, cfg.Seed), nil
 }

@@ -7,7 +7,9 @@
 //
 // The engine is deliberately generic (it knows nothing about devices or
 // experiments) so the analysis pipeline's dynamic verification stage and
-// any future sweep can reuse it.
+// any future sweep can reuse it. It keeps no metrics: the workers share
+// only the shard-claim counter and the fail-fast context, and what a
+// sweep measured lives in its results and its devices' registries.
 package parallel
 
 import (
@@ -17,44 +19,11 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/telemetry"
 )
 
 // DefaultWorkers is the pool size used when Map is given workers <= 0:
 // one worker per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// engineMetrics is the engine's view into the process-global telemetry
-// registry. Handles are resolved per Map call (a few mutex-guarded map
-// lookups against whole-device shard runs) so a test's ResetGlobal is
-// always honored.
-type engineMetrics struct {
-	shards        *telemetry.Counter
-	errors        *telemetry.Counter
-	panics        *telemetry.Counter
-	cancellations *telemetry.Counter
-	active        *telemetry.Gauge
-	queued        *telemetry.Gauge
-}
-
-func newEngineMetrics() engineMetrics {
-	reg := telemetry.Global()
-	return engineMetrics{
-		shards: reg.Counter("jgre_parallel_shards_total",
-			"Sweep shards handed to the worker pool."),
-		errors: reg.Counter("jgre_parallel_shard_errors_total",
-			"Shards that returned an error (panics included)."),
-		panics: reg.Counter("jgre_parallel_shard_panics_total",
-			"Shards that panicked and were recovered into PanicError."),
-		cancellations: reg.Counter("jgre_parallel_cancellations_total",
-			"Sweeps cut short by fail-fast cancellation or caller context."),
-		active: reg.Gauge("jgre_parallel_workers_active",
-			"Workers currently executing a shard."),
-		queued: reg.Gauge("jgre_parallel_queue_depth",
-			"Shards accepted but not yet started."),
-	}
-}
 
 // PanicError converts a shard panic into an error carrying the shard's
 // input index, the panic value and the goroutine stack, so one corrupt
@@ -94,23 +63,14 @@ func Map[T, R any](ctx context.Context, items []T, workers int, fn func(ctx cont
 	if len(items) == 0 {
 		return []R{}, nil
 	}
-	m := newEngineMetrics()
-	m.shards.Add(uint64(len(items)))
-	m.queued.Add(float64(len(items)))
-	// Shards never dispatched (fail-fast, caller cancel) still drain from
-	// the queue gauge when the sweep returns.
-	defer m.queued.Set(0)
 	results := make([]R, len(items))
 	if workers == 1 {
 		for i, item := range items {
 			if err := ctx.Err(); err != nil {
-				m.cancellations.Inc()
 				return nil, err
 			}
-			m.queued.Add(-1)
-			r, err := run(ctx, m, i, item, fn)
+			r, err := run(ctx, i, item, fn)
 			if err != nil {
-				m.errors.Inc()
 				return nil, err
 			}
 			results[i] = r
@@ -121,7 +81,6 @@ func Map[T, R any](ctx context.Context, items []T, workers int, fn func(ctx cont
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, len(items))
-	var failed atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -153,14 +112,9 @@ func Map[T, R any](ctx context.Context, items []T, workers int, fn func(ctx cont
 					if ctx.Err() != nil {
 						return
 					}
-					m.queued.Add(-1)
-					r, err := run(ctx, m, i, items[i], fn)
+					r, err := run(ctx, i, items[i], fn)
 					if err != nil {
 						errs[i] = err
-						m.errors.Inc()
-						if failed.CompareAndSwap(false, true) {
-							m.cancellations.Inc()
-						}
 						cancel() // fail fast: stop handing out shards
 						return
 					}
@@ -177,19 +131,15 @@ func Map[T, R any](ctx context.Context, items []T, workers int, fn func(ctx cont
 	}
 	// No shard failed, so any cancellation came from the caller's context.
 	if err := ctx.Err(); err != nil {
-		m.cancellations.Inc()
 		return nil, err
 	}
 	return results, nil
 }
 
 // run invokes fn on one shard with panic recovery.
-func run[T, R any](ctx context.Context, m engineMetrics, i int, item T, fn func(context.Context, int, T) (R, error)) (r R, err error) {
-	m.active.Add(1)
+func run[T, R any](ctx context.Context, i int, item T, fn func(context.Context, int, T) (R, error)) (r R, err error) {
 	defer func() {
-		m.active.Add(-1)
 		if p := recover(); p != nil {
-			m.panics.Inc()
 			err = &PanicError{Index: i, Value: p, Stack: debug.Stack()}
 		}
 	}()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/telemetry"
 )
 
 // TestBuiltinCoverage pins the registry's surface: every table, figure
@@ -189,56 +188,5 @@ func TestFilter(t *testing.T) {
 
 	if _, err := Execute(ctx, "fig3", Params{Scale: Quick, Filter: []string{"nosuch.method"}}); err == nil {
 		t.Error("fig3 accepted an unknown interface")
-	}
-}
-
-// TestTelemetryExport checks the Params.Metrics path: the envelope
-// carries a snapshot of the global registry, and the canonical bytes —
-// the equivalence currency — never see it.
-func TestTelemetryExport(t *testing.T) {
-	telemetry.ResetGlobal()
-	env, err := Execute(context.Background(), "delays",
-		Params{Scale: Quick, Workers: 2, Metrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(env.Telemetry) == 0 {
-		t.Fatal("Metrics=true produced no telemetry snapshot")
-	}
-	if v, ok := env.Telemetry["jgre_parallel_shards_total"]; !ok || v == 0 {
-		t.Fatalf("snapshot missing worker-pool counters: %v", env.Telemetry)
-	}
-	out, err := env.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), `"telemetry"`) {
-		t.Fatal("JSON envelope missing telemetry block")
-	}
-
-	// The snapshot must not leak into the equivalence bytes: the same
-	// run without export is canonically identical.
-	telemetry.ResetGlobal()
-	plain, err := Execute(context.Background(), "delays",
-		Params{Scale: Quick, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Telemetry != nil {
-		t.Fatal("Metrics=false still exported telemetry")
-	}
-	a, err := env.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := plain.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("telemetry export changed canonical bytes:\n%s\n%s", a, b)
-	}
-	if strings.Contains(string(a), "telemetry") {
-		t.Fatal("canonical bytes contain the telemetry block")
 	}
 }

@@ -16,8 +16,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Scale selects the experiment size. Quick shrinks the paper's
@@ -65,11 +63,6 @@ type Params struct {
 	// interface names like "audio.startWatchingRoutes"). Nil means the
 	// full sweep. Only Filterable scenarios accept one.
 	Filter []string
-	// Metrics exports a snapshot of the process-global telemetry registry
-	// (worker-pool and object-pool counters) into the envelope after the
-	// run. Export never perturbs the result: the canonical bytes zero the
-	// snapshot out, so runs with and without it stay equivalent.
-	Metrics bool
 }
 
 // Scenario is one registered experiment.
@@ -160,9 +153,6 @@ type Envelope struct {
 	FleetDevices int     `json:"fleet_devices,omitempty"`
 	WallMS       float64 `json:"wall_ms"`
 	Result       any     `json:"result"`
-	// Telemetry is the process-global metrics snapshot taken after the
-	// run when Params.Metrics was set (series name → value).
-	Telemetry map[string]float64 `json:"telemetry,omitempty"`
 }
 
 // Execute runs the scenario and wraps its result in the envelope.
@@ -187,9 +177,6 @@ func (s Scenario) Execute(ctx context.Context, p Params) (*Envelope, error) {
 	if fd, ok := res.(interface{ FleetDevices() int }); ok {
 		env.FleetDevices = fd.FleetDevices()
 	}
-	if p.Metrics {
-		env.Telemetry = telemetry.Global().Snapshot()
-	}
 	return env, nil
 }
 
@@ -213,16 +200,14 @@ func (e *Envelope) JSON() ([]byte, error) {
 }
 
 // CanonicalJSON renders the envelope with the run metadata that
-// legitimately varies between runs — wall-clock time, the worker count
-// and the telemetry snapshot (whose pool/worker counters depend on
-// both) — zeroed out. Two runs of the same scenario are equivalent iff
+// legitimately varies between runs — wall-clock time and the worker
+// count — zeroed out. Two runs of the same scenario are equivalent iff
 // their canonical bytes match; this is the equality the workers=1-vs-N
 // tests and jgre-bench assert.
 func (e *Envelope) CanonicalJSON() ([]byte, error) {
 	c := *e
 	c.WallMS = 0
 	c.Workers = 0
-	c.Telemetry = nil
 	b, err := json.Marshal(&c)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: marshalling %s envelope: %w", e.Scenario, err)

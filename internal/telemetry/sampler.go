@@ -129,6 +129,18 @@ func Rate(samples []Sample) []float64 {
 	return out
 }
 
+// Dropped returns how many of the oldest snapshots the history no
+// longer holds: the most samples any one tracked series' ring has
+// evicted. A snapshot reaches every series that has a value, so this is
+// the count of ticks the longest sparkline has lost off its left edge.
+func (s *Sampler) Dropped() uint64 {
+	var n uint64
+	for _, r := range s.rings {
+		n = max(n, r.Dropped())
+	}
+	return n
+}
+
 // Tracked returns the tracked series names in tracking order.
 func (s *Sampler) Tracked() []string {
 	return append([]string(nil), s.tracked...)

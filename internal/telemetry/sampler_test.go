@@ -46,10 +46,18 @@ func TestSamplerRingWrap(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("jgre_g", "g")
 	s := NewSampler(r, time.Second, 3)
-	s.Track("jgre_g")
+	s.Track("jgre_g", "jgre_late")
 	for i := 0; i < 5; i++ {
+		if i == 3 {
+			// A series that registers mid-run evicts less; Dropped
+			// reports the longest history's loss.
+			r.Gauge("jgre_late", "late")
+		}
 		g.Set(float64(i))
 		s.MaybeSample(time.Duration(i) * time.Second)
+		if want := uint64(max(i-2, 0)); s.Dropped() != want {
+			t.Fatalf("after %d samples Dropped = %d, want %d", i+1, s.Dropped(), want)
+		}
 	}
 	got := s.Values("jgre_g")
 	want := []float64{2, 3, 4}

@@ -1,8 +1,9 @@
 // Package telemetry is the simulator's unified metrics layer: a
 // deterministic registry of counters, gauges and fixed-bucket histograms
-// that every subsystem — binder driver, ART runtimes, the JGRE defender,
-// the fault injector, the parallel experiment engine — instruments
-// itself into.
+// that every subsystem of a device — binder driver, ART runtimes, the
+// JGRE defender, the fault injector — instruments itself into. Each
+// simulated device owns one registry and every series lives in exactly
+// one of them; nothing here is process-global.
 //
 // Two properties shape the design, both driven by the repo-wide
 // determinism contract (equal seeds ⇒ byte-identical envelopes, for any
@@ -20,9 +21,9 @@
 //     instrumented path within a few percent of the bare one.
 //
 // Values use atomics not because the simulation core is concurrent (it
-// is single-threaded per device) but because the process-global registry
-// is shared by the parallel engine's worker pool, and the procfs
-// provider file may render while a sweep is mid-flight.
+// is single-threaded per device) but because /proc/jgre_metrics may
+// render from another goroutine while the device runs (see
+// internal/device/telemetry_race_test.go).
 package telemetry
 
 import (
@@ -177,9 +178,7 @@ type instrument struct {
 }
 
 // Registry holds a named set of instruments. Each simulated device owns
-// one; the process additionally has a Global registry for cross-device
-// machinery (the parallel engine, pools). The zero value is not usable;
-// create with NewRegistry.
+// one. The zero value is not usable; create with NewRegistry.
 type Registry struct {
 	mu    sync.Mutex
 	byKey map[string]*instrument
@@ -373,9 +372,9 @@ func mergeLabel(labels, key, value string) string {
 	return labels[:len(labels)-1] + "," + pair + "}"
 }
 
-// Snapshot flattens the registry into name → value, the JSON-friendly
-// form the scenario envelope's optional telemetry block carries.
-// Histograms flatten to _count and _sum entries.
+// Snapshot flattens the registry into name → value, a JSON-friendly
+// form for programmatic readers. Histograms flatten to _count and _sum
+// entries.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, in := range r.sortedInstruments() {

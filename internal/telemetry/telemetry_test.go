@@ -300,21 +300,6 @@ func TestSnapshotAndValue(t *testing.T) {
 	}
 }
 
-func TestGlobalRegistry(t *testing.T) {
-	g := ResetGlobal()
-	if Global() != g {
-		t.Fatal("Global() did not return the reset registry")
-	}
-	g.Counter("jgre_global_total", "x").Inc()
-	g2 := ResetGlobal()
-	if g2 == g {
-		t.Fatal("ResetGlobal returned the old registry")
-	}
-	if _, ok := g2.Value("jgre_global_total"); ok {
-		t.Fatal("reset registry kept old series")
-	}
-}
-
 // TestHotPathAllocs pins the zero-alloc contract: recording into an
 // already-registered instrument must not allocate.
 func TestHotPathAllocs(t *testing.T) {
