@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -30,14 +32,24 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("jgre-report: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	out := flag.String("o", "", "output file (default stdout)")
-	thirdParty := flag.Int("thirdparty", 1000, "synthetic Google Play population size")
-	calls := flag.Int("calls", 200, "invocations per candidate during verification")
-	ablations := flag.Bool("ablations", false, "also run and include the threshold/quota ablation tables (slower)")
-	traceOn := flag.Bool("trace", false, "run the demo device with the causal flight recorder on and include a traced-fleet forensic rollup")
-	traceFleet := flag.Int("trace-fleet", 96, "with -trace: fleet width for the causal forensic rollup")
-	flag.Parse()
+// run parses args, runs the audit and the defense demonstration, and
+// writes the report to stdout, or to the -o file.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("jgre-report", flag.ContinueOnError)
+	out := fs.String("o", "", "output file (default stdout)")
+	thirdParty := fs.Int("thirdparty", 1000, "synthetic Google Play population size")
+	calls := fs.Int("calls", 200, "invocations per candidate during verification")
+	ablations := fs.Bool("ablations", false, "also run and include the threshold/quota ablation tables (slower)")
+	traceOn := fs.Bool("trace", false, "run the demo device with the causal flight recorder on and include a traced-fleet forensic rollup")
+	traceFleet := fs.Int("trace-fleet", 96, "with -trace: fleet width for the causal forensic rollup")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	res, err := core.Audit(core.AuditConfig{
 		ThirdPartyApps: *thirdParty,
@@ -46,7 +58,7 @@ func main() {
 		Seed:           1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A defense demonstration for the report: one detection. With -trace
@@ -56,17 +68,21 @@ func main() {
 	if *traceOn {
 		devCfg.Trace = trace.Config{Enabled: true}
 	}
-	pd, err := core.NewProtectedDevice(devCfg, defense.Config{})
+	dev, err := device.Boot(devCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	evil, err := pd.Device.Apps().Install("com.evil.app")
+	def, err := defense.New(dev, defense.Config{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	atk, err := workload.NewAttacker(pd.Device, evil, "clipboard.addPrimaryClipChangedListener")
+	evil, err := dev.Apps().Install("com.evil.app")
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	atk, err := workload.NewAttacker(dev, evil, "clipboard.addPrimaryClipChangedListener")
+	if err != nil {
+		return err
 	}
 	for evil.Running() {
 		if err := atk.Step(); err != nil {
@@ -74,26 +90,13 @@ func main() {
 		}
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-		w = f
-	}
-	stats := pd.Device.Stats()
+	stats := dev.Stats()
 	in := report.Input{
 		Title:       "JGRE Vulnerability Assessment — simulated Android 6.0.1",
 		Pipeline:    res,
-		Detections:  pd.Defender.History(),
+		Detections:  def.History(),
 		Telemetry:   &stats,
-		GeneratedAt: fmt.Sprintf("virtual t=%.1fs after audit-device boot", pd.Device.Clock().Now().Seconds()),
+		GeneratedAt: fmt.Sprintf("virtual t=%.1fs after audit-device boot", dev.Clock().Now().Seconds()),
 	}
 	if *traceOn {
 		// Traced fleet: the staged attack rollout with flight recorders
@@ -104,26 +107,36 @@ func main() {
 			Device:  device.Config{Trace: trace.Config{Enabled: true}},
 		}, fleet.AttackRollout(*traceFleet))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		in.FleetForensics = res
 	}
 	if *ablations {
 		thr, err := scenario.Execute(context.Background(), "thresholds", scenario.Params{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		in.Thresholds = thr.Result.([]experiments.ThresholdRow)
 		patch, err := scenario.Execute(context.Background(), "patch", scenario.Params{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		in.Patch = patch.Result.([]experiments.PatchRow)
 	}
-	if err := report.Write(w, in); err != nil {
-		log.Fatal(err)
+	if *out == "" {
+		return report.Write(stdout, in)
 	}
-	if *out != "" {
-		log.Printf("wrote %s", *out)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
+	if err := report.Write(f, in); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	log.Printf("wrote %s", *out)
+	return nil
 }

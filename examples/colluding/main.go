@@ -9,10 +9,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/defense"
 	"repro/internal/device"
 	"repro/internal/workload"
@@ -21,11 +19,14 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	pd, err := core.NewProtectedDevice(device.Config{Seed: 42}, defense.Config{KeepRaw: true})
+	dev, err := device.Boot(device.Config{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev, def := pd.Device, pd.Defender
+	def, err := defense.New(dev, defense.Config{KeepRaw: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	sched := workload.NewScheduler(dev)
 
 	// Ten ordinary apps going about their business.
@@ -85,7 +86,4 @@ func main() {
 	fmt.Printf("bystander survived: %v, chatty calls made: %d\n", chattyApp.Running(), chatty.Calls())
 	fmt.Printf("system_server recovered: %v (JGR now %d), soft reboots: %d\n",
 		det.Recovered, dev.SystemServer().VM().GlobalRefCount(), dev.SoftReboots())
-
-	fmt.Println("\ndevice journal (last 8 events):")
-	dev.Journal().Dump(os.Stdout, 8)
 }

@@ -3,7 +3,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/defense"
 	"repro/internal/device"
 	"repro/internal/workload"
@@ -45,15 +44,19 @@ func TestIntegrationQuickstartFlow(t *testing.T) {
 	}
 
 	// Part 2: defended, paper thresholds.
-	pd, err := core.NewProtectedDevice(device.Config{Seed: 1}, defense.Config{})
+	dev2, err := device.Boot(device.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evil2, err := pd.Device.Apps().Install("com.evil.app")
+	def, err := defense.New(dev2, defense.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk2, err := workload.NewAttacker(pd.Device, evil2, "clipboard.addPrimaryClipChangedListener")
+	evil2, err := dev2.Apps().Install("com.evil.app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk2, err := workload.NewAttacker(dev2, evil2, "clipboard.addPrimaryClipChangedListener")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestIntegrationQuickstartFlow(t *testing.T) {
 			break
 		}
 	}
-	hist := pd.Defender.History()
+	hist := def.History()
 	if len(hist) != 1 {
 		t.Fatalf("defended device: %d detections, want 1", len(hist))
 	}
@@ -70,15 +73,15 @@ func TestIntegrationQuickstartFlow(t *testing.T) {
 	if !det.Recovered || len(det.Killed) != 1 || det.Killed[0] != "com.evil.app" {
 		t.Fatalf("detection = %+v", det)
 	}
-	if pd.Device.SoftReboots() != 0 {
+	if dev2.SoftReboots() != 0 {
 		t.Fatal("defended device rebooted")
 	}
 	// The defender acted with most of the table still free.
-	peak := pd.Device.SystemServer().VM().PeakGlobalRefCount()
+	peak := dev2.SystemServer().VM().PeakGlobalRefCount()
 	if peak > 16000 {
 		t.Fatalf("peak JGR %d; the defender should have acted near 12,000+baseline", peak)
 	}
-	stats := pd.Device.Stats()
+	stats := dev2.Stats()
 	if stats.SoftReboots != 0 || stats.Services != 104 {
 		t.Fatalf("stats = %+v", stats)
 	}

@@ -20,9 +20,10 @@ import (
 const LogPath = "/proc/jgre_ipc_log"
 
 // StatsPath is the companion procfs file exposing the log's telemetry
-// health: "logged dropped overflowed read_errors". Like a real kernel
-// ring buffer, losses are invisible in the data stream itself but the
-// drop counters are readable, which is what lets the defender (and the
+// health, one line rendered from LogStats on every read: "seq N logged N
+// dropped_rate N dropped_ring N read_errors N". Like a real kernel ring
+// buffer, losses are invisible in the data stream itself but the drop
+// counters are readable, which is what lets the defender (and the
 // experiments) reason about how much evidence went missing.
 const StatsPath = "/proc/jgre_ipc_stats"
 
@@ -283,7 +284,6 @@ type Driver struct {
 	droppedFault uint64
 	readErrs     uint64
 	procfsOpened bool
-	statsOpened  bool
 
 	// scratchObj is the reusable Object header for the JGR-hook emit
 	// path: art tables copy the object id out of the header, so the
@@ -828,23 +828,20 @@ func (d *Driver) onProcessDeath(p *kernel.Process) {
 
 // EnableIPCLogging turns on transaction recording, creating the kernel-
 // only procfs log file and its telemetry-stats companion. Idempotent.
-// The log file is provider-backed: the driver keeps flushed records as
-// structs and renders the text /proc format only when the file itself is
+// Both files render on read: the driver keeps flushed records as structs
+// and renders the text /proc format only when the log file itself is
 // read, so the defender's columnar reads never pay for the format/parse
-// round trip.
+// round trip, and the stats file always shows the live counters.
 func (d *Driver) EnableIPCLogging() error {
 	if !d.procfsOpened {
-		if err := d.k.ProcFS().CreateProvider(LogPath, kernel.RootUid, false, d.renderLog); err != nil {
+		fs := d.k.ProcFS()
+		if err := fs.CreateProvider(LogPath, kernel.RootUid, false, d.renderLog); err != nil {
+			return err
+		}
+		if err := fs.CreateProvider(StatsPath, kernel.RootUid, false, d.renderStats); err != nil {
 			return err
 		}
 		d.procfsOpened = true
-	}
-	if !d.statsOpened {
-		if err := d.k.ProcFS().Create(StatsPath, kernel.RootUid, false); err != nil {
-			return err
-		}
-		d.statsOpened = true
-		d.publishStats()
 	}
 	d.logging = true
 	return nil
@@ -883,15 +880,12 @@ func (d *Driver) LogStats() LogStats {
 	}
 }
 
-// publishStats rewrites the procfs stats file from the live counters.
-func (d *Driver) publishStats() {
-	if !d.statsOpened {
-		return
-	}
+// renderStats produces the procfs text form of LogStats, the stats
+// file's one line, when somebody reads the file.
+func (d *Driver) renderStats() []byte {
 	s := d.LogStats()
-	line := fmt.Sprintf("seq %d logged %d dropped_rate %d dropped_ring %d read_errors %d\n",
+	return fmt.Appendf(nil, "seq %d logged %d dropped_rate %d dropped_ring %d read_errors %d\n",
 		s.Seq, s.Logged, s.DroppedRate, s.DroppedRing, s.ReadErrors)
-	_ = d.k.ProcFS().Write(StatsPath, kernel.RootUid, []byte(line))
 }
 
 // DisableIPCLogging stops recording; buffered records remain flushable.
@@ -940,7 +934,6 @@ func (d *Driver) FlushLog() (int, error) {
 		r := &d.flushed[i]
 		d.byPid[r.ToPid] = append(d.byPid[r.ToPid], i)
 	}
-	d.publishStats()
 	return n, nil
 }
 
@@ -968,7 +961,6 @@ func (d *Driver) logReadable(uid kernel.Uid) error {
 	if in := d.cfg.Faults; in != nil {
 		if err := in.ReadError(); err != nil {
 			d.readErrs++
-			d.publishStats()
 			return err
 		}
 	}

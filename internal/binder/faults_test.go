@@ -197,9 +197,18 @@ func TestStatsProcfsFile(t *testing.T) {
 	svc, _ := r.sm.GetService("echo", r.app)
 	r.d.EnableIPCLogging()
 	r.echoN(t, svc, 50)
+	// The file renders the live counters: no flush is needed to see
+	// the 50 sequence numbers issued.
+	raw, err := r.k.ProcFS().Read(StatsPath, kernel.SystemUid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(raw); !strings.Contains(got, "seq 50 ") {
+		t.Fatalf("stats file before flush = %q, want seq 50", got)
+	}
 	r.d.FlushLog()
 
-	raw, err := r.k.ProcFS().Read(StatsPath, kernel.SystemUid)
+	raw, err = r.k.ProcFS().Read(StatsPath, kernel.SystemUid)
 	if err != nil {
 		t.Fatal(err)
 	}

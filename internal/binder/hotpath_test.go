@@ -189,14 +189,6 @@ func TestProcfsTextRenderMatchesStructs(t *testing.T) {
 			t.Fatalf("line %d round-trip mismatch:\n text: %+v\nstruct: %+v", i, parsed, structs[i])
 		}
 	}
-	// The provider owns the file contents: nobody can write or append,
-	// even root.
-	if err := r.k.ProcFS().Write(LogPath, kernel.RootUid, []byte("spoof")); !errors.Is(err, kernel.ErrPermissionDenied) {
-		t.Fatalf("Write on provider file = %v, want permission denied", err)
-	}
-	if err := r.k.ProcFS().Append(LogPath, kernel.RootUid, []byte("spoof")); !errors.Is(err, kernel.ErrPermissionDenied) {
-		t.Fatalf("Append on provider file = %v, want permission denied", err)
-	}
 }
 
 // TestPooledParcelHygiene checks that a recycled parcel comes back empty

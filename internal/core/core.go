@@ -1,16 +1,12 @@
-// Package core is the top-level API of the JGRE toolkit — the paper's
-// primary contribution assembled into three entry points:
+// Package core is the top-level API of the JGRE toolkit's analysis
+// half — the paper's methodology assembled into two entry points:
 //
 //   - Audit: the four-step JGRE analysis (paper §III) over a program
 //     corpus, with optional dynamic verification on a simulated device.
-//   - NewProtectedDevice: a booted Android simulation with the JGRE
-//     Defender (paper §V) attached.
 //   - Report rendering for every table the paper prints (Tables I–V) and
 //     the pipeline funnel.
 //
-// Downstream code (cmd tools, examples, benchmarks) should need nothing
-// below this package for the common paths; the sub-packages remain
-// available for fine-grained control.
+// A defended device (paper §V) is device.Boot followed by defense.New.
 package core
 
 import (
@@ -20,9 +16,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/catalog"
 	"repro/internal/corpus"
-	"repro/internal/defense"
 	"repro/internal/device"
-	"repro/internal/trace"
 )
 
 // AuditConfig parameterizes Audit.
@@ -59,31 +53,6 @@ func Audit(cfg AuditConfig) (*analysis.PipelineResult, error) {
 		return nil, err
 	}
 	return analysis.Run(context.Background(), c.Program, dev, analysis.VerifyConfig{Calls: cfg.VerifyCalls, Workers: cfg.Workers})
-}
-
-// ProtectedDevice bundles a booted device with its defender.
-type ProtectedDevice struct {
-	Device   *device.Device
-	Defender *defense.Defender
-}
-
-// NewProtectedDevice boots a device and attaches the JGRE Defender with
-// the paper's thresholds (or the provided overrides).
-func NewProtectedDevice(devCfg device.Config, defCfg defense.Config) (*ProtectedDevice, error) {
-	dev, err := device.Boot(devCfg)
-	if err != nil {
-		return nil, err
-	}
-	def, err := defense.New(dev, defCfg)
-	if err != nil {
-		return nil, err
-	}
-	def.OnDetection = func(det defense.Detection) {
-		dev.Journal().Add(det.EngagedAt, trace.KindDetection, det.Victim,
-			fmt.Sprintf("killed %v, recovered=%v, %d records in %v",
-				det.Killed, det.Recovered, det.Records, det.AnalysisTime))
-	}
-	return &ProtectedDevice{Device: dev, Defender: def}, nil
 }
 
 // FormatFunnel renders the pipeline funnel (§III/§IV summary).

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/defense"
-	"repro/internal/device"
 )
 
 func TestStaticAudit(t *testing.T) {
@@ -46,19 +44,6 @@ func TestDynamicAudit(t *testing.T) {
 	}
 	if !strings.Contains(out, "constraint held") {
 		t.Errorf("findings output missing dynamic rejections:\n%.400s", out)
-	}
-}
-
-func TestNewProtectedDevice(t *testing.T) {
-	pd, err := NewProtectedDevice(device.Config{Seed: 1}, defense.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pd.Defender.Monitored(pd.Device.SystemServer().Pid()) {
-		t.Fatal("defender not attached to system_server")
-	}
-	if !pd.Device.Driver().LoggingEnabled() {
-		t.Fatal("IPC logging not enabled")
 	}
 }
 

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/defense"
-	"repro/internal/device"
-	"repro/internal/workload"
 )
 
 // ExampleAudit runs the static half of the paper's methodology and prints
@@ -24,33 +21,4 @@ func ExampleAudit() {
 	// 104 5
 	// 147 67 80
 	// 60
-}
-
-// ExampleNewProtectedDevice boots a defended device, launches the
-// clipboard attack, and prints what the defender did.
-func ExampleNewProtectedDevice() {
-	pd, err := core.NewProtectedDevice(
-		device.Config{Seed: 1},
-		defense.Config{AlarmThreshold: 400, EngageThreshold: 1200},
-	)
-	if err != nil {
-		panic(err)
-	}
-	evil, err := pd.Device.Apps().Install("com.evil.app")
-	if err != nil {
-		panic(err)
-	}
-	atk, err := workload.NewAttacker(pd.Device, evil, "clipboard.addPrimaryClipChangedListener")
-	if err != nil {
-		panic(err)
-	}
-	for evil.Running() {
-		if err := atk.Step(); err != nil {
-			break
-		}
-	}
-	det := pd.Defender.History()[0]
-	fmt.Println(det.Victim, det.Killed, det.Recovered, pd.Device.SoftReboots())
-	// Output:
-	// system_server [com.evil.app] true 0
 }

@@ -89,16 +89,6 @@ type Config struct {
 	// study only.
 	DisablePathClassification bool
 
-	// Degradation handling. Zero values select the defaults above;
-	// negative values disable the mechanism.
-
-	// LogReadRetries is how many times a failed evidence read is
-	// retried (0 → DefaultLogReadRetries, negative → no retries).
-	LogReadRetries int
-	// MinCoverage is the delivered/generated record fraction below
-	// which the defender blends per-uid retained-ref attribution into
-	// its ranking (0 → DefaultMinCoverage, negative → fallback off).
-	MinCoverage float64
 	// InnocentKillBudget bounds force-stops of low-confidence
 	// candidates — scores an order of magnitude under the leader — per
 	// engagement. 0 keeps the paper's unbounded kill loop; positive
@@ -115,12 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDelay == 0 {
 		c.MaxDelay = DefaultMaxDelay
-	}
-	if c.LogReadRetries == 0 {
-		c.LogReadRetries = DefaultLogReadRetries
-	}
-	if c.MinCoverage == 0 {
-		c.MinCoverage = DefaultMinCoverage
 	}
 	return c
 }
@@ -538,7 +522,7 @@ func (m *monitor) respond() {
 	// kept dying, or too little of the stream survived, the correlation
 	// ranking cannot be trusted on its own — blend in the driver's
 	// ground-truth view of who is pinning the victim's JGR table.
-	if d.cfg.MinCoverage > 0 && (!scored || det.Coverage < d.cfg.MinCoverage) {
+	if !scored || det.Coverage < DefaultMinCoverage {
 		det.Correlation = det.Scores
 		det.Scores = d.fallbackScores(m.proc.Pid(), det.Correlation, det.Coverage, scored)
 		det.FallbackUsed = true
@@ -650,7 +634,7 @@ func (d *Defender) readWindowWithRetry(det *Detection, victim kernel.Pid) error 
 		if err == nil {
 			return nil
 		}
-		if attempt >= d.cfg.LogReadRetries || d.aborted() {
+		if attempt >= DefaultLogReadRetries || d.aborted() {
 			return err
 		}
 		det.ReadRetries++

@@ -45,6 +45,26 @@ func smallCfg() Config {
 	return Config{AlarmThreshold: 400, EngageThreshold: 1200}
 }
 
+// TestNewAttachesToSystemServer checks what attaching a defender does to
+// a booted device: system_server is monitored and the binder driver logs
+// IPC.
+func TestNewAttachesToSystemServer(t *testing.T) {
+	dev, err := device.Boot(device.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := New(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !def.Monitored(dev.SystemServer().Pid()) {
+		t.Fatal("defender not attached to system_server")
+	}
+	if !dev.Driver().LoggingEnabled() {
+		t.Fatal("IPC logging not enabled")
+	}
+}
+
 func TestDefenderStopsSingleAttacker(t *testing.T) {
 	r := newDefRig(t, smallCfg(), 10)
 	evil, err := r.dev.Apps().Install("com.evil.app")

@@ -92,43 +92,6 @@ func TestDefenderSurvivesProcfsLoss(t *testing.T) {
 	}
 }
 
-// TestDefenderFallbackDisabled pins the pre-hardening behavior behind
-// the MinCoverage<0 switch: no evidence, no kills.
-func TestDefenderFallbackDisabled(t *testing.T) {
-	dev, err := device.Boot(device.Config{Seed: 34})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := New(dev, Config{AlarmThreshold: 300, EngageThreshold: 900, MinCoverage: -1, LogReadRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Kernel().ProcFS().Remove(binder.LogPath, kernel.RootUid); err != nil {
-		t.Fatal(err)
-	}
-	evil, _ := dev.Apps().Install("com.evil.app")
-	atk, err := workload.NewAttacker(dev, evil, "audio.startWatchingRoutes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000 && len(def.History()) == 0; i++ {
-		if err := atk.Step(); err != nil {
-			break
-		}
-	}
-	hist := def.History()
-	if len(hist) == 0 {
-		t.Fatal("defender never engaged")
-	}
-	det := hist[0]
-	if det.ReadRetries != 0 {
-		t.Fatalf("retries despite LogReadRetries=-1: %+v", det)
-	}
-	if det.FallbackUsed || len(det.Scores) != 0 || len(det.Killed) != 0 || det.Recovered {
-		t.Fatalf("disabled fallback still acted: %+v", det)
-	}
-}
-
 // TestDefenderHandlesRepeatEngagements: if the first engagement's kills
 // do not end the pressure (a second attacker appears), the defender must
 // engage again and clear it too.

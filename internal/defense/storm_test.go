@@ -3,9 +3,9 @@ package defense
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/device"
-	"repro/internal/trace"
 )
 
 // TestDefenderRebootStormRecovery drives the defended device through a
@@ -13,8 +13,8 @@ import (
 // broadcast-receiver JGR pinning leaves no binder evidence, so the
 // defender engages but cannot attribute) each exhaust system_server, and
 // after every recovery the device must come back to the same benign JGR
-// baseline inside Fig. 4's [1000, 3000] band, with the journal showing a
-// detection before each reboot.
+// baseline inside Fig. 4's [1000, 3000] band, with a detection before
+// each reboot.
 func TestDefenderRebootStormRecovery(t *testing.T) {
 	const rounds = 3
 	dev, err := device.Boot(device.Config{Seed: 36, ServerVM: artCfg(2600)})
@@ -25,12 +25,11 @@ func TestDefenderRebootStormRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The defender is a system service with no journal of its own; give
-	// the storm a trace by journaling each engagement.
-	def.OnDetection = func(det Detection) {
-		dev.Journal().Add(det.EngagedAt, trace.KindDetection, "system_server",
-			fmt.Sprintf("killed %v recovered %v", det.Killed, det.Recovered))
-	}
+	// Timeline of the storm: when each engagement began and when each
+	// soft-reboot recovery completed.
+	var detections, reboots []time.Duration
+	def.OnDetection = func(det Detection) { detections = append(detections, det.EngagedAt) }
+	dev.OnReboot(func(string) { reboots = append(reboots, dev.Clock().Now()) })
 
 	var baselines []int
 	for round := 0; round < rounds; round++ {
@@ -63,38 +62,29 @@ func TestDefenderRebootStormRecovery(t *testing.T) {
 		}
 	}
 
-	// The journal interleaves engagements and reboots: each reboot must be
-	// preceded by a detection inside its own round (the defender noticed,
-	// engaged, could not attribute the covert channel, and the device went
-	// down anyway — the §VI limitation, three times over).
-	var reboots, detections []trace.Event
-	for _, ev := range dev.Journal().Events() {
-		switch ev.Kind {
-		case trace.KindReboot:
-			reboots = append(reboots, ev)
-		case trace.KindDetection:
-			detections = append(detections, ev)
-		}
-	}
+	// Engagements and reboots interleave: each reboot must be preceded by
+	// a detection inside its own round (the defender noticed, engaged,
+	// could not attribute the covert channel, and the device went down
+	// anyway — the §VI limitation, three times over).
 	if len(reboots) != rounds {
-		t.Fatalf("journal reboots = %d, want %d", len(reboots), rounds)
+		t.Fatalf("reboots = %d, want %d", len(reboots), rounds)
 	}
 	if len(detections) < rounds {
-		t.Fatalf("journal detections = %d, want >= %d", len(detections), rounds)
+		t.Fatalf("detections = %d, want >= %d", len(detections), rounds)
 	}
-	prevReboot := int64(-1)
+	prevReboot := time.Duration(-1)
 	for i, rb := range reboots {
 		found := false
 		for _, det := range detections {
-			if int64(det.T) > prevReboot && det.T <= rb.T {
+			if det > prevReboot && det <= rb {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Errorf("round %d: no detection between t=%d and reboot at t=%d", i, prevReboot, int64(rb.T))
+			t.Errorf("round %d: no detection between t=%d and reboot at t=%d", i, int64(prevReboot), int64(rb))
 		}
-		prevReboot = int64(rb.T)
+		prevReboot = rb
 	}
 
 	// The engagements themselves must reflect the covert channel: no

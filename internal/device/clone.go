@@ -142,11 +142,11 @@ func (d *Device) CloneWithSeed(seed int64) (*Device, error) {
 
 // cloneWithSeed is CloneWithSeed with allocation recycling: prev, when
 // non-nil, must be a retired clone of this same sealed template whose
-// device is no longer referenced anywhere. Its maps, slabs, journal,
-// kernel and driver storage are rewound and the new device is rebuilt in
-// place through the same boot-order replay as a cold clone, so the
-// result is byte-identical to one — this is the fleet Slot's per-trial
-// reseed path. Passing a prev that is still in use corrupts both
+// device is no longer referenced anywhere. Its maps, slabs, kernel and
+// driver storage are rewound and the new device is rebuilt in place
+// through the same boot-order replay as a cold clone, so the result is
+// byte-identical to one — this is the fleet Slot's per-trial reseed
+// path. Passing a prev that is still in use corrupts both
 // devices.
 func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 	if !d.sealed {
@@ -164,7 +164,6 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 		clear(svcMap)
 		clear(appSvcMap)
 		clear(handleIdx)
-		nd.journal.Reset()
 		*nd = Device{
 			cfg:         d.cfg,
 			kern:        nd.kern,
@@ -172,7 +171,6 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			perms:       nd.perms,
 			apps:        nd.apps,
 			appReg:      nd.appReg,
-			journal:     nd.journal,
 			rec:         nd.rec,
 			hosts:       hosts,
 			services:    svcMap,
@@ -183,7 +181,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			appOrder:    nd.appOrder[:0],
 		}
 	} else {
-		nd = &Device{cfg: d.cfg, journal: trace.New(0)}
+		nd = &Device{cfg: d.cfg}
 	}
 	nd.cfg.Seed = seed
 	nd.clock = simclock.New()
@@ -203,16 +201,9 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 		nd.rec = nil
 	}
 
+	// The binder driver re-registers its kill observer inside
+	// binder.NewReusing, as at boot.
 	nd.kern = d.kern.CloneReusing(nd.kern, nd.clock, nd.restartSystem)
-	// Kill observers re-register in boot order: journal first, then the
-	// binder driver (inside binder.NewReusing).
-	nd.kern.OnKill(func(p *kernel.Process, reason string) {
-		kind := trace.KindKill
-		if reason == "lmk" {
-			kind = trace.KindLMK
-		}
-		nd.journal.Add(nd.clock.Now(), kind, p.Name(), reason)
-	})
 
 	// Telemetry is deferred: Metrics() builds the registry and attaches
 	// the driver's instruments on first use, keeping the clone path free
@@ -303,7 +294,6 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 		return nil, fmt.Errorf("device: clone replay minted %d binder nodes, template has %d", got, want)
 	}
 
-	nd.bootCount = d.bootCount
 	nd.broadcastSeq = d.broadcastSeq
 	nd.attachTraceVMs()
 

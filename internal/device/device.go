@@ -132,10 +132,8 @@ type Device struct {
 	resolveMu   sync.RWMutex
 	resolveMemo map[resolveKey]resolveResult
 
-	bootCount    int
 	broadcastSeq uint64
 	onReboot     []func(reason string)
-	journal      *trace.Journal
 
 	// rec is the causal flight recorder (nil = tracing off; see
 	// flight.go).
@@ -211,14 +209,6 @@ func BootFresh(cfg Config) (*Device, error) {
 	d.rec = newRecorder(cfg)
 
 	d.kern = kernel.New(d.clock, kernel.Config{OnSystemServerDeath: d.restartSystem})
-	d.journal = trace.New(0)
-	d.kern.OnKill(func(p *kernel.Process, reason string) {
-		kind := trace.KindKill
-		if reason == "lmk" {
-			kind = trace.KindLMK
-		}
-		d.journal.Add(d.clock.Now(), kind, p.Name(), reason)
-	})
 	d.metrics = telemetry.NewRegistry()
 	dcfg := binder.Config{Metrics: d.metrics}
 	if cfg.Faults.Enabled() {
@@ -408,8 +398,6 @@ func (d *Device) spawnBaselineFillers() {
 // ServiceManager registry is rebuilt with fresh service instances (and
 // fresh, empty JGR tables).
 func (d *Device) restartSystem(reason string) {
-	d.bootCount++
-	d.journal.Add(d.clock.Now(), trace.KindReboot, kernel.SystemServerName, reason)
 	d.sm.Clear()
 	if err := d.startSystem(); err != nil {
 		panic(fmt.Sprintf("device: soft reboot failed: %v", err))
@@ -439,11 +427,6 @@ func (d *Device) Clock() *simclock.Clock { return d.clock }
 // Boot(dev.BootConfig()) yields an identical fresh device — the
 // isolation primitive behind the parallel experiment engine.
 func (d *Device) BootConfig() Config { return d.cfg }
-
-// Journal returns the device's event journal (process lifecycle, LMK,
-// reboots; the defender adds detections when attached through
-// core.NewProtectedDevice).
-func (d *Device) Journal() *trace.Journal { return d.journal }
 
 // Kernel returns the simulated kernel.
 func (d *Device) Kernel() *kernel.Kernel { return d.kern }
@@ -476,8 +459,9 @@ func (d *Device) Service(name string) *services.Service { return d.services[name
 // AppService returns a published app service by registry name.
 func (d *Device) AppService(name string) *apps.AppService { return d.appServices[name] }
 
-// SoftReboots returns how many soft reboots the device has survived.
-func (d *Device) SoftReboots() int { return d.bootCount }
+// SoftReboots returns how many soft reboots the device has survived, as
+// the kernel counts them.
+func (d *Device) SoftReboots() int { return d.kern.SoftReboots() }
 
 // OnReboot registers fn to run after each completed soft-reboot recovery.
 func (d *Device) OnReboot(fn func(reason string)) { d.onReboot = append(d.onReboot, fn) }
@@ -581,7 +565,6 @@ func (d *Device) RestartHost(name string) error {
 	if d.rec != nil {
 		host.VM().SetTraceRecorder(d.rec, int32(host.Pid()))
 	}
-	d.journal.Add(d.clock.Now(), trace.KindNote, name, "supervisor restart")
 	d.fireServiceRestart("host", name)
 	return nil
 }
@@ -625,7 +608,6 @@ func (d *Device) RestartAppService(name string) error {
 	d.appServices[name] = svc
 	d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
 	d.invalidateResolve()
-	d.journal.Add(d.clock.Now(), trace.KindNote, name, "supervisor restart")
 	d.fireServiceRestart("app", name)
 	return nil
 }

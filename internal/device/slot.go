@@ -3,8 +3,9 @@ package device
 // Slot is a long-lived device seat for fleet workers: the first Acquire
 // pays one copy-on-write clone off the sealed template, and every later
 // Acquire recycles that clone in place — maps cleared, slabs rewound,
-// journal and driver storage reused — instead of allocating a new
-// device per trial. A slot is owned by exactly one worker at a time.
+// kernel, driver and flight-recorder storage reused — instead of
+// allocating a new device per trial. A slot is owned by exactly one
+// worker at a time.
 //
 // Contract: Acquire retires the previously returned device. The caller
 // must have dropped every reference into it (schedulers, clients,

@@ -1,17 +1,24 @@
 package device
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/art"
+	"repro/internal/kernel"
 )
 
 // slotFingerprint drives a deterministic workload and renders every
-// observable surface — dumpsys report plus the full journal — so two
-// devices can be compared byte-for-byte.
+// observable surface — dumpsys report plus every kill the kernel
+// reports, with its virtual time and reason — so two devices can be
+// compared byte-for-byte.
 func slotFingerprint(t testing.TB, d *Device, registers int) string {
 	t.Helper()
+	var kills strings.Builder
+	d.Kernel().OnKill(func(p *kernel.Process, reason string) {
+		fmt.Fprintf(&kills, "%v %s %s\n", d.Clock().Now(), p.Name(), reason)
+	})
 	atk, err := d.Apps().Install("com.evil.app")
 	if err != nil {
 		t.Fatal(err)
@@ -26,10 +33,7 @@ func slotFingerprint(t testing.TB, d *Device, registers int) string {
 	}
 	var sb strings.Builder
 	d.DumpState(&sb)
-	for _, ev := range d.Journal().Events() {
-		sb.WriteString(ev.String())
-		sb.WriteString("\n")
-	}
+	sb.WriteString(kills.String())
 	return sb.String()
 }
 

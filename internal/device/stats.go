@@ -29,14 +29,10 @@ type Stats struct {
 	IPCLogDropped     uint64
 	IPCLogRingDropped uint64
 	IPCLogReadErrors  uint64
-	// TraceDropped is how many journal events the bounded trace ring
-	// silently evicted — nonzero means the forensic timeline is
-	// incomplete and post-mortem tooling should say so.
-	TraceDropped int
 	// Flight-recorder health (both zero when tracing is off): spans
-	// currently retained and spans ring eviction overwrote. Like
-	// TraceDropped, TraceSpanDrops is a "no silent caps" counter —
-	// nonzero means exported traces are missing their oldest spans.
+	// currently retained and spans ring eviction overwrote.
+	// TraceSpanDrops is a "no silent caps" counter — nonzero means
+	// exported traces are missing their oldest spans.
 	TraceSpans     int
 	TraceSpanDrops uint64
 	// Defender carries the defense layer's self-reported health when one
@@ -64,7 +60,7 @@ func (d *Device) Stats() Stats {
 		Processes:           d.kern.RunningCount(),
 		RunningApps:         running,
 		Services:            len(d.services),
-		SoftReboots:         d.bootCount,
+		SoftReboots:         d.kern.SoftReboots(),
 		LMKKills:            d.kern.LMKKills(),
 		SystemServerJGR:     d.systemServer.VM().GlobalRefCount(),
 		SystemServerPeakJGR: d.systemServer.VM().PeakGlobalRefCount(),
@@ -74,7 +70,6 @@ func (d *Device) Stats() Stats {
 		IPCLogDropped:       ls.DroppedRate,
 		IPCLogRingDropped:   ls.DroppedRing,
 		IPCLogReadErrors:    ls.ReadErrors,
-		TraceDropped:        int(d.journal.Dropped()),
 		TraceSpans:          d.rec.Len(),
 		TraceSpanDrops:      d.rec.Dropped(),
 		Defender:            health,
@@ -93,9 +88,6 @@ func (d *Device) DumpState(w io.Writer) {
 	if s.IPCLogSeq > 0 {
 		fmt.Fprintf(w, "  ipc log: %d records, %d dropped, %d ring-evicted, %d read errors\n",
 			s.IPCLogSeq, s.IPCLogDropped, s.IPCLogRingDropped, s.IPCLogReadErrors)
-	}
-	if s.TraceDropped > 0 {
-		fmt.Fprintf(w, "  trace journal: %d events evicted (timeline incomplete)\n", s.TraceDropped)
 	}
 	if s.TraceSpans > 0 || s.TraceSpanDrops > 0 {
 		fmt.Fprintf(w, "  flight recorder: %d spans held, %d evicted\n", s.TraceSpans, s.TraceSpanDrops)

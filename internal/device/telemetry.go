@@ -70,7 +70,7 @@ func (d *Device) SetDefenderHealth(fn func() DefenderHealth) {
 
 // registerMetrics wires the device-level pull gauges: uptime, process
 // census, per-process JGR tables for the monitored hosts, ART
-// local-frame churn, trace-journal health and the fault injector's
+// local-frame churn, flight-recorder health and the fault injector's
 // ledger. Everything reads state the layers already maintain, so the
 // only cost is at render/snapshot time.
 func (d *Device) registerMetrics() {
@@ -94,16 +94,10 @@ func (d *Device) registerMetrics() {
 		})
 	reg.GaugeFunc("jgre_device_soft_reboots_total",
 		"Soft reboots survived.",
-		func() float64 { return float64(d.bootCount) })
+		func() float64 { return float64(d.kern.SoftReboots()) })
 	reg.GaugeFunc("jgre_device_lmk_kills_total",
 		"Low-memory-killer evictions.",
 		func() float64 { return float64(d.kern.LMKKills()) })
-	reg.GaugeFunc("jgre_trace_events",
-		"Events currently held by the trace journal.",
-		func() float64 { return float64(d.journal.Len()) })
-	reg.GaugeFunc("jgre_trace_dropped_total",
-		"Journal events discarded by capacity eviction.",
-		func() float64 { return float64(d.journal.Dropped()) })
 	// Flight-recorder gauges read 0 when tracing is off (nil recorder);
 	// jgre-top's TRACE panel renders them with an explicit placeholder
 	// when the family is absent entirely.

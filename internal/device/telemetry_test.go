@@ -6,35 +6,7 @@ import (
 	"time"
 
 	"repro/internal/kernel"
-	"repro/internal/trace"
 )
-
-func TestTraceDroppedSurfacesInStats(t *testing.T) {
-	d := boot(t, Config{Seed: 21})
-	if got := d.Stats().TraceDropped; got != 0 {
-		t.Fatalf("TraceDropped at boot = %d, want 0", got)
-	}
-	// Overflow the bounded journal so eviction kicks in.
-	for i := 0; i < trace.DefaultCapacity+50; i++ {
-		d.Journal().Add(time.Duration(i), trace.KindNote, "filler", "spam")
-	}
-	s := d.Stats()
-	if s.TraceDropped < 50 {
-		t.Fatalf("TraceDropped = %d, want >= 50", s.TraceDropped)
-	}
-	if uint64(s.TraceDropped) != d.Journal().Dropped() {
-		t.Fatalf("TraceDropped = %d, journal reports %d", s.TraceDropped, d.Journal().Dropped())
-	}
-	var b strings.Builder
-	d.DumpState(&b)
-	if !strings.Contains(b.String(), "trace journal:") {
-		t.Fatal("DumpState does not flag the incomplete timeline")
-	}
-	// The registry gauge tracks the same counter.
-	if v, ok := d.Metrics().Value("jgre_trace_dropped_total"); !ok || int(v) != s.TraceDropped {
-		t.Fatalf("jgre_trace_dropped_total = %v (ok=%v), want %d", v, ok, s.TraceDropped)
-	}
-}
 
 func TestMetricsProcFileRegisteredAtBoot(t *testing.T) {
 	d := boot(t, Config{Seed: 22})

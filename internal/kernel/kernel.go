@@ -213,7 +213,9 @@ func (k *Kernel) Seal() {
 // as a copy-on-write base. The clone runs on its own clock and fires its
 // own OnSystemServerDeath hook; kill observers (OnKill) start empty and
 // must be re-registered by the layers above, in the same order as at
-// boot. Cloning an unsealed kernel, or re-cloning a clone, panics.
+// boot. Its procfs starts empty too: every file renders from a producer
+// bound to one device, so each producer registers its file again on the
+// clone. Cloning an unsealed kernel, or re-cloning a clone, panics.
 func (k *Kernel) Clone(clock *simclock.Clock, onSystemServerDeath func(reason string)) *Kernel {
 	return k.CloneReusing(nil, clock, onSystemServerDeath)
 }
@@ -279,7 +281,6 @@ func (k *Kernel) CloneReusing(prev *Kernel, clock *simclock.Clock, onSystemServe
 		}
 		p.resetFromFrozen(fp, nk)
 	}
-	k.procfs.CloneInto(nk.procfs)
 	return nk
 }
 
@@ -526,6 +527,7 @@ func (k *Kernel) exit(p *Process, reason string) {
 // Android system crashes, followed by a soft reboot").
 func (k *Kernel) softReboot(reason string) {
 	k.softReboots++
+	killReason := "soft reboot: " + reason
 	// Collect victims before killing: death recipients may themselves kill
 	// processes, and on a clone the kill path materializes into k.procs,
 	// which must not happen while ranging over it.
@@ -540,7 +542,7 @@ func (k *Kernel) softReboot(reason string) {
 		if !p.alive {
 			continue // already killed by an earlier victim's death cascade
 		}
-		k.exit(p, "soft reboot: "+reason)
+		k.exit(p, killReason)
 	}
 	if cb := k.cfg.OnSystemServerDeath; cb != nil {
 		cb(reason)

@@ -201,45 +201,58 @@ func TestOnKillObserver(t *testing.T) {
 	}
 }
 
+// fileOf returns a provider that renders whatever *text holds at read
+// time.
+func fileOf(text *string) func() []byte {
+	return func() []byte { return []byte(*text) }
+}
+
 func TestProcFSPermissions(t *testing.T) {
 	fs := NewProcFS()
 	const path = "/proc/jgre_ipc_log"
-	if err := fs.Create(path, RootUid, false); err != nil {
+	text := "rec1\n"
+	if err := fs.CreateProvider(path, RootUid, false, fileOf(&text)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Create(path, RootUid, false); !errors.Is(err, ErrFileExists) {
+	if err := fs.CreateProvider(path, RootUid, false, fileOf(&text)); !errors.Is(err, ErrFileExists) {
 		t.Fatalf("duplicate create error = %v", err)
 	}
-	if err := fs.Append(path, RootUid, []byte("rec1\n")); err != nil {
-		t.Fatal(err)
+	if err := fs.CreateProvider("/proc/empty", RootUid, false, nil); err == nil {
+		t.Fatal("created a file with no provider")
 	}
-	// Kernel-only file: app uid cannot write or read.
-	if err := fs.Append(path, 10001, []byte("fake\n")); !errors.Is(err, ErrPermissionDenied) {
-		t.Fatalf("app append error = %v, want permission denied", err)
-	}
+	// Kernel-only file: an app uid can neither read nor probe it.
 	if _, err := fs.Read(path, 10001); !errors.Is(err, ErrPermissionDenied) {
 		t.Fatalf("app read error = %v, want permission denied", err)
 	}
-	// The system (JGRE Defender) can read it.
-	data, err := fs.Read(path, SystemUid)
-	if err != nil {
-		t.Fatal(err)
+	if err := fs.CheckRead(path, 10001); !errors.Is(err, ErrPermissionDenied) {
+		t.Fatalf("app check error = %v, want permission denied", err)
 	}
-	if string(data) != "rec1\n" {
-		t.Fatalf("read = %q", data)
+	// The system (JGRE Defender) can read it, and every read renders the
+	// producer's current state.
+	for _, want := range []string{"rec1\n", "rec1\nrec2\n"} {
+		text = want
+		data, err := fs.Read(path, SystemUid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != want {
+			t.Fatalf("read = %q, want %q", data, want)
+		}
 	}
 }
 
 func TestProcFSWorldReadable(t *testing.T) {
 	fs := NewProcFS()
-	if err := fs.Create("/proc/meminfo", RootUid, true); err != nil {
+	text := "MemTotal: 2048"
+	if err := fs.CreateProvider("/proc/meminfo", RootUid, true, fileOf(&text)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Write("/proc/meminfo", RootUid, []byte("MemTotal: 2048")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Read("/proc/meminfo", 10042); err != nil {
+	data, err := fs.Read("/proc/meminfo", 10042)
+	if err != nil {
 		t.Fatalf("world-readable read failed: %v", err)
+	}
+	if string(data) != text {
+		t.Fatalf("read = %q, want %q", data, text)
 	}
 }
 
@@ -248,30 +261,30 @@ func TestProcFSMissingFile(t *testing.T) {
 	if _, err := fs.Read("/proc/nope", RootUid); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("read missing error = %v", err)
 	}
-	if err := fs.Write("/proc/nope", RootUid, nil); !errors.Is(err, ErrNoSuchFile) {
-		t.Fatalf("write missing error = %v", err)
+	if err := fs.CheckRead("/proc/nope", RootUid); !errors.Is(err, ErrNoSuchFile) {
+		t.Fatalf("check missing error = %v", err)
 	}
 	if err := fs.Remove("/proc/nope", RootUid); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("remove missing error = %v", err)
 	}
 }
 
-func TestProcFSRemoveAndList(t *testing.T) {
+func TestProcFSRemove(t *testing.T) {
 	fs := NewProcFS()
-	fs.Create("/proc/b", RootUid, true)
-	fs.Create("/proc/a", RootUid, true)
-	got := fs.List()
-	if len(got) != 2 || got[0] != "/proc/a" || got[1] != "/proc/b" {
-		t.Fatalf("List = %v", got)
-	}
+	text := "x"
+	fs.CreateProvider("/proc/b", RootUid, true, fileOf(&text))
+	fs.CreateProvider("/proc/a", RootUid, true, fileOf(&text))
 	if err := fs.Remove("/proc/a", 10001); !errors.Is(err, ErrPermissionDenied) {
 		t.Fatalf("non-owner remove error = %v", err)
 	}
 	if err := fs.Remove("/proc/a", RootUid); err != nil {
 		t.Fatal(err)
 	}
-	if len(fs.List()) != 1 {
-		t.Fatal("remove did not delete the file")
+	if _, err := fs.Read("/proc/a", RootUid); !errors.Is(err, ErrNoSuchFile) {
+		t.Fatalf("read after remove error = %v, want no such file", err)
+	}
+	if _, err := fs.Read("/proc/b", RootUid); err != nil {
+		t.Fatalf("remove deleted the wrong file: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -14,14 +13,11 @@ var (
 	ErrFileExists       = errors.New("procfs: file exists")
 )
 
-// procFile is one in-memory procfs node.
+// procFile is one in-memory procfs node. Its contents are produced by
+// the kernel-side owner on every read instead of being stored, the way
+// real procfs seq_files render on open, so a read always sees the
+// producer's live state.
 type procFile struct {
-	data []byte
-	// render, when non-nil, marks a provider-backed file: contents are
-	// produced by the kernel-side owner on every read instead of being
-	// stored, the way real procfs seq_files render on open. Provider
-	// files reject Write/Append — their contents are owned by the
-	// provider.
 	render func() []byte
 	// worldReadable grants read access to app uids. The JGRE defense
 	// creates /proc/jgre_ipc_log as system-only so that malicious apps
@@ -33,8 +29,8 @@ type procFile struct {
 }
 
 // ProcFS is a minimal in-memory proc filesystem with per-file read
-// permissions. Writes are restricted to the file owner (the kernel-side
-// producer); reads honour the world-readable bit.
+// permissions. Every file is provider-backed: its owner supplies the
+// contents, and reads honour the world-readable bit.
 type ProcFS struct {
 	mu    sync.Mutex
 	files map[string]*procFile
@@ -47,50 +43,17 @@ func NewProcFS() *ProcFS {
 
 // Reset empties the filesystem in place, keeping the path map's
 // storage. The fleet slot recycle path rewinds a retired clone's procfs
-// before the template's data files are copied back in.
+// before the new device's producers register their files.
 func (fs *ProcFS) Reset() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	clear(fs.files)
 }
 
-// CloneInto copies the receiver's data files into dst. Provider-backed
-// files are deliberately NOT carried over: their render closures are
-// bound to the template's producers (metrics registry, log ring), and
-// each producer re-registers its provider against the clone during
-// device cloning.
-func (fs *ProcFS) CloneInto(dst *ProcFS) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for path, f := range fs.files {
-		if f.render != nil {
-			continue
-		}
-		dst.files[path] = &procFile{
-			data:          append([]byte(nil), f.data...),
-			worldReadable: f.worldReadable,
-			ownerUid:      f.ownerUid,
-		}
-	}
-}
-
-// Create registers a new file owned by ownerUid. It fails if the path
-// already exists.
-func (fs *ProcFS) Create(path string, ownerUid Uid, worldReadable bool) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; ok {
-		return fmt.Errorf("create %s: %w", path, ErrFileExists)
-	}
-	fs.files[path] = &procFile{ownerUid: ownerUid, worldReadable: worldReadable}
-	return nil
-}
-
-// CreateProvider registers a provider-backed file: reads invoke render
-// (which must return bytes the caller may keep) instead of copying stored
-// data, so producers with a cheaper native representation only pay for
-// text rendering when somebody actually opens the file. The permission
-// model is identical to Create; Write and Append are rejected.
+// CreateProvider registers a file owned by ownerUid whose reads invoke
+// render (which must return bytes the caller may keep), so producers
+// with a cheaper native representation only pay for text rendering when
+// somebody actually opens the file. It fails if the path already exists.
 func (fs *ProcFS) CreateProvider(path string, ownerUid Uid, worldReadable bool, render func() []byte) error {
 	if render == nil {
 		return fmt.Errorf("create %s: nil provider", path)
@@ -104,50 +67,33 @@ func (fs *ProcFS) CreateProvider(path string, ownerUid Uid, worldReadable bool, 
 	return nil
 }
 
-// Write replaces the file contents. Only the owner may write; provider
-// files are owned by their render function and reject writes.
-func (fs *ProcFS) Write(path string, uid Uid, data []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return fmt.Errorf("write %s: %w", path, ErrNoSuchFile)
-	}
-	if uid != f.ownerUid && uid != RootUid {
-		return fmt.Errorf("write %s by uid %d: %w", path, uid, ErrPermissionDenied)
-	}
-	if f.render != nil {
-		return fmt.Errorf("write %s: provider file: %w", path, ErrPermissionDenied)
-	}
-	f.data = append([]byte(nil), data...)
-	return nil
-}
-
-// Append appends to the file contents. Only the owner may append;
-// provider files reject appends.
-func (fs *ProcFS) Append(path string, uid Uid, data []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return fmt.Errorf("append %s: %w", path, ErrNoSuchFile)
-	}
-	if uid != f.ownerUid && uid != RootUid {
-		return fmt.Errorf("append %s by uid %d: %w", path, uid, ErrPermissionDenied)
-	}
-	if f.render != nil {
-		return fmt.Errorf("append %s: provider file: %w", path, ErrPermissionDenied)
-	}
-	f.data = append(f.data, data...)
-	return nil
-}
-
-// Read returns a copy of the file contents, enforcing read permission:
-// the owner, root and the system uid always read; other uids only if the
-// file is world-readable. Provider files render on demand.
+// Read renders the file's contents, enforcing read permission: the
+// owner, root and the system uid always read; other uids only if the
+// file is world-readable.
 func (fs *ProcFS) Read(path string, uid Uid) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	f, err := fs.readable(path, uid)
+	if err != nil {
+		return nil, err
+	}
+	return f.render(), nil
+}
+
+// CheckRead verifies that uid could read path — existence plus the same
+// ACL Read enforces — without rendering the contents. Producers that
+// hand out their native representation directly (the binder driver's
+// struct-record log reads) use this so the permission model stays the
+// procfs's even when no text is rendered.
+func (fs *ProcFS) CheckRead(path string, uid Uid) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	_, err := fs.readable(path, uid)
+	return err
+}
+
+// readable returns path's file if uid may read it. The caller holds mu.
+func (fs *ProcFS) readable(path string, uid Uid) (*procFile, error) {
 	f, ok := fs.files[path]
 	if !ok {
 		return nil, fmt.Errorf("read %s: %w", path, ErrNoSuchFile)
@@ -155,28 +101,7 @@ func (fs *ProcFS) Read(path string, uid Uid) ([]byte, error) {
 	if !f.worldReadable && uid != f.ownerUid && uid != RootUid && uid != SystemUid {
 		return nil, fmt.Errorf("read %s by uid %d: %w", path, uid, ErrPermissionDenied)
 	}
-	if f.render != nil {
-		return f.render(), nil
-	}
-	return append([]byte(nil), f.data...), nil
-}
-
-// CheckRead verifies that uid could read path — existence plus the same
-// ACL Read enforces — without materializing the contents. Producers that
-// hand out their native representation directly (the binder driver's
-// struct-record log reads) use this so the permission model stays the
-// procfs's even when no text is rendered.
-func (fs *ProcFS) CheckRead(path string, uid Uid) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return fmt.Errorf("read %s: %w", path, ErrNoSuchFile)
-	}
-	if !f.worldReadable && uid != f.ownerUid && uid != RootUid && uid != SystemUid {
-		return fmt.Errorf("read %s by uid %d: %w", path, uid, ErrPermissionDenied)
-	}
-	return nil
+	return f, nil
 }
 
 // Remove deletes a file. Only the owner or root may remove it.
@@ -192,17 +117,4 @@ func (fs *ProcFS) Remove(path string, uid Uid) error {
 	}
 	delete(fs.files, path)
 	return nil
-}
-
-// List returns all paths in sorted order (no permission needed, matching
-// procfs directory listings).
-func (fs *ProcFS) List() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

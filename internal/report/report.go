@@ -76,16 +76,11 @@ func Write(w io.Writer, in Input) error {
 		p("| Lost to ring-buffer eviction | %d |\n", s.IPCLogRingDropped)
 		p("| Failed log reads | %d |\n", s.IPCLogReadErrors)
 		p("| Binder transactions total | %d |\n", s.Transactions)
-		p("| Trace-journal events evicted | %d |\n", s.TraceDropped)
 		if s.TraceSpans > 0 || s.TraceSpanDrops > 0 {
 			p("| Flight-recorder spans held | %d |\n", s.TraceSpans)
 			p("| Flight-recorder spans evicted | %d |\n", s.TraceSpanDrops)
 		}
 		p("\n")
-		if s.TraceDropped > 0 {
-			p("> %d journal events were evicted by the bounded trace ring: the forensic\n", s.TraceDropped)
-			p("> timeline in this report is incomplete.\n\n")
-		}
 		if s.TraceSpanDrops > 0 {
 			p("> %d causal spans were evicted from the bounded flight-recorder ring:\n", s.TraceSpanDrops)
 			p("> span chains in the trace export may be missing their oldest links.\n\n")
@@ -138,12 +133,11 @@ func Write(w io.Writer, in Input) error {
 }
 
 // anyHealthCounter reports whether a telemetry-health counter is
-// nonzero: IPC-log volume, loss or read errors, journal or
-// flight-recorder evictions, retained spans, or an attached defender's
-// health.
+// nonzero: IPC-log volume, loss or read errors, flight-recorder
+// evictions, retained spans, or an attached defender's health.
 func anyHealthCounter(s *device.Stats) bool {
 	return s.IPCLogSeq > 0 || s.IPCLogDropped > 0 || s.IPCLogRingDropped > 0 || s.IPCLogReadErrors > 0 ||
-		s.TraceDropped > 0 || s.TraceSpans > 0 || s.TraceSpanDrops > 0 || s.Defender != nil
+		s.TraceSpans > 0 || s.TraceSpanDrops > 0 || s.Defender != nil
 }
 
 func writePipeline(p func(string, ...interface{}), res *analysis.PipelineResult) {

@@ -117,7 +117,7 @@ func TestWriteTelemetryHealthSection(t *testing.T) {
 		Telemetry: &device.Stats{
 			IPCLogSeq: 9000, IPCLogDropped: 120, IPCLogRingDropped: 40,
 			IPCLogReadErrors: 2, Transactions: 15000,
-			TraceDropped: 310,
+			TraceSpans: 4096, TraceSpanDrops: 310,
 			Defender: &device.DefenderHealth{
 				Detections: 3, Coverage: 0.87, FallbackUsed: true,
 				ReadRetries: 4, AnalysisRestarts: 1, GuardStops: 2,
@@ -130,8 +130,8 @@ func TestWriteTelemetryHealthSection(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"## Telemetry health",
-		"| Trace-journal events evicted | 310 |",
-		"timeline in this report is incomplete",
+		"| Flight-recorder spans evicted | 310 |",
+		"310 causal spans were evicted",
 		"### Defender health",
 		"| Engagements | 3 |",
 		"| Last-window coverage | 0.87 |",
@@ -147,7 +147,7 @@ func TestWriteTelemetryHealthSection(t *testing.T) {
 
 func TestWriteTelemetryDefenderOnly(t *testing.T) {
 	// No IPC-log records at all: the section still renders when the stats
-	// carry defender health or an incomplete timeline.
+	// carry defender health or flight-recorder evictions.
 	var sb strings.Builder
 	if err := Write(&sb, Input{Telemetry: &device.Stats{Defender: &device.DefenderHealth{Detections: 1, Coverage: 1}}}); err != nil {
 		t.Fatal(err)

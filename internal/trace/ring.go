@@ -1,3 +1,10 @@
+// Package trace holds the simulator's bounded records and the causal
+// tracing built on them. Ring is the one bounded buffer: it keeps the
+// newest entries oldest first and counts what it evicts. The Recorder,
+// the telemetry sampler's series and the binder driver's pending IPC log
+// are all Rings. The Recorder is the per-device flight recorder of causal
+// spans; its Spans is the one way spans leave a device, and ExportChrome
+// writes them as trace-event JSON for Perfetto.
 package trace
 
 import "slices"

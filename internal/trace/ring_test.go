@@ -68,7 +68,8 @@ func FuzzRing(f *testing.F) {
 	} {
 		f.Add(tc.capacity, script(tc.runs...))
 	}
-	// The journal's capacities: fill to 3× capacity, Reset mid-wrap, refill.
+	// Repeated wraps: fill to 3× capacity, Reset mid-wrap with the oldest
+	// entry away from slot 0, refill.
 	for _, c := range []int{1, 2, 5, 64} {
 		s := append(script(3*c), byte(c/2+1), opReset)
 		f.Add(uint8(c), append(s, script(c+c/2+1)...))
@@ -115,7 +116,7 @@ func FuzzRing(f *testing.F) {
 
 // TestRingAllocs pins the two allocation properties the fleet benchmark
 // leans on. A new ring allocates nothing before its first push, so a
-// device that journals or traces little holds little. A ring refilled
+// device that logs or traces little holds little. A ring refilled
 // after Reset to its previous length allocates nothing, so a recycled
 // slot's buffers never regrow.
 func TestRingAllocs(t *testing.T) {

@@ -7,8 +7,9 @@
 # Each results/<scenario>.txt is the stdout of
 # `jgre-run <scenario> -scale full`, so the files themselves are the
 # scenario list: add a scenario's file to pin its report. report.md is
-# jgre-report's assessment. TestResultsCurrent (cmd/jgre-run) fails when
-# a file here no longer matches what the code prints.
+# jgre-report's assessment. TestResultsCurrent (cmd/jgre-run) and
+# TestReportCurrent (cmd/jgre-report) fail when a file here no longer
+# matches what the code prints.
 set -euo pipefail
 
 bin=$(mktemp -d)

@@ -20,7 +20,6 @@ import (
 // to a check that overflows that ring by over entries and returns the
 // drop count its public reader reports.
 var ringOwners = map[string]func(t *testing.T, over int) uint64{
-	"internal/trace/trace.go":       journalDrops,
 	"internal/trace/span.go":        recorderDrops,
 	"internal/binder/driver.go":     ipcLogDrops,
 	"internal/telemetry/sampler.go": samplerDrops,
@@ -86,17 +85,6 @@ func bootDevice(t *testing.T, cfg device.Config) *device.Device {
 		t.Fatal(err)
 	}
 	return dev
-}
-
-// journalDrops fills the device journal past its bound and reads
-// Stats().TraceDropped.
-func journalDrops(t *testing.T, over int) uint64 {
-	dev := bootDevice(t, device.Config{Seed: 1})
-	j := dev.Journal()
-	for range j.Cap() - j.Len() + over {
-		j.Add(0, trace.KindNote, "filler", "overflow")
-	}
-	return uint64(dev.Stats().TraceDropped)
 }
 
 // recorderDrops fills a small flight recorder past its bound and reads
