@@ -29,9 +29,10 @@ vet:
 # boots through, plus the tracing-enabled paths (binder span emission,
 # art JGR hooks, defender causal spans, the recorder/exporter) and the
 # traced-fleet capture that runs them across worker goroutines, and the
-# lock-free virtual clock every layer reads.
+# lock-free virtual clock every layer reads, and the service dispatch
+# tables every boot, soft reboot and client on any goroutine shares.
 race:
-	$(GO) test -race ./internal/parallel ./internal/experiments ./internal/analysis ./internal/scenario ./internal/defense ./internal/binder ./internal/faults ./internal/event ./internal/device ./internal/chaos ./internal/fleet ./internal/art ./internal/trace ./internal/simclock ./cmd/jgre-trace
+	$(GO) test -race ./internal/parallel ./internal/experiments ./internal/analysis ./internal/scenario ./internal/defense ./internal/binder ./internal/faults ./internal/event ./internal/device ./internal/chaos ./internal/fleet ./internal/art ./internal/trace ./internal/simclock ./internal/services ./cmd/jgre-trace
 
 # Coverage-guided fuzzing smoke: the kernel log-record parser (the one
 # spot where the defender consumes a wire format), the differential pin
@@ -74,16 +75,22 @@ bench-profile:
 	$(GO) run ./cmd/jgre-bench -cpuprofile cpu.pprof -memprofile mem.pprof -bench-json -
 
 # bench_gate fails unless every benchmark named in $(1) ran in the
-# `go test -bench` output file $(2) at no more ns/op than its ceiling in
-# BENCH_hotpath.json's max_ns_per_op, which is where the numbers live.
-bench_gate = awk -v names='$(1)' ' \
-	FNR == NR { if (split($$0, q, "\"") >= 3 && q[2] ~ /^Benchmark/) { v = q[3]; gsub(/[^0-9]/, "", v); max[q[2]] = v + 0 } next } \
-	{ b = $$1; sub(/-[0-9]+$$/, "", b); if (b in max) ns[b] = $$3 + 0 } \
-	END { n = split(names, want, " "); for (i = 1; i <= n; i++) { b = want[i]; \
-		if (!(b in max)) { printf "bench-smoke: BENCH_hotpath.json has no max_ns_per_op for %s\n", b; exit 1 } \
-		if (!(b in ns)) { printf "bench-smoke: %s did not run\n", b; exit 1 } \
-		if (ns[b] > max[b]) { printf "bench-smoke: %s %d ns/op exceeds its %d ns/op ceiling (BENCH_hotpath.json)\n", b, ns[b], max[b]; exit 1 } \
-		printf "bench-smoke: %s %d ns/op (ceiling %d)\n", b, ns[b], max[b] } }' \
+# `go test -bench` output file $(2) with a median over its runs (one run
+# is its own median) of no more $(4) than its ceiling in the $(3) map of
+# BENCH_hotpath.json, which is where the numbers live. Only the lines
+# inside that map are read as ceilings.
+bench_gate = awk -v names='$(1)' -v key='$(3)' -v unit='$(4)' ' \
+	FNR == NR { if ($$0 ~ "\"" key "\": *[{]") { inmap = 1; next } if (inmap && $$0 ~ /}/) inmap = 0; \
+		if (inmap && split($$0, q, "\"") >= 3 && q[2] ~ /^Benchmark/) { v = q[3]; gsub(/[^0-9]/, "", v); max[q[2]] = v + 0 } next } \
+	{ b = $$1; sub(/-[0-9]+$$/, "", b); if (b in max) for (i = 3; i <= NF; i++) if ($$i == unit) { runs[b]++; val[b, runs[b]] = $$(i-1) + 0 } } \
+	END { n = split(names, want, " "); for (w = 1; w <= n; w++) { b = want[w]; \
+		if (!(b in max)) { printf "bench-smoke: BENCH_hotpath.json has no %s for %s\n", key, b; exit 1 } \
+		if (!(b in runs)) { printf "bench-smoke: %s did not run\n", b; exit 1 } \
+		k = runs[b]; for (i = 1; i <= k; i++) s[i] = val[b, i]; \
+		for (i = 2; i <= k; i++) { x = s[i]; for (j = i - 1; j >= 1 && s[j] > x; j--) s[j+1] = s[j]; s[j+1] = x } \
+		med = (k % 2) ? s[(k+1)/2] : (s[k/2] + s[k/2+1]) / 2; \
+		if (med > max[b]) { printf "bench-smoke: %s median %d %s of %d runs exceeds its %d %s ceiling (BENCH_hotpath.json)\n", b, med, unit, k, max[b], unit; exit 1 } \
+		printf "bench-smoke: %s median %d %s of %d runs (ceiling %d)\n", b, med, unit, k, max[b] } }' \
 	BENCH_hotpath.json $(2)
 
 # One iteration of every micro-benchmark: catches benchmarks that broke
@@ -100,14 +107,18 @@ bench_gate = awk -v names='$(1)' ' \
 # then the rewind — stays on the slot array (BenchmarkJGRTableAttack,
 # 50x), and the tracing-off
 # logged-transact paths stay within 5% of their recorded baselines
-# (BenchmarkTransactLogged, 2000x). The device-clone gate holds
+# (BenchmarkTransactLogged, the median of 5 runs at 2000x: one run's
+# mean spreads past 5% on host noise alone). The device-clone gate holds
 # BenchmarkDeviceClone's B/op and allocs/op (deterministic, unlike its
 # ns/op) to at most 5% over the clone_bytes_per_op/clone_allocs_per_op
 # that `make bench-json` writes into BENCH_parallel.json, read from that
-# file. BenchmarkSoftReboot runs once so the reboot-layer benchmark
-# cannot rot. The fleet gate holds recycled slots to at least
-# min_recycle_clone_ratio times clone-per-device throughput
-# (BenchmarkFleet), read from BENCH_fleet.json.
+# file. The soft-reboot gate holds BenchmarkSoftReboot's allocs/op
+# (deterministic: only the timed reboot counts, 20x) to its
+# max_allocs_per_op ceiling in BENCH_hotpath.json, 5% over the measured
+# value, so a reboot that rebuilds what every boot shares fails. The
+# fleet gate holds recycled slots to at least min_recycle_clone_ratio
+# times clone-per-device throughput (BenchmarkFleet), read from
+# BENCH_fleet.json.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/services ./internal/telemetry \
 		| tee /tmp/jgre-bench-smoke.out
@@ -115,13 +126,13 @@ bench-smoke:
 		|| { echo 'bench-smoke: telemetry overhead benchmark did not run'; exit 1; }
 	$(GO) test -bench='^BenchmarkCorrelate$$/^incremental$$' -benchtime=50x -run '^$$' ./internal/defense \
 		| tee /tmp/jgre-correlate-smoke.out
-	@$(call bench_gate,BenchmarkCorrelate/incremental,/tmp/jgre-correlate-smoke.out)
+	@$(call bench_gate,BenchmarkCorrelate/incremental,/tmp/jgre-correlate-smoke.out,max_ns_per_op,ns/op)
 	$(GO) test -bench='^BenchmarkKillRegistrant$$/^entries=6000$$' -benchtime=20x -run '^$$' ./internal/services \
 		| tee /tmp/jgre-kill-smoke.out
-	@$(call bench_gate,BenchmarkKillRegistrant/entries=6000,/tmp/jgre-kill-smoke.out)
+	@$(call bench_gate,BenchmarkKillRegistrant/entries=6000,/tmp/jgre-kill-smoke.out,max_ns_per_op,ns/op)
 	$(GO) test -bench='^BenchmarkJGRTableAttack$$' -benchtime=50x -run '^$$' ./internal/art \
 		| tee /tmp/jgre-table-smoke.out
-	@$(call bench_gate,BenchmarkJGRTableAttack,/tmp/jgre-table-smoke.out)
+	@$(call bench_gate,BenchmarkJGRTableAttack,/tmp/jgre-table-smoke.out,max_ns_per_op,ns/op)
 	$(GO) test -bench='^BenchmarkDevice(Boot|Clone)$$' -benchtime=400x -benchmem -run '^$$' . \
 		| tee /tmp/jgre-clone-smoke.out
 	@awk -F '[:,]' 'FNR == NR { if ($$1 ~ /"clone_bytes_per_op"/) jb = $$2 + 0; if ($$1 ~ /"clone_allocs_per_op"/) ja = $$2 + 0; next } \
@@ -131,10 +142,12 @@ bench-smoke:
 			if (b > jb * 1.05 || a > ja * 1.05) { printf "bench-smoke: device clone %d B/op, %d allocs/op exceeds 5%% over BENCH_parallel.json (%d B/op, %d allocs/op)\n", b, a, jb, ja; exit 1 } \
 			printf "bench-smoke: device clone %d B/op, %d allocs/op (BENCH_parallel.json %d, %d; gate +5%%)\n", b, a, jb, ja }' \
 		BENCH_parallel.json /tmp/jgre-clone-smoke.out
-	$(GO) test -bench='^BenchmarkSoftReboot$$' -benchtime=1x -run '^$$' ./internal/device
-	$(GO) test -bench='^BenchmarkTransactLogged$$' -benchtime=2000x -run '^$$' ./internal/binder \
+	$(GO) test -bench='^BenchmarkSoftReboot$$' -benchtime=20x -benchmem -run '^$$' ./internal/device \
+		| tee /tmp/jgre-reboot-smoke.out
+	@$(call bench_gate,BenchmarkSoftReboot,/tmp/jgre-reboot-smoke.out,max_allocs_per_op,allocs/op)
+	$(GO) test -bench='^BenchmarkTransactLogged$$' -benchtime=2000x -count=5 -run '^$$' ./internal/binder \
 		| tee /tmp/jgre-hotpath-smoke.out
-	@$(call bench_gate,BenchmarkTransactLogged/unbounded BenchmarkTransactLogged/ring-flood,/tmp/jgre-hotpath-smoke.out)
+	@$(call bench_gate,BenchmarkTransactLogged/unbounded BenchmarkTransactLogged/ring-flood,/tmp/jgre-hotpath-smoke.out,max_ns_per_op,ns/op)
 	$(GO) test -bench='^BenchmarkFleet$$' -benchtime=2x -run '^$$' ./internal/fleet \
 		| tee /tmp/jgre-fleet-smoke.out
 	@awk 'FNR == NR { if ($$1 == "\"min_recycle_clone_ratio\":") min = $$2 + 0; next } \

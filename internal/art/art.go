@@ -71,8 +71,7 @@ type ObjectID uint64
 // Object is a simulated Java heap object. Objects are created by the
 // binder layer (binder proxies, listener records) and by services.
 type Object struct {
-	ID    ObjectID
-	Class string
+	ID ObjectID
 }
 
 // IndirectRef is an opaque handle into one of a runtime's reference

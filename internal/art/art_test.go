@@ -15,7 +15,7 @@ func newTestVM(t *testing.T, cfg Config) (*VM, *simclock.Clock) {
 	return NewVM("test_proc", clock, cfg), clock
 }
 
-func obj(id uint64) *Object { return &Object{ID: ObjectID(id), Class: "android.os.Binder"} }
+func obj(id uint64) *Object { return &Object{ID: ObjectID(id)} }
 
 func TestAddDeleteGlobalRef(t *testing.T) {
 	vm, _ := newTestVM(t, Config{})

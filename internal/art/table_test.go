@@ -103,7 +103,7 @@ func newRefHarness(t *testing.T, vm *VM, clock *simclock.Clock, m *refModel, abo
 
 func (h *refHarness) nextObj() *Object {
 	h.objID++
-	return &Object{ID: h.objID, Class: "android.os.Binder"}
+	return &Object{ID: h.objID}
 }
 
 func (h *refHarness) wantStale(what string, err error) {
@@ -447,7 +447,7 @@ func sameAsFreshClone(t *testing.T, vm, tmpl *VM) {
 	if got, want := vm.GC(), fresh.GC(); got != want {
 		t.Fatalf("rewound VM GC freed %d, fresh clone %d", got, want)
 	}
-	o := &Object{ID: 1, Class: "android.os.Binder"}
+	o := &Object{ID: 1}
 	for i := 0; i < 72; i++ {
 		add := vm.AddGlobalRef
 		addFresh := fresh.AddGlobalRef
@@ -541,7 +541,7 @@ func BenchmarkJGRTableAttack(b *testing.B) {
 	vm := tmpl.Clone(clock, nil)
 	var seen int
 	hook := func(ev JGREvent) { seen = ev.Count }
-	o := &Object{ID: 1 << 20, Class: "android.os.Binder"}
+	o := &Object{ID: 1 << 20}
 	refs := make([]IndirectRef, 12000)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -210,8 +210,7 @@ func (c *procContext) materialize(b IBinder) (*BinderRef, error) {
 		return existing, nil
 	}
 	px := &proxy{driver: c.driver, node: n, holder: c.proc}
-	obj := c.driver.scratch(c.driver.nextObjectID(), "android.os.BinderProxy")
-	jgr, err := c.proc.VM().AddGlobalRef(obj)
+	jgr, err := c.proc.VM().AddGlobalRef(&art.Object{ID: c.driver.nextObjectID()})
 	if err != nil {
 		// The reading process just exhausted its own JGR table; its
 		// runtime has aborted and the kernel reaped it.
@@ -284,13 +283,6 @@ type Driver struct {
 	droppedFault uint64
 	readErrs     uint64
 	procfsOpened bool
-
-	// scratchObj is the reusable Object header for the JGR-hook emit
-	// path: art tables copy the object id out of the header, so the
-	// driver's hot allocations (proxy materialization, owner-side pins,
-	// transient local refs) can share one header instead of allocating a
-	// fresh Object per reference.
-	scratchObj art.Object
 
 	// txBytes is the only push-based instrument on the transact hot path
 	// (nil when Config.Metrics is unset): a fixed-bucket payload-size
@@ -470,15 +462,6 @@ func (d *Driver) nextObjectID() art.ObjectID {
 	return d.nextObj
 }
 
-// scratch fills the driver's reusable Object header. The art tables copy
-// the id out of the header on Add*, so the pointer may be reused for the
-// next reference as soon as the call returns; the driver is
-// single-threaded per device, making one header per driver safe.
-func (d *Driver) scratch(id art.ObjectID, class string) *art.Object {
-	d.scratchObj = art.Object{ID: id, Class: class}
-	return &d.scratchObj
-}
-
 // NewLocalBinder creates a binder object owned by proc. handler may be nil
 // for pure token binders.
 func (d *Driver) NewLocalBinder(proc *kernel.Process, class string, handler Transactor) *LocalBinder {
@@ -556,8 +539,7 @@ func (d *Driver) NodeCount() int { return len(d.nodes) }
 func (d *Driver) addRemoteRef(n *node) {
 	n.remoteRefs++
 	if n.remoteRefs == 1 && !n.dead && n.owner.Alive() && n.ownerJGR == 0 {
-		obj := d.scratch(d.nextObjectID(), n.local.class)
-		jgr, err := n.owner.VM().AddGlobalRef(obj)
+		jgr, err := n.owner.VM().AddGlobalRef(&art.Object{ID: d.nextObjectID()})
 		if err != nil {
 			// The owner exhausted its own table (e.g. an attacker
 			// minting tens of thousands of tokens); the kernel has
@@ -759,8 +741,7 @@ func (d *Driver) linkToDeath(p *proxy, fn func()) (*DeathLink, error) {
 		return nil, ErrDeadObject
 	}
 	holder := d.context(p.holder)
-	obj := d.scratch(d.nextObjectID(), "android.os.Binder$JavaDeathRecipient")
-	jgr, err := holder.proc.VM().AddGlobalRef(obj)
+	jgr, err := holder.proc.VM().AddGlobalRef(&art.Object{ID: d.nextObjectID()})
 	if err != nil {
 		return nil, fmt.Errorf("binder: linkToDeath in %s: %w", holder.proc.Name(), err)
 	}

@@ -277,7 +277,7 @@ func (p *Parcel) ReadStrongBinder() (*BinderRef, error) {
 	// JNI hands the unmarshalled object to the handler through a local
 	// reference in the current frame (freed when the transaction pops
 	// its frame); retention beyond the call requires the global ref.
-	if _, lerr := p.reader.proc.VM().AddLocalRef(p.reader.driver.scratch(localObjID(ref), "android.os.IBinder")); lerr != nil {
+	if _, lerr := p.reader.proc.VM().AddLocalRef(&art.Object{ID: localObjID(ref)}); lerr != nil {
 		return nil, lerr
 	}
 	if ref.jgr != 0 {

@@ -8,6 +8,7 @@ package device
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/apps"
@@ -316,7 +317,6 @@ func (d *Device) startSystem() error {
 		}
 		svc, err := services.New(services.Config{
 			Meta:           meta,
-			Ifaces:         catalog.InterfacesForService(meta.Name),
 			Host:           host,
 			Driver:         d.driver,
 			Clock:          d.clock,
@@ -381,12 +381,22 @@ func (d *Device) publishPrebuiltServices() error {
 	return nil
 }
 
+// daemonNames names the baseline fillers, daemon0 … daemon381, once per
+// process: every boot and soft reboot spawns fillers from the same list.
+var daemonNames = func() []string {
+	names := make([]string, DefaultBaselineProcesses)
+	for i := range names {
+		names[i] = "daemon" + strconv.Itoa(i)
+	}
+	return names
+}()
+
 // spawnBaselineFillers brings the process count up to the stock-Android
 // level (Fig. 4's 382) with inert native daemons.
 func (d *Device) spawnBaselineFillers() {
 	for i := d.kern.RunningCount(); i < DefaultBaselineProcesses; i++ {
 		d.kern.Spawn(kernel.SpawnConfig{
-			Name:        fmt.Sprintf("daemon%d", i),
+			Name:        daemonNames[i],
 			Uid:         kernel.RootUid,
 			OomScoreAdj: kernel.PersistentProcAdj,
 			MemoryKB:    1024,
@@ -546,7 +556,6 @@ func (d *Device) RestartHost(name string) error {
 		d.sm.RemoveService(meta.Name)
 		svc, err := services.New(services.Config{
 			Meta:           meta,
-			Ifaces:         catalog.InterfacesForService(meta.Name),
 			Host:           host,
 			Driver:         d.driver,
 			Clock:          d.clock,
@@ -693,8 +702,7 @@ func (d *Device) RegisterBroadcastReceiver(proc *kernel.Process) error {
 		return fmt.Errorf("device: dead registrant")
 	}
 	d.broadcastSeq++
-	obj := &art.Object{ID: art.ObjectID(1<<40 + d.broadcastSeq), Class: "android.content.BroadcastReceiver"}
-	ref, err := d.systemServer.VM().AddGlobalRef(obj)
+	ref, err := d.systemServer.VM().AddGlobalRef(&art.Object{ID: art.ObjectID(1<<40 + d.broadcastSeq)})
 	if err != nil {
 		return err
 	}

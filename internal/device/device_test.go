@@ -1,7 +1,10 @@
 package device
 
 import (
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/art"
@@ -328,6 +331,120 @@ func TestSoftRebootKillsAttacker(t *testing.T) {
 	if got := evil.LastExitReason(); !strings.HasPrefix(got, "soft reboot: ") {
 		t.Fatalf("attacker exit reason = %q, want a soft reboot", got)
 	}
+}
+
+// exhaust drives an attacker's clipboard registrations on d until
+// system_server's JGR table overflows and the device soft-reboots.
+func exhaust(d *Device) error {
+	evil, err := d.Apps().Install("com.evil.app")
+	if err != nil {
+		return err
+	}
+	c, err := d.NewClient(evil, "clipboard")
+	if err != nil {
+		return err
+	}
+	for d.SoftReboots() == 0 {
+		if err := c.Register("addPrimaryClipChangedListener"); err != nil && d.SoftReboots() == 0 {
+			return err
+		}
+	}
+	return nil
+}
+
+// bootState is what a soft reboot must restore, pids and binder handles
+// aside: every service's method name → code table, system_server's and
+// each host's JGR count, the running-process count and the sorted
+// process names.
+type bootState struct {
+	codes   map[string]map[string]binder.TxCode
+	jgr     map[string]int
+	running int
+	names   []string
+}
+
+func bootStateOf(d *Device) bootState {
+	st := bootState{
+		codes:   make(map[string]map[string]binder.TxCode),
+		jgr:     map[string]int{kernel.SystemServerName: d.SystemServer().VM().GlobalRefCount()},
+		running: d.Kernel().RunningCount(),
+	}
+	for _, meta := range catalog.Services() {
+		svc := d.Service(meta.Name)
+		codes := make(map[string]binder.TxCode)
+		for _, m := range svc.MethodNames() {
+			codes[m], _ = svc.Code(m)
+		}
+		st.codes[meta.Name] = codes
+	}
+	for _, h := range d.HostNames() {
+		st.jgr[h] = d.Host(h).VM().GlobalRefCount()
+	}
+	for _, p := range d.Kernel().Processes() {
+		st.names = append(st.names, p.Name())
+	}
+	sort.Strings(st.names)
+	return st
+}
+
+// TestSoftRebootRestoresBootState exhausts system_server on a cloned and
+// on a freshly booted device and checks that the soft reboot rebuilt
+// what a fresh boot builds.
+func TestSoftRebootRestoresBootState(t *testing.T) {
+	cfg := Config{Seed: 1, ServerVM: art.Config{MaxGlobalRefs: 2200}}
+	fresh, err := BootFresh(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bootStateOf(fresh)
+	for name, bootFn := range map[string]func(Config) (*Device, error){"clone": Boot, "fresh": BootFresh} {
+		d, err := bootFn(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := exhaust(d); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := bootStateOf(d)
+		if !reflect.DeepEqual(got.codes, want.codes) {
+			t.Errorf("%s: service code tables after the reboot differ from a fresh boot's", name)
+		}
+		if !reflect.DeepEqual(got.jgr, want.jgr) {
+			t.Errorf("%s: JGR counts after the reboot = %v, fresh boot %v", name, got.jgr, want.jgr)
+		}
+		if got.running != want.running {
+			t.Errorf("%s: RunningCount after the reboot = %d, fresh boot %d", name, got.running, want.running)
+		}
+		if !reflect.DeepEqual(got.names, want.names) {
+			t.Errorf("%s: process names after the reboot differ from a fresh boot's", name)
+		}
+	}
+}
+
+// TestConcurrentSoftReboots boots two devices from scratch on two
+// goroutines and soft-reboots each: the service tables every boot and
+// reboot reads are shared process-wide (run under -race via `make race`).
+func TestConcurrentSoftReboots(t *testing.T) {
+	var wg sync.WaitGroup
+	for seed := int64(1); seed <= 2; seed++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			d, err := BootFresh(Config{Seed: seed, ServerVM: art.Config{MaxGlobalRefs: 2000}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := exhaust(d); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+				return
+			}
+			if d.SoftReboots() != 1 || !d.SystemServer().Alive() {
+				t.Errorf("seed %d: soft reboots = %d, system_server alive = %v", seed, d.SoftReboots(), d.SystemServer().Alive())
+			}
+		}(seed)
+	}
+	wg.Wait()
 }
 
 // BenchmarkSoftReboot times the soft-reboot layer on its own:

@@ -72,7 +72,8 @@ func TestShardCounts(t *testing.T) {
 // return promptly with ctx.Err() in the chain, for at least one
 // parallelizable scenario in every group that has one (the baseline
 // group's only scenario is sequential). The pool's fail-fast semantics
-// mean no full sweep runs after the cancel.
+// mean no full sweep runs after the cancel. A sweep fast enough to
+// finish before the cancel lands runs again on a cancelled context.
 func TestCancellationPropagates(t *testing.T) {
 	picked := make(map[string]Scenario)
 	for _, sc := range List() {
@@ -104,7 +105,13 @@ func TestCancellationPropagates(t *testing.T) {
 				if elapsed > 100*time.Millisecond {
 					t.Fatalf("no error despite cancellation (ran %v)", elapsed)
 				}
-				t.Skipf("sweep finished in %v before the cancel landed", elapsed)
+				// The sweep finished in elapsed before the cancel landed,
+				// so check propagation on an already-cancelled context.
+				pre, cancelPre := context.WithCancel(context.Background())
+				cancelPre()
+				start = time.Now()
+				env, err = sc.Execute(pre, Params{Scale: Quick, Workers: 4})
+				elapsed = time.Since(start)
 			}
 			if env != nil {
 				t.Errorf("envelope returned alongside error: %+v", env)

@@ -153,10 +153,9 @@ func newStoreRig(t *testing.T, oracle bool) *storeRig {
 	})
 	r.watcher = k.Spawn(kernel.SpawnConfig{Name: "watcher", Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj})
 	meta, _ := catalog.ServiceByName("print")
-	ifaces := catalog.InterfacesForService("print")
 	if !oracle {
 		svc, err := New(Config{
-			Meta: meta, Ifaces: ifaces, Host: r.server, Driver: d, Clock: clock,
+			Meta: meta, Host: r.server, Driver: d, Clock: clock,
 			Perms: permissions.NewManager(), Seed: 1,
 		}, r.sm)
 		if err != nil {
@@ -166,7 +165,7 @@ func newStoreRig(t *testing.T, oracle bool) *storeRig {
 		return r
 	}
 	r.oracle = &sliceStore{names: map[binder.TxCode]string{}, entries: map[string][]*sliceEntry{}}
-	for name, code := range MethodCodes(ifaces) {
+	for name, code := range MethodCodes(catalog.InterfacesForService("print")) {
 		r.oracle.names[code] = name
 	}
 	if err := r.sm.AddService("print", d.NewLocalBinder(r.server, meta.Class, binder.TransactorFunc(r.oracle.onTransact))); err != nil {

@@ -41,7 +41,7 @@ type Client struct {
 	driver      *binder.Driver
 	sm          *binder.ServiceManager
 	ref         *binder.BinderRef
-	codes       map[string]binder.TxCode // shared per service; read-only
+	tab         *dispatch
 	pkg         string
 	retry       RetryPolicy
 	retries     int
@@ -62,7 +62,7 @@ func NewClient(sm *binder.ServiceManager, d *binder.Driver, proc *kernel.Process
 		driver:      d,
 		sm:          sm,
 		ref:         ref,
-		codes:       serviceCodes(serviceName),
+		tab:         dispatchFor(serviceName),
 		pkg:         pkg,
 	}, nil
 }
@@ -121,7 +121,7 @@ func (c *Client) Proc() *kernel.Process { return c.proc }
 
 // code resolves a method name.
 func (c *Client) code(method string) (binder.TxCode, error) {
-	code, ok := c.codes[method]
+	code, ok := c.tab.codes[method]
 	if !ok {
 		return 0, fmt.Errorf("services: %s has no method %q", c.serviceName, method)
 	}

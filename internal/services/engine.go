@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/art"
@@ -104,13 +103,12 @@ var InnocentMethods = []InnocentSpec{
 // retaining interface.
 const UnregisterPrefix = "unregister:"
 
-// method is one dispatchable IPC method of a service instance.
+// method is one dispatchable IPC method of a service.
 type method struct {
 	name          string
 	behaviour     Behaviour
-	spec          catalog.Interface // zero for innocent methods
-	catalogued    bool
-	unregisterFor string // set on generated unregister methods
+	spec          *catalog.Interface // the catalog row; nil unless catalogued
+	unregisterFor string             // set on generated unregister methods
 }
 
 // caller identifies who registered a callback: the kernel-reported pid
@@ -150,8 +148,7 @@ type Service struct {
 	// so a recycled clone (CloneInto onto the same dst) reuses it instead
 	// of allocating one closure per service per trial.
 	transactor binder.Transactor
-	methods    map[binder.TxCode]*method
-	codes      map[string]binder.TxCode
+	tab        *dispatch
 
 	// entries holds retained registrations per catalogued method name,
 	// each list in registration order.
@@ -168,7 +165,6 @@ type Service struct {
 // Config assembles a Service.
 type Config struct {
 	Meta   catalog.Service
-	Ifaces []catalog.Interface
 	Host   *kernel.Process
 	Driver *binder.Driver
 	Clock  *simclock.Clock
@@ -187,7 +183,9 @@ type Config struct {
 	ExtraBootRefs int
 }
 
-// New instantiates a service and registers its binder with sm.
+// New instantiates a service and registers its binder with sm. Its
+// methods are the catalog's interfaces for cfg.Meta.Name plus the
+// innocent set, dispatched through the service's shared table.
 func New(cfg Config, sm *binder.ServiceManager) (*Service, error) {
 	if cfg.Host == nil || cfg.Driver == nil || cfg.Clock == nil || cfg.Perms == nil {
 		return nil, errors.New("services: incomplete config")
@@ -203,43 +201,20 @@ func New(cfg Config, sm *binder.ServiceManager) (*Service, error) {
 		perms:   cfg.Perms,
 		rngSeed: cfg.Seed ^ mix,
 		seedMix: mix,
-		methods: make(map[binder.TxCode]*method),
-		codes:   make(map[string]binder.TxCode),
+		tab:     dispatchFor(cfg.Meta.Name),
+		quota:   cfg.UniversalQuota,
 	}
-	s.quota = cfg.UniversalQuota
-	s.buildMethodTable(cfg.Ifaces)
 	s.transactor = binder.TransactorFunc(s.onTransact)
 	s.stub = cfg.Driver.NewLocalBinder(cfg.Host, cfg.Meta.Class, s.transactor)
 	if err := sm.AddService(cfg.Meta.Name, s.stub); err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.ExtraBootRefs; i++ {
-		obj := s.newObject(fmt.Sprintf("boot#%d", i))
-		if _, err := cfg.Host.VM().AddGlobalRef(obj); err != nil {
+		if _, err := cfg.Host.VM().AddGlobalRef(s.newObject()); err != nil {
 			return nil, fmt.Errorf("services: boot refs for %s: %w", cfg.Meta.Name, err)
 		}
 	}
 	return s, nil
-}
-
-// buildMethodTable assigns the transaction codes computed by MethodCodes,
-// so that clients compiled against the same catalog agree on the numbers.
-func (s *Service) buildMethodTable(ifaces []catalog.Interface) {
-	byName := make(map[string]*method)
-	for _, spec := range ifaces {
-		byName[spec.Method] = &method{name: spec.Method, behaviour: BehaviourRetain, spec: spec, catalogued: true}
-		un := UnregisterPrefix + spec.Method
-		byName[un] = &method{name: un, behaviour: BehaviourPlain, unregisterFor: spec.Method}
-	}
-	for _, in := range InnocentMethods {
-		if _, taken := byName[in.Name]; !taken {
-			byName[in.Name] = &method{name: in.Name, behaviour: in.Behaviour}
-		}
-	}
-	for name, code := range MethodCodes(ifaces) {
-		s.methods[code] = byName[name]
-		s.codes[name] = code
-	}
 }
 
 // rand returns the jitter rng, seeding it on first use. The draw
@@ -253,7 +228,7 @@ func (s *Service) rand() *rand.Rand {
 }
 
 // CloneInto populates dst as a boot-state clone of s for a snapshot
-// clone of its device: immutable method/code tables are shared, the
+// clone of its device: the dispatch table is shared, the
 // retained-entry maps start empty (the template is frozen at boot
 // quiescence, before any transaction), and the jitter rng is re-keyed
 // lazily from the clone's device seed. The caller supplies the clone's
@@ -270,8 +245,7 @@ func (s *Service) CloneInto(dst *Service, host *kernel.Process, driver *binder.D
 		perms:   perms,
 		rngSeed: seed ^ s.seedMix,
 		seedMix: s.seedMix,
-		methods: s.methods,
-		codes:   s.codes,
+		tab:     s.tab,
 		calls:   s.calls,
 		objSeq:  s.objSeq,
 		quota:   s.quota,
@@ -295,26 +269,26 @@ func (s *Service) Stub() *binder.LocalBinder { return s.stub }
 
 // Code returns the transaction code for a method name.
 func (s *Service) Code(methodName string) (binder.TxCode, bool) {
-	c, ok := s.codes[methodName]
+	c, ok := s.tab.codes[methodName]
 	return c, ok
 }
 
 // MethodName resolves a transaction code back to its method name.
 func (s *Service) MethodName(code binder.TxCode) (string, bool) {
-	m, ok := s.methods[code]
-	if !ok {
+	m := s.tab.method(code)
+	if m == nil {
 		return "", false
 	}
 	return m.name, true
 }
 
-// MethodNames returns all dispatchable method names, sorted.
+// MethodNames returns all dispatchable method names, sorted: codes run
+// in name order.
 func (s *Service) MethodNames() []string {
-	out := make([]string, 0, len(s.codes))
-	for n := range s.codes {
-		out = append(out, n)
+	out := make([]string, len(s.tab.methods))
+	for i := range s.tab.methods {
+		out[i] = s.tab.methods[i].name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -335,12 +309,12 @@ func (s *Service) Calls() uint64 { return s.calls }
 
 // onTransact is the service stub dispatch.
 func (s *Service) onTransact(call *binder.Call) error {
-	m, ok := s.methods[call.Code]
-	if !ok {
+	m := s.tab.method(call.Code)
+	if m == nil {
 		return fmt.Errorf("%w: %s code %d", ErrNoSuchMethod, s.meta.Name, call.Code)
 	}
 	s.calls++
-	if m.catalogued {
+	if m.spec != nil {
 		if err := s.perms.Enforce(call.SenderUid, m.spec.Permission); err != nil {
 			return err
 		}
@@ -527,7 +501,7 @@ func (s *Service) handleInnocent(m *method, call *binder.Call) error {
 	case BehaviourThreadOnly:
 		// Thread.nativeCreate takes a JGR and Thread::CreateNativeThread
 		// releases it before returning (sift rule 1).
-		ref, err := s.host.VM().AddGlobalRef(s.newObject("thread"))
+		ref, err := s.host.VM().AddGlobalRef(s.newObject())
 		if err != nil {
 			return err
 		}
@@ -578,9 +552,9 @@ func (s *Service) dropMember(key string, e *entry) {
 }
 
 // newObject mints a heap object for boot-time pins and worker threads.
-func (s *Service) newObject(tag string) *art.Object {
+func (s *Service) newObject() *art.Object {
 	s.objSeq++
-	return &art.Object{ID: art.ObjectID(s.objSeq), Class: fmt.Sprintf("internal/%s/%s", s.meta.Name, tag)}
+	return &art.Object{ID: art.ObjectID(s.objSeq)}
 }
 
 // NotifyListeners delivers a callback transaction to every listener

@@ -48,7 +48,6 @@ func newSvcRig(t testing.TB, serviceName string, vm art.Config) *svcRig {
 	}
 	svc, err := New(Config{
 		Meta:   meta,
-		Ifaces: catalog.InterfacesForService(serviceName),
 		Host:   server,
 		Driver: d,
 		Clock:  clock,
@@ -375,6 +374,32 @@ func TestCodeForMatchesEngine(t *testing.T) {
 		if !ok || got != want {
 			t.Fatalf("CodeFor(wifi, %s) = %d, engine says %d", name, got, want)
 		}
+	}
+}
+
+// TestDispatchTableShared pins that a service's dispatch table is built
+// once per process: two instances of one service, on two kernels, and a
+// client of it read the same table, and a further New builds none.
+func TestDispatchTableShared(t *testing.T) {
+	a := newSvcRig(t, "audio", art.Config{})
+	b := newSvcRig(t, "audio", art.Config{})
+	c := a.client(t, "com.example")
+	if b.svc.tab != a.svc.tab || c.tab != a.svc.tab {
+		t.Fatal("instances and clients of audio do not share one dispatch table")
+	}
+
+	// A New that built its own table would allocate at least what one
+	// table build does.
+	build := testing.AllocsPerRun(1, func() { newDispatch(catalog.InterfacesForService("audio")) })
+	meta, _ := catalog.ServiceByName("audio")
+	allocs := testing.AllocsPerRun(20, func() {
+		b.sm.RemoveService("audio")
+		if _, err := New(Config{Meta: meta, Host: b.server, Driver: b.d, Clock: b.clock, Perms: b.perms, Seed: 2}, b.sm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= build {
+		t.Fatalf("New allocates %.0f objects, as many as the %.0f of a table build", allocs, build)
 	}
 }
 

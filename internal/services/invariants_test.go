@@ -36,8 +36,7 @@ func TestServiceJGRAccountingInvariant(t *testing.T) {
 	})
 	meta, _ := catalog.ServiceByName("clipboard")
 	svc, err := New(Config{
-		Meta: meta, Ifaces: catalog.InterfacesForService("clipboard"),
-		Host: server, Driver: d, Clock: clock, Perms: perms, Seed: 1,
+		Meta: meta, Host: server, Driver: d, Clock: clock, Perms: perms, Seed: 1,
 	}, sm)
 	if err != nil {
 		t.Fatal(err)

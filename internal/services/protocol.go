@@ -47,25 +47,62 @@ func MethodNamesFor(ifaces []catalog.Interface) []string {
 	return names
 }
 
-// serviceCodeTables caches each service's MethodCodes table (service
-// name → map[string]binder.TxCode), built on a service's first lookup and
-// shared read-only by every client and CodeFor call after it: a table is
-// a pure function of the static catalog. Only the services a process
-// actually talks to get a table.
-var serviceCodeTables sync.Map
+// dispatch is one service's dispatch table: transaction code → method
+// and method name → code, numbered by MethodCodes. A table is a pure
+// function of the static catalog, so each service's is built once per
+// process, on its first lookup, and never written after: every instance
+// of the service (boot, soft reboot, host restart, clone) and every
+// Client of it read the same one, from any goroutine.
+type dispatch struct {
+	// methods holds the method with code c at index c-1: MethodCodes
+	// numbers a service's methods 1..n.
+	methods []method
+	codes   map[string]binder.TxCode
+}
 
-// serviceCodes returns the named service's shared, read-only code table.
-func serviceCodes(serviceName string) map[string]binder.TxCode {
-	if codes, ok := serviceCodeTables.Load(serviceName); ok {
-		return codes.(map[string]binder.TxCode)
+// method returns the method with the given code, or nil.
+func (t *dispatch) method(code binder.TxCode) *method {
+	if code == 0 || int(code) > len(t.methods) {
+		return nil
 	}
-	codes, _ := serviceCodeTables.LoadOrStore(serviceName, MethodCodes(catalog.InterfacesForService(serviceName)))
-	return codes.(map[string]binder.TxCode)
+	return &t.methods[code-1]
+}
+
+// dispatchTables holds the built tables, service name → *dispatch.
+var dispatchTables sync.Map
+
+// dispatchFor returns the named service's shared dispatch table.
+func dispatchFor(serviceName string) *dispatch {
+	if t, ok := dispatchTables.Load(serviceName); ok {
+		return t.(*dispatch)
+	}
+	t, _ := dispatchTables.LoadOrStore(serviceName, newDispatch(catalog.InterfacesForService(serviceName)))
+	return t.(*dispatch)
+}
+
+// newDispatch builds the table for a service exposing ifaces: each
+// catalogued method retains its caller's binder and gets a generated
+// unregister pair, and the innocent set fills the names left free.
+func newDispatch(ifaces []catalog.Interface) *dispatch {
+	t := &dispatch{codes: MethodCodes(ifaces)}
+	t.methods = make([]method, len(t.codes))
+	for i := range ifaces {
+		spec := &ifaces[i]
+		t.methods[t.codes[spec.Method]-1] = method{name: spec.Method, behaviour: BehaviourRetain, spec: spec}
+		un := UnregisterPrefix + spec.Method
+		t.methods[t.codes[un]-1] = method{name: un, behaviour: BehaviourPlain, unregisterFor: spec.Method}
+	}
+	for _, in := range InnocentMethods {
+		if m := &t.methods[t.codes[in.Name]-1]; m.name == "" {
+			*m = method{name: in.Name, behaviour: in.Behaviour}
+		}
+	}
+	return t
 }
 
 // CodeFor returns the transaction code of method on the named (catalogued)
 // service.
 func CodeFor(serviceName, method string) (binder.TxCode, bool) {
-	c, ok := serviceCodes(serviceName)[method]
+	c, ok := dispatchFor(serviceName).codes[method]
 	return c, ok
 }
