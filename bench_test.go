@@ -449,8 +449,8 @@ func BenchmarkDeviceBoot(b *testing.B) {
 
 // BenchmarkDeviceClone measures copy-on-write cloning of a sealed boot
 // template — the per-shard cost parallel sweeps actually pay. The
-// bench-smoke gate holds its B/op and allocs/op to ≤5% over the
-// clone_bytes_per_op / clone_allocs_per_op in BENCH_parallel.json.
+// bench-smoke gate holds its B/op and allocs/op to the max_bytes_per_op
+// and max_allocs_per_op ceilings in BENCH_hotpath.json.
 func BenchmarkDeviceClone(b *testing.B) {
 	tmpl, err := device.BootFresh(device.Config{Seed: 1})
 	if err != nil {

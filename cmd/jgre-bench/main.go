@@ -11,16 +11,10 @@
 //
 //	jgre-bench [-parallel n] [-sweeps fig3,fig6,...] [-scale quick|full]
 //	           [-bench-json path] [-cpuprofile path] [-memprofile path]
-//	jgre-bench -fleet-json path [-fleet-devices n] [-parallel n]
 //
 // -sweeps defaults to every parallelizable scenario (see jgre-run list).
 // -cpuprofile/-memprofile write pprof profiles covering the sweep runs,
 // for drilling into the simulation hot path (`make bench-profile`).
-//
-// -fleet-json switches to the fleet throughput comparison instead: it
-// runs the fleet-baseline sweep once per slot mode (recycle, clone,
-// fresh), verifies all three produce the identical rollup, and writes a
-// devices/sec + allocation report (the repository's BENCH_fleet.json).
 package main
 
 import (
@@ -38,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/fleet"
 	"repro/internal/scenario"
 )
 
@@ -75,116 +68,11 @@ type Report struct {
 	CloneBootRatio float64 `json:"clone_boot_ratio"`
 	// CloneBytesPerOp/CloneAllocsPerOp are the clone's heap bytes and
 	// allocations, counted the way BenchmarkDeviceClone's B/op and
-	// allocs/op are. Unlike the timings they are deterministic, so
-	// `make bench-smoke` gates the benchmark at ≤5% above them.
+	// allocs/op are. Unlike the timings they are deterministic; the
+	// ceilings `make bench-smoke` holds that benchmark to live in
+	// BENCH_hotpath.json, set from these measurements.
 	CloneBytesPerOp  int64 `json:"clone_bytes_per_op"`
 	CloneAllocsPerOp int64 `json:"clone_allocs_per_op"`
-}
-
-// FleetTiming is one slot mode's fleet-baseline throughput measurement.
-// Allocation figures are process-wide deltas (runtime.MemStats) across
-// the run — the accounting that shows recycling's bounded-memory story,
-// not just its speed.
-type FleetTiming struct {
-	Mode          string  `json:"mode"`
-	WallS         float64 `json:"wall_s"`
-	DevicesPerSec float64 `json:"devices_per_sec"`
-	AllocBytes    uint64  `json:"alloc_bytes"`
-	AllocObjects  uint64  `json:"alloc_objects"`
-	BytesPerDev   uint64  `json:"alloc_bytes_per_device"`
-}
-
-// minRecycleCloneRatio is the floor `make bench-smoke` holds
-// BenchmarkFleet's recycle-vs-clone throughput ratio to. It is written
-// into BENCH_fleet.json, where the gate reads it, so regenerating the
-// file keeps the gate.
-const minRecycleCloneRatio = 2
-
-// FleetReport is the -fleet-json output (BENCH_fleet.json): the
-// devices/sec headline per slot mode, the recycle-vs-clone ratio and
-// the floor `make bench-smoke` gates that ratio at.
-type FleetReport struct {
-	GeneratedUnix        int64         `json:"generated_unix"`
-	GoMaxProcs           int           `json:"gomaxprocs"`
-	NumCPU               int           `json:"num_cpu"`
-	Workers              int           `json:"workers"`
-	Workload             string        `json:"workload"`
-	Devices              int           `json:"devices"`
-	Modes                []FleetTiming `json:"modes"`
-	RecycleCloneRatio    float64       `json:"recycle_clone_ratio"`
-	MinRecycleCloneRatio float64       `json:"min_recycle_clone_ratio"`
-	RecycleFreshRatio    float64       `json:"recycle_fresh_ratio"`
-	Identical            bool          `json:"identical_output"`
-}
-
-// fleetBench runs the fleet-baseline workload once per slot mode and
-// checks all modes roll up to the identical Result.
-func fleetBench(devices, workers int) (FleetReport, error) {
-	rep := FleetReport{
-		GeneratedUnix:        time.Now().Unix(),
-		GoMaxProcs:           runtime.GOMAXPROCS(0),
-		NumCPU:               runtime.NumCPU(),
-		Workers:              workers,
-		Devices:              devices,
-		MinRecycleCloneRatio: minRecycleCloneRatio,
-	}
-	ctx := context.Background()
-	perSec := make(map[fleet.Mode]float64)
-	var canonical []byte
-	rep.Identical = true
-	for _, mode := range []fleet.Mode{fleet.ModeRecycle, fleet.ModeClone, fleet.ModeFresh} {
-		w := fleet.BaselineProbe()
-		rep.Workload = w.Name
-		cfg := fleet.Config{Devices: devices, Workers: workers, Seed: 1042, Mode: mode}
-		// Warm the boot-template cache outside the timed region so the
-		// clone legs price steady-state clones, not the first boot.
-		if _, err := fleet.Run(ctx, fleet.Config{Devices: 1, Seed: 1042, Mode: mode}, w); err != nil {
-			return rep, err
-		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		res, err := fleet.Run(ctx, cfg, w)
-		wall := time.Since(t0)
-		if err != nil {
-			return rep, err
-		}
-		runtime.ReadMemStats(&m1)
-		js, err := json.Marshal(res)
-		if err != nil {
-			return rep, err
-		}
-		if canonical == nil {
-			canonical = js
-		} else if !bytes.Equal(canonical, js) {
-			rep.Identical = false
-		}
-		ft := FleetTiming{
-			Mode:          mode.String(),
-			WallS:         wall.Seconds(),
-			DevicesPerSec: float64(devices) / wall.Seconds(),
-			AllocBytes:    m1.TotalAlloc - m0.TotalAlloc,
-			AllocObjects:  m1.Mallocs - m0.Mallocs,
-		}
-		ft.BytesPerDev = ft.AllocBytes / uint64(devices)
-		perSec[mode] = ft.DevicesPerSec
-		rep.Modes = append(rep.Modes, ft)
-		fmt.Printf("fleet %-8s %5d devices   %8.3fs   %9.0f devices/sec   %7.2f KB/device\n",
-			mode, devices, ft.WallS, ft.DevicesPerSec, float64(ft.BytesPerDev)/1024)
-	}
-	if !rep.Identical {
-		return rep, fmt.Errorf("fleet rollups differ across slot modes — determinism broken")
-	}
-	if perSec[fleet.ModeClone] > 0 {
-		rep.RecycleCloneRatio = perSec[fleet.ModeRecycle] / perSec[fleet.ModeClone]
-	}
-	if perSec[fleet.ModeFresh] > 0 {
-		rep.RecycleFreshRatio = perSec[fleet.ModeRecycle] / perSec[fleet.ModeFresh]
-	}
-	fmt.Printf("fleet recycle/clone %.2fx   recycle/fresh %.2fx\n",
-		rep.RecycleCloneRatio, rep.RecycleFreshRatio)
-	return rep, nil
 }
 
 // timeBootClone fills rep's device fields: median from-scratch boot
@@ -247,21 +135,11 @@ func main() {
 	jsonPath := flag.String("bench-json", "", "write the report as JSON to this path ('-' or empty prints it)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep runs to this path")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the sweeps) to this path")
-	fleetJSON := flag.String("fleet-json", "", "run the fleet slot-mode throughput comparison instead and write it to this path ('-' prints it)")
-	fleetDevices := flag.Int("fleet-devices", 512, "fleet width for -fleet-json")
 	flag.Parse()
 
 	scale, err := scenario.ParseScale(*scaleName)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *fleetJSON != "" {
-		rep, err := fleetBench(*fleetDevices, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeJSON(*fleetJSON, rep)
-		return
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

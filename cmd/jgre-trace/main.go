@@ -16,7 +16,7 @@
 // Recorder().Spans(). -fleet runs the staged attack-rollout workload
 // across n traced devices instead, merging each device's spans keyed by
 // device index — the output is byte-identical for any worker count and
-// any slot mode, which TestFleetTraceIdentical pins.
+// to a fresh-boot run, which TestFleetTraceIdentical pins.
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -63,22 +62,13 @@ func main() {
 
 	var err error
 	if *fleetN > 0 {
-		err = runFleet(w, *fleetN, *workers, fleet.ModeRecycle, *seed, tcfg)
+		err = runFleet(w, *fleetN, *workers, *seed, tcfg)
 	} else {
 		err = runSingle(w, *seed, tcfg)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// fastestInterface is the attack target: the exploitable interface with
-// the lowest projected attack time (the same pick the fleet workloads
-// make).
-func fastestInterface() string {
-	rows := catalog.ExploitableInterfaces()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Cost.AttackSeconds < rows[j].Cost.AttackSeconds })
-	return rows[0].FullName()
 }
 
 // runSingle traces one device: benign population plus one attacker under
@@ -103,7 +93,7 @@ func runSingle(w io.Writer, seed int64, tcfg trace.Config) error {
 		return err
 	}
 	evil.Start()
-	atk, err := workload.NewAttacker(dev, evil, fastestInterface())
+	atk, err := workload.NewAttacker(dev, evil, catalog.FastestInterfaces(1)[0])
 	if err != nil {
 		return err
 	}
@@ -119,9 +109,9 @@ func runSingle(w io.Writer, seed int64, tcfg trace.Config) error {
 // runFleet traces the staged attack rollout across n devices. Each
 // trial's spans are captured keyed by device index with pids remapped
 // into a per-device range, so the merged export is independent of the
-// worker count and the slot mode (the command always recycles;
-// TestFleetTraceIdentical varies the mode).
-func runFleet(w io.Writer, n, workers int, mode fleet.Mode, seed int64, tcfg trace.Config) error {
+// worker count and equal to one whose devices boot fresh
+// (TestFleetTraceIdentical checks both).
+func runFleet(w io.Writer, n, workers int, seed int64, tcfg trace.Config) error {
 	// pidStride separates the per-device pid ranges in the merged trace;
 	// simulated pids stay far below it.
 	const pidStride = 1 << 16
@@ -149,7 +139,6 @@ func runFleet(w io.Writer, n, workers int, mode fleet.Mode, seed int64, tcfg tra
 		Devices: n,
 		Workers: workers,
 		Seed:    seed,
-		Mode:    mode,
 		Device:  device.Config{Trace: tcfg},
 	}
 	res, err := fleet.Run(context.Background(), cfg, wl)

@@ -5,7 +5,7 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/fleet"
+	"repro/internal/device"
 	"repro/internal/trace"
 )
 
@@ -57,36 +57,32 @@ func TestSingleTraceDeterministic(t *testing.T) {
 }
 
 // TestFleetTraceIdentical pins the fleet export's independence from
-// scheduling: the merged trace must be byte-identical across worker
-// counts and across recycle/clone/fresh slot modes.
+// scheduling and from slot recycling: the merged trace must be
+// byte-identical across worker counts and to a run whose devices all
+// boot fresh (device.SetCloneBoot(false)).
 func TestFleetTraceIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet trace comparison in -short mode")
 	}
 	const devices = 8
 	tcfg := trace.Config{Enabled: true, Capacity: 512}
-	run := func(workers int, mode fleet.Mode) []byte {
+	run := func(workers int) []byte {
 		var buf bytes.Buffer
-		if err := runFleet(&buf, devices, workers, mode, 1042, tcfg); err != nil {
+		if err := runFleet(&buf, devices, workers, 1042, tcfg); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	base := run(1, fleet.ModeRecycle)
+	base := run(1)
 	if err := trace.ValidateChrome(base); err != nil {
 		t.Fatalf("fleet export failed schema validation: %v", err)
 	}
-	for _, c := range []struct {
-		name    string
-		workers int
-		mode    fleet.Mode
-	}{
-		{"workers=4 recycle", 4, fleet.ModeRecycle},
-		{"workers=4 clone", 4, fleet.ModeClone},
-		{"workers=4 fresh", 4, fleet.ModeFresh},
-	} {
-		if !bytes.Equal(run(c.workers, c.mode), base) {
-			t.Fatalf("%s diverged from workers=1 recycle", c.name)
-		}
+	if !bytes.Equal(run(4), base) {
+		t.Fatal("workers=4 diverged from workers=1")
+	}
+	device.SetCloneBoot(false)
+	defer device.SetCloneBoot(true)
+	if !bytes.Equal(run(4), base) {
+		t.Fatal("workers=4 fresh boots diverged from workers=1 recycled slots")
 	}
 }

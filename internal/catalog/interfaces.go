@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/permissions"
@@ -190,6 +191,28 @@ func ExploitableInterfaces() []Interface {
 	for _, i := range ifaces {
 		if i.Exploitable() {
 			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// FastestInterfaces returns the full names of the n exploitable
+// interfaces with the shortest projected attack time, one per service,
+// fastest first — the targets of the Fig. 9 colluders, the fleet
+// workloads and the traced attack.
+func FastestInterfaces(n int) []string {
+	rows := ExploitableInterfaces()
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Cost.AttackSeconds < rows[j].Cost.AttackSeconds })
+	var out []string
+	seen := make(map[string]bool)
+	for _, r := range rows {
+		if seen[r.Service] {
+			continue
+		}
+		seen[r.Service] = true
+		out = append(out, r.FullName())
+		if len(out) == n {
+			break
 		}
 	}
 	return out

@@ -43,13 +43,8 @@ type templateKey struct {
 	traceCfg          trace.Config
 }
 
-// templateKeyOf reduces cfg to its template key. A configuration
-// carrying a caller-supplied abort hook is not cacheable — the hook is
-// per-device state a template cannot share.
-func templateKeyOf(cfg Config) (templateKey, bool) {
-	if cfg.ServerVM.OnAbort != nil {
-		return templateKey{}, false
-	}
+// templateKeyOf reduces cfg to its template key.
+func templateKeyOf(cfg Config) templateKey {
 	return templateKey{
 		maxGlobalRefs:     cfg.ServerVM.MaxGlobalRefs,
 		maxWeakGlobalRefs: cfg.ServerVM.MaxWeakGlobalRefs,
@@ -58,7 +53,7 @@ func templateKeyOf(cfg Config) (templateKey, bool) {
 		universalQuota:    cfg.UniversalQuota,
 		installThirdParty: cfg.InstallThirdPartyApps,
 		traceCfg:          cfg.Trace,
-	}, true
+	}
 }
 
 // SetCloneBoot enables or disables the clone-template cache behind Boot
@@ -91,18 +86,13 @@ func (d *Device) Snapshot() {
 // See CloneWithSeed.
 func (d *Device) Clone() (*Device, error) { return d.CloneWithSeed(d.cfg.Seed) }
 
-// Template resolves the sealed clone template for cfg through the same
-// cache Boot uses, booting and sealing one if the shape is new. It
-// returns (nil, nil) when no template is possible — the configuration
-// carries an abort hook, or SetCloneBoot(false) is in effect — in
-// which case callers must fall back to BootFresh. The fleet Slot uses
-// this to pin a template once per worker instead of re-consulting the
-// cache on every trial.
-func Template(cfg Config) (*Device, error) {
-	key, cacheable := templateKeyOf(cfg)
-	if !cacheable {
-		return nil, nil
-	}
+// template resolves the sealed clone template for cfg through the
+// cache, booting and sealing one if the shape is new. It returns
+// (nil, nil) under SetCloneBoot(false), in which case callers must fall
+// back to BootFresh. A Slot uses this to pin a template once per worker
+// instead of re-consulting the cache on every trial.
+func template(cfg Config) (*Device, error) {
+	key := templateKeyOf(cfg)
 	cloneBootMu.Lock()
 	defer cloneBootMu.Unlock()
 	if cloneBootOff {
@@ -190,7 +180,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 	// Flight recorder: the recycle path rewinds the harvested ring in
 	// place and re-keys the trace-ID mint; a cold clone allocates one.
 	// Either way the clone's span stream is a pure function of (cfg, seed)
-	// — what the cross-slot-mode byte-identity suite asserts.
+	// — what the recycled-slot-vs-fresh-boot byte-identity tests assert.
 	if nd.cfg.Trace.Enabled {
 		if nd.rec != nil {
 			nd.rec.Reset(seed)

@@ -44,8 +44,8 @@ type Config struct {
 	// runs.
 	Seed int64
 	// ServerVM overrides the system_server runtime config (tests and
-	// the exhaust benchmark use small JGR caps to exhaust quickly). The
-	// abort hook is always chained to the kernel.
+	// the exhaust benchmark use small JGR caps to exhaust quickly). Its
+	// OnAbort must be nil: the kernel owns the abort hook.
 	ServerVM art.Config
 	// Faults declares the telemetry fault model. The zero value is the
 	// paper's lossless chain. Boot derives the binder driver's injector
@@ -182,15 +182,14 @@ func (d *Device) invalidateResolve() {
 	d.resolveMu.Unlock()
 }
 
-// Boot returns a booted device. When the configuration is cacheable —
-// no caller-supplied ServerVM.OnAbort hook — the device is a
-// microsecond copy-on-write clone of a snapshot template that was booted
-// once per configuration shape and sealed (see Snapshot/CloneWithSeed);
-// otherwise it falls through to BootFresh. Clones are byte-identical to
+// Boot returns a booted device: a microsecond copy-on-write clone of a
+// snapshot template that was booted once per configuration shape and
+// sealed (see Snapshot/CloneWithSeed). Clones are byte-identical to
 // fresh boots: the seed only feeds lazily-initialized jitter rngs, which
-// CloneWithSeed re-keys. SetCloneBoot(false) disables the cache.
+// CloneWithSeed re-keys. SetCloneBoot(false) disables the cache, and
+// Boot falls through to BootFresh.
 func Boot(cfg Config) (*Device, error) {
-	tmpl, err := Template(cfg)
+	tmpl, err := template(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -268,20 +267,30 @@ func (d *Device) installThirdParty() error {
 func (d *Device) publishThirdPartyServices() error {
 	for _, row := range catalog.ThirdPartyAppInterfaces() {
 		name := apps.AppServiceName(row)
-		owner := d.apps.ByPackage(row.Package)
-		if owner == nil {
-			return fmt.Errorf("device: third-party %s not installed", row.Package)
-		}
-		d.appReg.Unpublish(name)
-		svc, err := apps.NewAppService(owner, d.driver, d.clock, d.appReg, []catalog.AppInterface{row}, d.cfg.Seed)
-		if err != nil {
+		if err := d.publishAppService(name, []catalog.AppInterface{row}); err != nil {
 			return fmt.Errorf("device: publishing %s: %w", name, err)
 		}
-		d.appServices[name] = svc
 		d.appOrder = append(d.appOrder, name)
-		d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
 	}
 	d.invalidateResolve()
+	return nil
+}
+
+// publishAppService (re)publishes the app service name over rows from
+// the app that owns them, replacing any earlier registration under the
+// name, and indexes the new stub's handle.
+func (d *Device) publishAppService(name string, rows []catalog.AppInterface) error {
+	owner := d.apps.ByPackage(rows[0].Package)
+	if owner == nil {
+		return fmt.Errorf("app %s not installed", rows[0].Package)
+	}
+	d.appReg.Unpublish(name)
+	svc, err := apps.NewAppService(owner, d.driver, d.clock, d.appReg, rows, d.cfg.Seed)
+	if err != nil {
+		return err
+	}
+	d.appServices[name] = svc
+	d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
 	return nil
 }
 
@@ -307,32 +316,47 @@ func (d *Device) startSystem() error {
 		hostName := meta.HostProcess()
 		host, ok := d.hosts[hostName]
 		if !ok {
-			host = d.kern.Spawn(kernel.SpawnConfig{
-				Name:        hostName,
-				Uid:         kernel.SystemUid,
-				OomScoreAdj: kernel.PersistentProcAdj,
-				MemoryKB:    30 * 1024,
-			})
-			d.hosts[hostName] = host
+			host = d.spawnHost(hostName)
 		}
-		svc, err := services.New(services.Config{
-			Meta:           meta,
-			Host:           host,
-			Driver:         d.driver,
-			Clock:          d.clock,
-			Perms:          d.perms,
-			Seed:           d.cfg.Seed,
-			UniversalQuota: d.cfg.UniversalQuota,
-			ExtraBootRefs:  bootRefs(meta.Name),
-		}, d.sm)
-		if err != nil {
+		if err := d.startService(meta, host); err != nil {
 			return fmt.Errorf("device: starting %s: %w", meta.Name, err)
 		}
-		d.services[meta.Name] = svc
 		d.svcOrder = append(d.svcOrder, meta.Name)
-		d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "system", sys: svc, name: meta.Name}
 	}
 	d.invalidateResolve()
+	return nil
+}
+
+// spawnHost starts the dedicated host process name for census services.
+func (d *Device) spawnHost(name string) *kernel.Process {
+	host := d.kern.Spawn(kernel.SpawnConfig{
+		Name:        name,
+		Uid:         kernel.SystemUid,
+		OomScoreAdj: kernel.PersistentProcAdj,
+		MemoryKB:    30 * 1024,
+	})
+	d.hosts[name] = host
+	return host
+}
+
+// startService starts the census service meta on host, registers it
+// with the ServiceManager and indexes its stub's handle.
+func (d *Device) startService(meta catalog.Service, host *kernel.Process) error {
+	svc, err := services.New(services.Config{
+		Meta:           meta,
+		Host:           host,
+		Driver:         d.driver,
+		Clock:          d.clock,
+		Perms:          d.perms,
+		Seed:           d.cfg.Seed,
+		UniversalQuota: d.cfg.UniversalQuota,
+		ExtraBootRefs:  bootRefs(meta.Name),
+	}, d.sm)
+	if err != nil {
+		return err
+	}
+	d.services[meta.Name] = svc
+	d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "system", sys: svc, name: meta.Name}
 	return nil
 }
 
@@ -363,19 +387,10 @@ func (d *Device) publishPrebuiltServices() error {
 		grouped[name] = append(grouped[name], row)
 	}
 	for _, name := range order {
-		rows := grouped[name]
-		owner := d.apps.ByPackage(rows[0].Package)
-		if owner == nil {
-			return fmt.Errorf("device: prebuilt %s not installed", rows[0].Package)
-		}
-		d.appReg.Unpublish(name)
-		svc, err := apps.NewAppService(owner, d.driver, d.clock, d.appReg, rows, d.cfg.Seed)
-		if err != nil {
+		if err := d.publishAppService(name, grouped[name]); err != nil {
 			return fmt.Errorf("device: publishing %s: %w", name, err)
 		}
-		d.appServices[name] = svc
 		d.appOrder = append(d.appOrder, name)
-		d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
 	}
 	d.invalidateResolve()
 	return nil
@@ -542,33 +557,15 @@ func (d *Device) RestartHost(name string) error {
 	if host.Alive() {
 		return nil
 	}
-	host = d.kern.Spawn(kernel.SpawnConfig{
-		Name:        name,
-		Uid:         kernel.SystemUid,
-		OomScoreAdj: kernel.PersistentProcAdj,
-		MemoryKB:    30 * 1024,
-	})
-	d.hosts[name] = host
+	host = d.spawnHost(name)
 	for _, meta := range catalog.Services() {
 		if meta.HostProcess() != name {
 			continue
 		}
 		d.sm.RemoveService(meta.Name)
-		svc, err := services.New(services.Config{
-			Meta:           meta,
-			Host:           host,
-			Driver:         d.driver,
-			Clock:          d.clock,
-			Perms:          d.perms,
-			Seed:           d.cfg.Seed,
-			UniversalQuota: d.cfg.UniversalQuota,
-			ExtraBootRefs:  bootRefs(meta.Name),
-		}, d.sm)
-		if err != nil {
+		if err := d.startService(meta, host); err != nil {
 			return fmt.Errorf("device: restarting %s on %s: %w", meta.Name, name, err)
 		}
-		d.services[meta.Name] = svc
-		d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "system", sys: svc, name: meta.Name}
 	}
 	d.invalidateResolve()
 	if d.rec != nil {
@@ -605,17 +602,9 @@ func (d *Device) RestartAppService(name string) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("device: no catalog rows for app service %s", name)
 	}
-	owner := d.apps.ByPackage(rows[0].Package)
-	if owner == nil {
-		return fmt.Errorf("device: app %s not installed", rows[0].Package)
-	}
-	d.appReg.Unpublish(name)
-	svc, err := apps.NewAppService(owner, d.driver, d.clock, d.appReg, rows, d.cfg.Seed)
-	if err != nil {
+	if err := d.publishAppService(name, rows); err != nil {
 		return fmt.Errorf("device: republishing %s: %w", name, err)
 	}
-	d.appServices[name] = svc
-	d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
 	d.invalidateResolve()
 	d.fireServiceRestart("app", name)
 	return nil

@@ -17,29 +17,15 @@ type Slot struct {
 	tmpl *Device // sealed template; nil = fresh-boot fallback
 	cfg  Config
 	cur  *Device
-
-	stats SlotStats
-}
-
-// SlotStats counts how a slot satisfied its Acquires. The counts depend
-// on how many slots a run opened, and so on its worker count; no fleet
-// Result or metric carries them.
-type SlotStats struct {
-	// Clones counts cold starts (a full CloneWithSeed).
-	Clones int
-	// Recycles counts in-place rewinds of the previous device.
-	Recycles int
-	// Fresh counts full BootFresh fallbacks (template unavailable).
-	Fresh int
 }
 
 // NewSlot creates a slot for the configuration shape. The template is
-// resolved once, up front: when the shape is cacheable and clone-boot is
-// enabled the slot clones and recycles; otherwise every Acquire falls
-// back to a fresh boot (which keeps slot-driven runs byte-identical to
-// the equivalence tests' SetCloneBoot(false) mode).
+// resolved once, up front: with clone-boot enabled the slot clones and
+// recycles; under SetCloneBoot(false) every Acquire falls back to a
+// fresh boot, which is the reference slot-driven runs are compared
+// against.
 func NewSlot(cfg Config) (*Slot, error) {
-	tmpl, err := Template(cfg)
+	tmpl, err := template(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -53,23 +39,9 @@ func (s *Slot) Acquire(seed int64) (*Device, error) {
 	if s.tmpl == nil {
 		cfg := s.cfg
 		cfg.Seed = seed
-		d, err := BootFresh(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.stats.Fresh++
-		s.cur = d
-		return d, nil
+		return BootFresh(cfg)
 	}
-	if s.cur == nil {
-		d, err := s.tmpl.CloneWithSeed(seed)
-		if err != nil {
-			return nil, err
-		}
-		s.stats.Clones++
-		s.cur = d
-		return d, nil
-	}
+	// With no previous device this is a cold clone.
 	d, err := s.tmpl.cloneWithSeed(seed, s.cur)
 	if err != nil {
 		// The rewind may have already scrambled the retired device;
@@ -77,16 +49,6 @@ func (s *Slot) Acquire(seed int64) (*Device, error) {
 		s.cur = nil
 		return nil, err
 	}
-	s.stats.Recycles++
 	s.cur = d
 	return d, nil
 }
-
-// Stats returns the slot's acquire counters.
-func (s *Slot) Stats() SlotStats { return s.stats }
-
-// Release drops the slot's current device, forcing the next Acquire to
-// cold-start. Workers call it when a trial leaves the device in a state
-// recycling must not inherit (it never should — the rewind rebuilds
-// everything — but a panic mid-trial is safest quarantined).
-func (s *Slot) Release() { s.cur = nil }

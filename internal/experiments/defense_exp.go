@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -152,7 +151,7 @@ func Fig9Colluders(ctx context.Context, scale Scale, workers int) (*Fig9Result, 
 	// Four fast vulnerable interfaces from distinct services: colluders
 	// that pick slow interfaces would not accumulate enough calls inside
 	// the detection window to matter.
-	targets := fastTargets(4)
+	targets := catalog.FastestInterfaces(4)
 	for i, tgt := range targets {
 		app, err := dev.Apps().Install(fmt.Sprintf("com.collude.app%d", i))
 		if err != nil {
@@ -194,26 +193,6 @@ func Fig9Colluders(ctx context.Context, scale Scale, workers int) (*Fig9Result, 
 	}
 	res.Top = top
 	return res, nil
-}
-
-// fastTargets picks the n fastest exploitable interfaces from distinct
-// services.
-func fastTargets(n int) []string {
-	rows := catalog.ExploitableInterfaces()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Cost.AttackSeconds < rows[j].Cost.AttackSeconds })
-	var out []string
-	seen := make(map[string]bool)
-	for _, r := range rows {
-		if seen[r.Service] {
-			continue
-		}
-		seen[r.Service] = true
-		out = append(out, r.FullName())
-		if len(out) == n {
-			break
-		}
-	}
-	return out
 }
 
 // DelayRow is one §V-D1 response-delay measurement.

@@ -1,9 +1,9 @@
 // Package fleet is the sharded fleet execution engine: it runs a
 // workload across hundreds to thousands of simulated devices on the
-// parallel worker pool, with each worker owning a long-lived device slot
-// that is recycled between trials (one cold clone from the boot-template
-// cache per slot, then an in-place copy-on-write rewind per device)
-// instead of booting a fresh device per trial.
+// parallel worker pool, with each worker owning a long-lived
+// device.Slot that is recycled between trials (one cold clone from the
+// boot-template cache per slot, then an in-place copy-on-write rewind
+// per device) instead of booting a fresh device per trial.
 //
 // Determinism contract: a device's trial depends only on the fleet seed
 // and its device index (per-device seeds are derived with splitmix64),
@@ -11,8 +11,9 @@
 // the worker count, each chunk folds its trials into a private
 // Accumulator, and the engine merges chunk accumulators in chunk-index
 // order. The resulting Result is therefore byte-identical for any worker
-// count and for recycled, cloned-per-device, or freshly-booted slots —
-// the property the fleet determinism suite asserts.
+// count, and equal to a run whose slots boot every device fresh
+// (device.SetCloneBoot(false)) — the property the fleet determinism
+// suite asserts.
 package fleet
 
 import (
@@ -24,36 +25,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/trace"
 )
-
-// Mode selects how a slot produces the next trial's device. The result
-// of a fleet run is mode-independent; modes exist so the benchmark suite
-// can price recycling against the alternatives.
-type Mode int
-
-const (
-	// ModeRecycle clones once per slot from the template cache, then
-	// rewinds the same device in place for every later trial (the fast
-	// path and the default).
-	ModeRecycle Mode = iota
-	// ModeClone boots a fresh template clone per device — PR 7's
-	// clone-per-trial behaviour, the benchmark comparison baseline.
-	ModeClone
-	// ModeFresh boots every device from scratch, bypassing the template
-	// cache entirely.
-	ModeFresh
-)
-
-// String names the mode for benchmark reports.
-func (m Mode) String() string {
-	switch m {
-	case ModeClone:
-		return "clone"
-	case ModeFresh:
-		return "fresh"
-	default:
-		return "recycle"
-	}
-}
 
 // DefaultChunkSize is the shard width of the device index space. It is
 // a per-run constant (never derived from the worker count): chunk
@@ -72,8 +43,6 @@ type Config struct {
 	// ChunkSize overrides DefaultChunkSize (tests only — changing it
 	// changes accumulator fold boundaries but not the merged result).
 	ChunkSize int
-	// Mode selects slot recycling, clone-per-device or fresh boots.
-	Mode Mode
 	// Device is the device shape every fleet member boots with. All
 	// devices share one shape (and therefore one boot template); only
 	// the seed varies.
@@ -94,9 +63,9 @@ type Workload struct {
 // the trial completes and before the slot is rewound. The snapshot is
 // keyed by device index — a pure function of (fleet seed, index) —
 // which is what lets callers merge per-device traces into a byte-
-// identical export regardless of worker count or slot mode. fn runs on
-// worker goroutines and must be safe for concurrent calls; it is not
-// called for trials where tracing is off or Run failed.
+// identical export regardless of worker count. fn runs on worker
+// goroutines and must be safe for concurrent calls; it is not called
+// for trials where tracing is off or Run failed.
 func (w Workload) WithTraceCapture(fn func(index int, spans []trace.SpanRecord, names map[int32]string)) Workload {
 	inner := w.Run
 	w.Run = func(dev *device.Device, index int, seed int64) (Trial, error) {
@@ -132,19 +101,11 @@ func DeviceSeed(fleetSeed int64, index int) int64 {
 // sealed template), so the pairing cannot affect results.
 type slotPool struct {
 	cfg  device.Config
-	mode Mode
 	mu   sync.Mutex
 	free []*device.Slot
 }
 
-func newSlotPool(cfg device.Config, mode Mode) *slotPool {
-	return &slotPool{cfg: cfg, mode: mode}
-}
-
 func (p *slotPool) get() (*device.Slot, error) {
-	if p.mode != ModeRecycle {
-		return nil, nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
@@ -156,28 +117,9 @@ func (p *slotPool) get() (*device.Slot, error) {
 }
 
 func (p *slotPool) put(s *device.Slot) {
-	if s == nil {
-		return
-	}
 	p.mu.Lock()
 	p.free = append(p.free, s)
 	p.mu.Unlock()
-}
-
-// acquire produces the device for one trial according to the mode.
-func (p *slotPool) acquire(s *device.Slot, seed int64) (*device.Device, error) {
-	switch p.mode {
-	case ModeClone:
-		cfg := p.cfg
-		cfg.Seed = seed
-		return device.Boot(cfg)
-	case ModeFresh:
-		cfg := p.cfg
-		cfg.Seed = seed
-		return device.BootFresh(cfg)
-	default:
-		return s.Acquire(seed)
-	}
 }
 
 // Run executes the workload across cfg.Devices devices and returns the
@@ -199,7 +141,7 @@ func Run(ctx context.Context, cfg Config, w Workload) (*Result, error) {
 	for i := range chunks {
 		chunks[i] = i
 	}
-	pool := newSlotPool(cfg.Device, cfg.Mode)
+	pool := &slotPool{cfg: cfg.Device}
 	accs, err := parallel.Map(ctx, chunks, cfg.Workers,
 		func(ctx context.Context, _ int, chunk int) (*Accumulator, error) {
 			acc := NewAccumulator()
@@ -218,7 +160,7 @@ func Run(ctx context.Context, cfg Config, w Workload) (*Result, error) {
 					return nil, err
 				}
 				seed := DeviceSeed(cfg.Seed, i)
-				dev, err := pool.acquire(slot, seed)
+				dev, err := slot.Acquire(seed)
 				if err != nil {
 					return nil, fmt.Errorf("fleet: %s: device %d: %w", w.Name, i, err)
 				}

@@ -3,8 +3,15 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/art"
+	"repro/internal/catalog"
+	"repro/internal/device"
+	"repro/internal/workload"
 )
 
 // resultBytes canonicalizes a fleet result for equality checks.
@@ -21,14 +28,22 @@ func runFleet(t *testing.T, cfg Config, w Workload) *Result {
 	t.Helper()
 	r, err := Run(context.Background(), cfg, w)
 	if err != nil {
-		t.Fatalf("fleet run (%s, workers=%d, mode=%s): %v", w.Name, cfg.Workers, cfg.Mode, err)
+		t.Fatalf("fleet run (%s, workers=%d): %v", w.Name, cfg.Workers, err)
 	}
 	return r
 }
 
+// freshBoots runs fn with clone-boot disabled, so every slot boots each
+// device from scratch: the reference recycled slots must match.
+func freshBoots(fn func()) {
+	device.SetCloneBoot(false)
+	defer device.SetCloneBoot(true)
+	fn()
+}
+
 // TestFleetBaselineDeterminism is the engine's core guarantee: the same
-// fleet seed yields byte-identical rollups for any worker count and for
-// recycled, cloned-per-device, and freshly-booted slots.
+// fleet seed yields byte-identical rollups for any worker count, and
+// recycled slots match devices booted fresh.
 func TestFleetBaselineDeterminism(t *testing.T) {
 	cfg := Config{Devices: 192, Workers: 1, Seed: 42, ChunkSize: 16}
 	want := resultBytes(t, runFleet(t, cfg, BaselineProbe()))
@@ -39,14 +54,13 @@ func TestFleetBaselineDeterminism(t *testing.T) {
 			t.Errorf("workers=%d rollup differs:\n got %s\nwant %s", workers, got, want)
 		}
 	}
-	for _, mode := range []Mode{ModeClone, ModeFresh} {
+	freshBoots(func() {
 		c := cfg
 		c.Workers = 4
-		c.Mode = mode
 		if got := resultBytes(t, runFleet(t, c, BaselineProbe())); got != want {
-			t.Errorf("mode=%s rollup differs:\n got %s\nwant %s", mode, got, want)
+			t.Errorf("fresh boots rollup differs:\n got %s\nwant %s", got, want)
 		}
-	}
+	})
 	// Chunk size is part of the run's identity (it is recorded in the
 	// result), but the aggregates it folds must match any chunking.
 	c := cfg
@@ -59,8 +73,8 @@ func TestFleetBaselineDeterminism(t *testing.T) {
 }
 
 // TestFleetAttackRolloutDeterminism runs the defender-bearing workload
-// across worker counts and slot modes — the recycled-slot result must be
-// byte-identical to clone-per-device.
+// across worker counts — the recycled-slot result must be byte-identical
+// to devices booted fresh.
 func TestFleetAttackRolloutDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("defender fleet sweep is slow; skipping under -short")
@@ -74,12 +88,78 @@ func TestFleetAttackRolloutDeterminism(t *testing.T) {
 	if got := resultBytes(t, runFleet(t, c, w)); got != want {
 		t.Errorf("workers=4 rollup differs:\n got %s\nwant %s", got, want)
 	}
-	c = cfg
-	c.Workers = 4
-	c.Mode = ModeClone
-	if got := resultBytes(t, runFleet(t, c, w)); got != want {
-		t.Errorf("mode=clone rollup differs:\n got %s\nwant %s", got, want)
+	freshBoots(func() {
+		if got := resultBytes(t, runFleet(t, c, w)); got != want {
+			t.Errorf("fresh boots rollup differs:\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
+// exhaustCap is the exhaust workload's system_server JGR cap: small, so
+// one attacker overflows the table in a few hundred registrations.
+const exhaustCap = 2200
+
+// exhaust is an undefended attack run until system_server aborts on JGR
+// overflow and the device soft-reboots — the dirtiest state a trial can
+// hand back to its slot. A trial fails unless it ends in exactly one
+// soft reboot with the JGR peak at the cap.
+func exhaust() Workload {
+	target := catalog.FastestInterfaces(1)[0]
+	return Workload{
+		Name: "test-exhaust",
+		Run: func(dev *device.Device, index int, seed int64) (Trial, error) {
+			victim := dev.SystemServer()
+			sched := workload.NewScheduler(dev)
+			if _, err := workload.Population(dev, sched, 3, seed, 2*time.Second); err != nil {
+				return Trial{}, err
+			}
+			app, err := dev.Apps().Install("com.evil.app")
+			if err != nil {
+				return Trial{}, err
+			}
+			app.Start()
+			atk, err := workload.NewAttacker(dev, app, target)
+			if err != nil {
+				return Trial{}, err
+			}
+			sched.Add(atk)
+			steps := sched.Run(func() bool { return dev.SoftReboots() > 0 }, trialBudget)
+			t := Trial{Infected: true, Steps: int64(steps), PeakJGR: int64(victim.VM().PeakGlobalRefCount())}
+			if n := dev.SoftReboots(); n != 1 || t.PeakJGR != exhaustCap {
+				return t, fmt.Errorf("%d soft reboots and a JGR peak of %d; want 1 at the %d cap", n, t.PeakJGR, exhaustCap)
+			}
+			return t, nil
+		},
 	}
+}
+
+// TestFleetRecycleAfterSoftReboot is the fleet-scale check that a slot
+// recycled after a soft reboot starts its next trial as a fresh boot
+// would: every device of the exhaust workload soft-reboots once, each
+// slot serves several of them in a row, and the rollup is byte-identical
+// for any worker count and to devices booted fresh.
+func TestFleetRecycleAfterSoftReboot(t *testing.T) {
+	cfg := Config{Devices: 24, Workers: 1, Seed: 5, ChunkSize: 4,
+		Device: device.Config{ServerVM: art.Config{MaxGlobalRefs: exhaustCap}}}
+	r := runFleet(t, cfg, exhaust())
+	if r.Devices != 24 || r.Infected != 24 {
+		t.Fatalf("ran %d devices, %d infected; want 24 of 24", r.Devices, r.Infected)
+	}
+	want := resultBytes(t, r)
+	c := cfg
+	c.Workers = 4
+	if got := resultBytes(t, runFleet(t, c, exhaust())); got != want {
+		t.Errorf("workers=4 rollup differs:\n got %s\nwant %s", got, want)
+	}
+	freshBoots(func() {
+		for _, workers := range []int{1, 4} {
+			c := cfg
+			c.Workers = workers
+			if got := resultBytes(t, runFleet(t, c, exhaust())); got != want {
+				t.Errorf("workers=%d fresh boots rollup differs:\n got %s\nwant %s", workers, got, want)
+			}
+		}
+	})
 }
 
 // TestFleetAttackRolloutDetects sanity-checks the rollout physics: the
@@ -226,9 +306,14 @@ func TestDistQuantiles(t *testing.T) {
 	}
 }
 
-// benchFleet prices one fleet sweep per iteration at the given mode.
-func benchFleet(b *testing.B, mode Mode, devices int) {
-	cfg := Config{Devices: devices, Workers: 1, Seed: 42, Mode: mode}
+// BenchmarkFleet prices one 256-device fleet-baseline sweep per
+// iteration on recycled slots. Its allocs/op is deterministic, and
+// `make bench-smoke` holds it to max_allocs_per_op in
+// BENCH_hotpath.json: a recycle that fell back to cloning per device
+// would read about four times as many.
+func BenchmarkFleet(b *testing.B) {
+	const devices = 256
+	cfg := Config{Devices: devices, Workers: 1, Seed: 42}
 	w := BaselineProbe()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -244,11 +329,4 @@ func benchFleet(b *testing.B, mode Mode, devices int) {
 	b.StopTimer()
 	devSec := float64(devices) * float64(b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(devSec, "devices/sec")
-}
-
-func BenchmarkFleet(b *testing.B) {
-	const devices = 256
-	b.Run("recycle", func(b *testing.B) { benchFleet(b, ModeRecycle, devices) })
-	b.Run("clone", func(b *testing.B) { benchFleet(b, ModeClone, devices) })
-	b.Run("fresh", func(b *testing.B) { benchFleet(b, ModeFresh, devices) })
 }

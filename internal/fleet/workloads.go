@@ -8,7 +8,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -26,27 +25,6 @@ func fleetDefense() defense.Config {
 	return defense.Config{AlarmThreshold: 400, EngageThreshold: 1200}
 }
 
-// fleetTargets returns the n fastest-to-exhaust exploitable interfaces,
-// one per service — the same selection the Fig. 9 colluder experiment
-// makes.
-func fleetTargets(n int) []string {
-	rows := catalog.ExploitableInterfaces()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Cost.AttackSeconds < rows[j].Cost.AttackSeconds })
-	var out []string
-	seen := make(map[string]bool)
-	for _, r := range rows {
-		if seen[r.Service] {
-			continue
-		}
-		seen[r.Service] = true
-		out = append(out, r.FullName())
-		if len(out) == n {
-			break
-		}
-	}
-	return out
-}
-
 // trialBudget bounds any single trial's scheduler steps — a safety net,
 // not a tuning knob; detections land orders of magnitude earlier.
 const trialBudget = 400_000
@@ -55,8 +33,7 @@ const trialBudget = 400_000
 // through. None of them retains (or even transiently takes) a global
 // reference, so a probe trial never dirties system_server's
 // copy-on-write JGR table — the property that keeps device turnaround,
-// not trial work, the dominant cost the recycle-vs-clone benchmark
-// prices.
+// not trial work, the dominant cost of a probe trial.
 var probeMethods = [3]string{"getState", "checkAccess", "noteEvent"}
 
 // BaselineProbe is the benign fleet workload: one probe app firing a
@@ -120,7 +97,7 @@ func rolloutWave(index, devices int, seed int64) bool {
 // engages; clean devices run the population alone for a bounded virtual
 // horizon (false-alarm watch).
 func AttackRollout(devices int) Workload {
-	target := fleetTargets(1)[0]
+	target := catalog.FastestInterfaces(1)[0]
 	return Workload{
 		Name: "fleet-attack-rollout",
 		Run: func(dev *device.Device, index int, seed int64) (Trial, error) {
@@ -176,7 +153,7 @@ func colluderCell(seed int64) bool {
 // fastest interfaces next to an IPC-heavy-but-benign bystander; the
 // rollup separates colluders caught from innocent kills.
 func Colluders() Workload {
-	targets := fleetTargets(2)
+	targets := catalog.FastestInterfaces(2)
 	return Workload{
 		Name: "fleet-colluders",
 		Run: func(dev *device.Device, index int, seed int64) (Trial, error) {

@@ -61,10 +61,6 @@ type Process struct {
 	vm       *art.VM
 	deathFns []func(*Process)
 	k        *Kernel
-	// userAbort is the caller-supplied VM abort hook from SpawnConfig,
-	// kept separately from the kernel-reaper wrapper installed on the VM
-	// so a snapshot clone can rebuild the wrapper against its own kernel.
-	userAbort func(reason string)
 }
 
 // Pid returns the process id.
@@ -112,7 +108,8 @@ type SpawnConfig struct {
 	// MemoryKB is the simulated RSS; 0 means DefaultAppMemoryKB.
 	MemoryKB int
 	// VM optionally overrides the runtime configuration (tests use small
-	// JGR caps). The OnAbort hook is always chained to the kernel reaper.
+	// JGR caps). Its OnAbort must be nil: the kernel installs its own
+	// hook, which reaps the process.
 	VM art.Config
 }
 
@@ -303,7 +300,6 @@ func (p *Process) resetFromFrozen(fp *Process, k *Kernel) {
 		vm:          vm,
 		deathFns:    p.deathFns[:0],
 		k:           k,
-		userAbort:   fp.userAbort,
 	}
 	vm.ResetFromTemplate(fp.vm, k.clock)
 }
@@ -358,12 +354,8 @@ func (k *Kernel) materialize(pid Pid) *Process {
 		alive:       fp.alive,
 		exitReason:  fp.exitReason,
 		k:           k,
-		userAbort:   fp.userAbort,
 	}
 	p.vm = fp.vm.Clone(k.clock, func(reason string) {
-		if p.userAbort != nil {
-			p.userAbort(reason)
-		}
 		k.Kill(p.pid, "runtime abort: "+reason)
 	})
 	k.procs[pid] = p
@@ -396,6 +388,9 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 	if cfg.Name == "" {
 		panic("kernel: Spawn requires a process name")
 	}
+	if cfg.VM.OnAbort != nil {
+		panic("kernel: Spawn owns the VM abort hook; SpawnConfig.VM.OnAbort must be nil")
+	}
 	if k.sealed {
 		panic("kernel: Spawn on kernel sealed by snapshot")
 	}
@@ -411,15 +406,11 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 		startedAt:   k.clock.Now(),
 		alive:       true,
 		k:           k,
-		userAbort:   cfg.VM.OnAbort,
 	}
 	k.nextPid++
 
 	vmCfg := cfg.VM
 	vmCfg.OnAbort = func(reason string) {
-		if p.userAbort != nil {
-			p.userAbort(reason)
-		}
 		// Runtime abort kills the owning process (paper §II-A: "the
 		// victim process's runtime will abort").
 		k.Kill(p.pid, "runtime abort: "+reason)

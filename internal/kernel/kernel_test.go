@@ -47,6 +47,19 @@ func TestSpawnRequiresName(t *testing.T) {
 	k.Spawn(SpawnConfig{})
 }
 
+// TestSpawnRejectsCallerAbortHook: the kernel owns the VM abort hook —
+// it reaps the aborting process, and a snapshot clone rebuilds the hook
+// against its own kernel — so a caller-set one is a programming error.
+func TestSpawnRejectsCallerAbortHook(t *testing.T) {
+	k := newKernel(t, Config{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Spawn with a caller-set VM.OnAbort did not panic")
+		}
+	}()
+	k.Spawn(SpawnConfig{Name: "a", VM: art.Config{OnAbort: func(string) {}}})
+}
+
 func TestKillFiresDeathNotification(t *testing.T) {
 	k := newKernel(t, Config{})
 	p := k.Spawn(SpawnConfig{Name: "a", Uid: 10001})

@@ -8,8 +8,8 @@
 // Pid) — a total order even under identical virtual timestamps, because
 // span IDs are unique per recorder — and every event is rendered through
 // encoding/json with fixed field order. Equal span sets yield equal
-// bytes, which is what the cross-worker/slot-mode byte-identity suite
-// asserts.
+// bytes, which is what the fleet trace's byte-identity test (across
+// worker counts, recycled slots against fresh boots) asserts.
 package trace
 
 import (

@@ -9,7 +9,8 @@
 // transaction sequence) with a splitmix64 finalizer and span IDs from a
 // per-recorder counter; neither ever consults wall-clock time, so a
 // device's span stream is a pure function of its boot config and seed —
-// byte-identical across worker counts and fleet slot modes.
+// byte-identical across worker counts, and between a recycled fleet slot
+// and a fresh boot.
 package trace
 
 import "time"
