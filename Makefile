@@ -106,9 +106,10 @@ bench_gate = awk -v names='$(1)' -v key='$(3)' -v unit='$(4)' ' \
 # allocation gates hold deterministic counts to 5% over the measured
 # value: BenchmarkDeviceClone's B/op and allocs/op (max_bytes_per_op,
 # max_allocs_per_op), BenchmarkSoftReboot's allocs/op (only the timed
-# reboot counts, 20x), so a reboot that rebuilds what every boot shares
-# fails, and BenchmarkFleet's allocs/op (256 devices on recycled slots,
-# 2x), so a fleet whose slots stop recycling fails.
+# reboot counts, 20x), so a reboot that rebuilds what every boot shares,
+# or gives the filler daemons an ART runtime again, fails, and
+# BenchmarkFleet's allocs/op (256 devices on recycled slots, 2x), so a
+# fleet whose slots stop recycling fails.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/services ./internal/telemetry \
 		| tee /tmp/jgre-bench-smoke.out

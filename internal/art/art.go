@@ -1,11 +1,12 @@
 // Package art simulates the Android Runtime's JNI reference machinery: the
-// per-process indirect reference tables for local, global and weak-global
-// references, the hard 51,200-entry cap on JNI global references (JGR), and
-// the runtime abort that a table overflow triggers.
+// per-process indirect reference tables for local and global references,
+// the hard 51,200-entry cap on JNI global references (JGR), and the runtime
+// abort that a table overflow triggers.
 //
-// This is the substrate of the paper's attack: every Android process runs
-// its own runtime with its own JGR table, and when a victim process is made
-// to exceed MaxGlobalRefs entries, its runtime aborts
+// This is the substrate of the paper's attack: every zygote-forked Android
+// process runs its own runtime with its own JGR table (init's native
+// daemons run none), and when a victim process is made to exceed
+// MaxGlobalRefs entries, its runtime aborts
 // (art/runtime/java_vm_ext.cc in AOSP 6.0.1). Because most system services
 // run as threads of system_server and share a single table, one vulnerable
 // IPC interface can take down the whole system (paper §II-A).
@@ -25,9 +26,6 @@ import (
 // art/runtime/java_vm_ext.cc (paper §I, §II-A).
 const MaxGlobalRefs = 51200
 
-// DefaultMaxWeakGlobalRefs mirrors ART's weak-global table capacity.
-const DefaultMaxWeakGlobalRefs = 51200
-
 // DefaultGCTrigger is how many collectable global references may pile up
 // before the runtime garbage-collects on its own, approximating ART's
 // heap-pressure-driven GC. Without it, unretained binder proxies would
@@ -40,7 +38,8 @@ const DefaultGCTrigger = 512
 // behaviour.
 const DefaultMaxLocalRefs = 8192
 
-// RefKind distinguishes the three JNI indirect reference kinds.
+// RefKind distinguishes the JNI indirect reference kinds the paper's
+// attack and defense touch: local and global.
 type RefKind int
 
 // Reference kinds. Values start at one so the zero value is invalid
@@ -48,7 +47,6 @@ type RefKind int
 const (
 	KindLocal RefKind = iota + 1
 	KindGlobal
-	KindWeakGlobal
 )
 
 // String returns the JNI name of the kind.
@@ -58,8 +56,6 @@ func (k RefKind) String() string {
 		return "local"
 	case KindGlobal:
 		return "global"
-	case KindWeakGlobal:
-		return "weak-global"
 	default:
 		return fmt.Sprintf("RefKind(%d)", int(k))
 	}
@@ -161,9 +157,8 @@ func (e *StaleRefError) Error() string {
 // slot is one entry of an indirect reference table; a zero ref marks a
 // hole.
 type slot struct {
-	ref     IndirectRef
-	obj     ObjectID
-	addedAt time.Duration
+	ref IndirectRef
+	obj ObjectID
 	// collectable marks an entry whose referent became unreachable from
 	// managed code; the next GC cycle frees the entry. This models
 	// references dropped by garbage collection rather than by an explicit
@@ -220,7 +215,7 @@ func (t *table) lookup(ref IndirectRef) int {
 
 // add stores a new entry and returns its reference. The caller enforces
 // the cap.
-func (t *table) add(obj ObjectID, now time.Duration) IndirectRef {
+func (t *table) add(obj ObjectID) IndirectRef {
 	t.unshare()
 	t.serial++
 	i := len(t.slots)
@@ -230,7 +225,7 @@ func (t *table) add(obj ObjectID, now time.Duration) IndirectRef {
 		t.touch(i)
 	}
 	ref := makeRef(t.kind, t.serial, i)
-	e := slot{ref: ref, obj: obj, addedAt: now}
+	e := slot{ref: ref, obj: obj}
 	if i == len(t.slots) {
 		t.slots = append(t.slots, e)
 	} else {
@@ -308,9 +303,6 @@ type Config struct {
 	// MaxGlobalRefs (51,200). Tests use small caps to exercise overflow
 	// quickly.
 	MaxGlobalRefs int
-	// MaxWeakGlobalRefs overrides the weak-global capacity; 0 means
-	// DefaultMaxWeakGlobalRefs.
-	MaxWeakGlobalRefs int
 	// GCTrigger overrides the collectable-entry count that starts an
 	// automatic GC cycle; 0 means DefaultGCTrigger, negative disables
 	// automatic collection (tests that count entries exactly).
@@ -321,9 +313,9 @@ type Config struct {
 	OnAbort func(reason string)
 }
 
-// VM is one process's Android runtime. Each simulated process owns exactly
-// one VM (paper §II-A: "each process has its own dedicated Android runtime
-// along with individual runtime resource management").
+// VM is one process's Android runtime. Each zygote-forked process owns
+// exactly one VM (paper §II-A: "each process has its own dedicated Android
+// runtime along with individual runtime resource management").
 //
 // VM is not safe for concurrent use; the simulation core is
 // single-threaded for determinism.
@@ -332,19 +324,17 @@ type VM struct {
 	clock   *simclock.Clock
 
 	globals *table
-	weaks   *table
 	frames  []*table // local reference frame stack
 	// framePool recycles popped local frames (their truncated slot arrays
 	// keep their storage), so the push/pop around every transaction stops
 	// allocating once the frame stack has reached its working depth.
 	framePool []*table
 
-	hooks         []JGRHook
-	collectable   int
-	gcTrigger     int
-	aborted       bool
-	abortedReason string
-	onAbort       func(reason string)
+	hooks       []JGRHook
+	collectable int
+	gcTrigger   int
+	aborted     bool
+	onAbort     func(reason string)
 
 	// rec is the device's flight recorder (nil = tracing off). Unlike
 	// JGR hooks — which are append-only and must stay inert through
@@ -372,10 +362,6 @@ func NewVM(process string, clock *simclock.Clock, cfg Config) *VM {
 	if maxG == 0 {
 		maxG = MaxGlobalRefs
 	}
-	maxW := cfg.MaxWeakGlobalRefs
-	if maxW == 0 {
-		maxW = DefaultMaxWeakGlobalRefs
-	}
 	trigger := cfg.GCTrigger
 	if trigger == 0 {
 		trigger = DefaultGCTrigger
@@ -384,7 +370,6 @@ func NewVM(process string, clock *simclock.Clock, cfg Config) *VM {
 		process:   process,
 		clock:     clock,
 		globals:   newTable(KindGlobal, maxG),
-		weaks:     newTable(KindWeakGlobal, maxW),
 		gcTrigger: trigger,
 		onAbort:   cfg.OnAbort,
 	}
@@ -398,17 +383,11 @@ func (vm *VM) Process() string { return vm.process }
 // Aborted reports whether the runtime has aborted.
 func (vm *VM) Aborted() bool { return vm.aborted }
 
-// AbortReason returns the abort reason, or "" if the runtime is alive.
-func (vm *VM) AbortReason() string { return vm.abortedReason }
-
 // MaxGlobal returns the global table capacity.
 func (vm *VM) MaxGlobal() int { return vm.globals.max }
 
 // GlobalRefCount returns the current number of JGR entries.
 func (vm *VM) GlobalRefCount() int { return vm.globals.len() }
-
-// WeakGlobalRefCount returns the current number of weak-global entries.
-func (vm *VM) WeakGlobalRefCount() int { return vm.weaks.len() }
 
 // LocalRefCount returns the number of local references in the current frame.
 func (vm *VM) LocalRefCount() int { return vm.frames[len(vm.frames)-1].len() }
@@ -488,7 +467,7 @@ func (vm *VM) AddGlobalRef(obj *Object) (IndirectRef, error) {
 		vm.abort(err.Error())
 		return 0, err
 	}
-	ref := vm.globals.add(obj.ID, vm.clock.Now())
+	ref := vm.globals.add(obj.ID)
 	vm.totalGlobalAdds++
 	if n := vm.globals.len(); n > vm.peakGlobals {
 		vm.peakGlobals = n
@@ -578,7 +557,7 @@ func (vm *VM) AddLocalRef(obj *Object) (IndirectRef, error) {
 		vm.abort(err.Error())
 		return 0, err
 	}
-	return fr.add(obj.ID, vm.clock.Now()), nil
+	return fr.add(obj.ID), nil
 }
 
 // PushLocalFrame enters a new native method frame. Local references taken
@@ -615,81 +594,36 @@ func (vm *VM) PopLocalFrame() int {
 	return n
 }
 
-// AddWeakGlobalRef takes a weak global reference on obj.
-func (vm *VM) AddWeakGlobalRef(obj *Object) (IndirectRef, error) {
-	if obj == nil {
-		panic("art: AddWeakGlobalRef(nil)")
-	}
-	if vm.aborted {
-		return 0, ErrRuntimeAborted
-	}
-	if vm.weaks.len() >= vm.weaks.max {
-		err := &OverflowError{Process: vm.process, Kind: KindWeakGlobal, Max: vm.weaks.max}
-		vm.abort(err.Error())
-		return 0, err
-	}
-	return vm.weaks.add(obj.ID, vm.clock.Now()), nil
-}
-
-// DeleteWeakGlobalRef releases a weak global reference.
-func (vm *VM) DeleteWeakGlobalRef(ref IndirectRef) error {
-	if vm.aborted {
-		return ErrRuntimeAborted
-	}
-	i := vm.weaks.lookup(ref)
-	if i < 0 {
-		return &StaleRefError{Ref: ref}
-	}
-	vm.weaks.remove(i)
-	return nil
-}
-
-// RefAge returns how long ago the given global reference was created.
-func (vm *VM) RefAge(ref IndirectRef) (time.Duration, bool) {
-	i := vm.globals.lookup(ref)
-	if i < 0 {
-		return 0, false
-	}
-	return vm.clock.Now() - vm.globals.slots[i].addedAt, true
-}
-
-// Freeze marks the VM's reference tables copy-on-write shared. A
-// snapshot template calls this once, single-threaded, so that later
-// concurrent Clone calls only read the shared flags and never write
-// template state.
+// Freeze marks the VM's global table copy-on-write shared. A snapshot
+// template calls this once, single-threaded, so that later concurrent
+// Clone calls only read the shared flag and never write template state.
 func (vm *VM) Freeze() {
 	vm.globals.shared = true
-	vm.weaks.shared = true
 }
 
 // Clone creates a copy of the runtime for a snapshot clone of its
-// device. The global and weak tables share their slot arrays with the
-// receiver copy-on-write: both sides are marked shared, and whichever
-// mutates first copies the slots into its own array. The clone gets a
-// fresh root local frame (the template's is empty at snapshot), no hooks
-// (the clone's binder layer re-installs its own), and the supplied clock
-// and abort callback. Statistics carry over.
+// device. The global table shares its slot array with the receiver
+// copy-on-write: both sides are marked shared, and whichever mutates
+// first copies the slots into its own array. The clone gets a fresh root
+// local frame (the template's is empty at snapshot), no hooks (the
+// clone's binder layer re-installs its own), and the supplied clock and
+// abort callback. Statistics carry over.
 func (vm *VM) Clone(clock *simclock.Clock, onAbort func(reason string)) *VM {
 	if clock == nil {
 		panic("art: Clone requires a clock")
 	}
-	// Mark the template tables shared (skipping the write when Freeze
+	// Mark the template table shared (skipping the write when Freeze
 	// already did it, so concurrent Clones of a frozen VM never race).
 	if !vm.globals.shared {
 		vm.globals.shared = true
-	}
-	if !vm.weaks.shared {
-		vm.weaks.shared = true
 	}
 	nv := &VM{
 		process:            vm.process,
 		clock:              clock,
 		globals:            vm.globals.share(),
-		weaks:              vm.weaks.share(),
 		collectable:        vm.collectable,
 		gcTrigger:          vm.gcTrigger,
 		aborted:            vm.aborted,
-		abortedReason:      vm.abortedReason,
 		onAbort:            onAbort,
 		totalGlobalAdds:    vm.totalGlobalAdds,
 		totalGlobalRemoves: vm.totalGlobalRemoves,
@@ -701,8 +635,8 @@ func (vm *VM) Clone(clock *simclock.Clock, onAbort func(reason string)) *VM {
 }
 
 // ResetFromTemplate rewinds vm in place to the state Clone(tmpl) would
-// return — tables equal to the frozen template's, handing out the same
-// refs next — reusing the table structs and slot storage, frame stack
+// return — a global table equal to the frozen template's, handing out the
+// same refs next — reusing the table struct and slot storage, frame stack
 // and frame pool. The abort hook is preserved: it was bound to this VM's owning
 // process at materialization, and a recycled process keeps its identity.
 // The caller must guarantee nothing references the VM's retired state.
@@ -710,12 +644,11 @@ func (vm *VM) ResetFromTemplate(tmpl *VM, clock *simclock.Clock) {
 	if clock == nil {
 		panic("art: ResetFromTemplate requires a clock")
 	}
-	if !tmpl.globals.shared || !tmpl.weaks.shared {
+	if !tmpl.globals.shared {
 		panic("art: ResetFromTemplate of an unfrozen template")
 	}
-	g, w := vm.globals, vm.weaks
+	g := vm.globals
 	g.resetFrom(tmpl.globals)
-	w.resetFrom(tmpl.weaks)
 	var local *table
 	if len(vm.frames) > 0 {
 		local = vm.frames[0]
@@ -731,13 +664,11 @@ func (vm *VM) ResetFromTemplate(tmpl *VM, clock *simclock.Clock) {
 		process:            tmpl.process,
 		clock:              clock,
 		globals:            g,
-		weaks:              w,
 		frames:             frames,
 		framePool:          framePool,
 		collectable:        tmpl.collectable,
 		gcTrigger:          tmpl.gcTrigger,
 		aborted:            tmpl.aborted,
-		abortedReason:      tmpl.abortedReason,
 		onAbort:            onAbort,
 		totalGlobalAdds:    tmpl.totalGlobalAdds,
 		totalGlobalRemoves: tmpl.totalGlobalRemoves,
@@ -752,7 +683,6 @@ func (vm *VM) abort(reason string) {
 		return
 	}
 	vm.aborted = true
-	vm.abortedReason = reason
 	if vm.onAbort != nil {
 		vm.onAbort(reason)
 	}

@@ -162,23 +162,6 @@ func TestPopRootFramePanics(t *testing.T) {
 	vm.PopLocalFrame()
 }
 
-func TestWeakGlobalRefs(t *testing.T) {
-	vm, _ := newTestVM(t, Config{MaxWeakGlobalRefs: 2})
-	r1, err := vm.AddWeakGlobalRef(obj(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Kind() != KindWeakGlobal {
-		t.Fatalf("kind = %v, want weak-global", r1.Kind())
-	}
-	if _, err := vm.AddWeakGlobalRef(obj(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vm.AddWeakGlobalRef(obj(3)); err == nil {
-		t.Fatal("weak table overflow not detected")
-	}
-}
-
 func TestJGRHookObservesAddRemove(t *testing.T) {
 	vm, clock := newTestVM(t, Config{})
 	var events []JGREvent
@@ -198,20 +181,6 @@ func TestJGRHookObservesAddRemove(t *testing.T) {
 	}
 	if rem.Op != OpRemove || rem.Time != 15*time.Millisecond || rem.Count != 0 || rem.Obj != 7 {
 		t.Fatalf("remove event = %+v", rem)
-	}
-}
-
-func TestRefAge(t *testing.T) {
-	vm, clock := newTestVM(t, Config{})
-	ref, _ := vm.AddGlobalRef(obj(1))
-	clock.Advance(42 * time.Second)
-	age, ok := vm.RefAge(ref)
-	if !ok || age != 42*time.Second {
-		t.Fatalf("RefAge = %v, %v; want 42s, true", age, ok)
-	}
-	vm.DeleteGlobalRef(ref)
-	if _, ok := vm.RefAge(ref); ok {
-		t.Fatal("RefAge reported a deleted ref")
 	}
 }
 
@@ -279,10 +248,9 @@ func TestQuickConservation(t *testing.T) {
 
 func TestRefKindString(t *testing.T) {
 	cases := map[RefKind]string{
-		KindLocal:      "local",
-		KindGlobal:     "global",
-		KindWeakGlobal: "weak-global",
-		RefKind(9):     "RefKind(9)",
+		KindLocal:  "local",
+		KindGlobal: "global",
+		RefKind(9): "RefKind(9)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {

@@ -11,15 +11,13 @@ import (
 // refModel is the reference tables written as plain maps: the contract
 // FuzzRefTable holds every VM to.
 type refModel struct {
-	max, maxWeak, trigger int
+	max, trigger int
 
 	globals     map[IndirectRef]modelEntry
 	live        []IndirectRef // globals' keys, for indexing by fuzz bytes
 	dead        []IndirectRef // deleted or collected global refs
-	weaks       []IndirectRef
-	deadWeaks   []IndirectRef
-	frames      []int // local refs per frame, root first
-	collectable int   // the VM's GC-trigger counter: marks since the last GC
+	frames      []int         // local refs per frame, root first
+	collectable int           // the VM's GC-trigger counter: marks since the last GC
 
 	adds, removes, gcCycles uint64
 	peak                    int
@@ -28,13 +26,12 @@ type refModel struct {
 
 type modelEntry struct {
 	obj         ObjectID
-	addedAt     time.Duration
 	collectable bool
 }
 
 func newRefModel(cfg Config) *refModel {
 	return &refModel{
-		max: cfg.MaxGlobalRefs, maxWeak: cfg.MaxWeakGlobalRefs, trigger: cfg.GCTrigger,
+		max: cfg.MaxGlobalRefs, trigger: cfg.GCTrigger,
 		globals: map[IndirectRef]modelEntry{}, frames: []int{0},
 	}
 }
@@ -49,8 +46,6 @@ func (m *refModel) clone() *refModel {
 	}
 	c.live = append([]IndirectRef(nil), m.live...)
 	c.dead = append([]IndirectRef(nil), m.dead...)
-	c.weaks = append([]IndirectRef(nil), m.weaks...)
-	c.deadWeaks = append([]IndirectRef(nil), m.deadWeaks...)
 	c.frames = []int{0}
 	return &c
 }
@@ -156,7 +151,7 @@ func (h *refHarness) addGlobal() {
 		if _, dup := h.m.globals[ref]; dup || ref.Kind() != KindGlobal {
 			h.t.Fatalf("AddGlobalRef returned %#x, live or of the wrong kind", uint64(ref))
 		}
-		h.m.globals[ref] = modelEntry{obj: o.ID, addedAt: h.clock.Now()}
+		h.m.globals[ref] = modelEntry{obj: o.ID}
 		h.m.live = append(h.m.live, ref)
 		h.m.adds++
 		h.m.peak = max(before, len(h.m.globals))
@@ -268,12 +263,12 @@ func (h *refHarness) check(step int) {
 	if len(h.events) != 0 {
 		h.t.Fatalf("step %d: %d unexpected hook events", step, len(h.events))
 	}
-	got := [...]any{vm.GlobalRefCount(), vm.WeakGlobalRefCount(), vm.LocalRefCount(),
+	got := [...]any{vm.GlobalRefCount(), vm.LocalRefCount(),
 		vm.TotalGlobalAdds(), vm.TotalGlobalRemoves(), vm.PeakGlobalRefCount(), vm.GCCycles(), vm.Aborted()}
-	want := [...]any{len(m.globals), len(m.weaks), m.frames[len(m.frames)-1],
+	want := [...]any{len(m.globals), m.frames[len(m.frames)-1],
 		m.adds, m.removes, m.peak, m.gcCycles, m.aborted}
 	if got != want {
-		h.t.Fatalf("step %d: globals, weaks, locals, adds, removes, peak, gc cycles, aborted = %v, model %v", step, got, want)
+		h.t.Fatalf("step %d: globals, locals, adds, removes, peak, gc cycles, aborted = %v, model %v", step, got, want)
 	}
 	wantAborts := 0
 	if m.aborted {
@@ -289,7 +284,7 @@ func (h *refHarness) check(step int) {
 func (h *refHarness) run(ops []byte) {
 	h.t.Helper()
 	for step := 0; step+1 < len(ops); step += 2 {
-		op, arg := ops[step]%12, int(ops[step+1])
+		op, arg := ops[step]%9, int(ops[step+1])
 		m, vm := h.m, h.vm
 		switch op {
 		case 0:
@@ -303,8 +298,8 @@ func (h *refHarness) run(ops []byte) {
 				ref := m.dead[arg%len(m.dead)]
 				h.wantStale("DeleteGlobalRef(dead)", vm.DeleteGlobalRef(ref))
 				h.wantStale("MarkCollectable(dead)", vm.MarkCollectable(ref))
-				if _, ok := vm.RefAge(ref); ok {
-					h.t.Fatalf("RefAge reported dead ref %#x", uint64(ref))
+				if _, ok := resolve(vm, ref); ok {
+					h.t.Fatalf("global table resolves dead ref %#x", uint64(ref))
 				}
 			}
 		case 3:
@@ -316,44 +311,10 @@ func (h *refHarness) run(ops []byte) {
 			}
 			h.wantGC(freed)
 		case 5:
-			for i := 0; i <= arg%8; i++ {
-				ref, err := vm.AddWeakGlobalRef(h.nextObj())
-				switch {
-				case h.wantAborted("AddWeakGlobalRef", err):
-				case len(m.weaks) >= m.maxWeak:
-					h.wantOverflow(KindWeakGlobal, m.maxWeak, ref, err)
-				case err != nil || ref.Kind() != KindWeakGlobal:
-					h.t.Fatalf("AddWeakGlobalRef: %#x, %v", uint64(ref), err)
-				default:
-					m.weaks = append(m.weaks, ref)
-				}
-			}
-		case 6:
-			if len(m.weaks) > 0 {
-				k := arg % len(m.weaks)
-				ref := m.weaks[k]
-				// A weak ref is stale in the global table whatever its slot.
-				h.wantStale("DeleteGlobalRef(weak)", vm.DeleteGlobalRef(ref))
-				err := vm.DeleteWeakGlobalRef(ref)
-				if !h.wantAborted("DeleteWeakGlobalRef", err) {
-					if err != nil {
-						h.t.Fatalf("DeleteWeakGlobalRef(live %#x): %v", uint64(ref), err)
-					}
-					m.weaks[k] = m.weaks[len(m.weaks)-1]
-					m.weaks = m.weaks[:len(m.weaks)-1]
-					m.deadWeaks = append(m.deadWeaks, ref)
-				}
-			}
-		case 7:
-			if len(m.deadWeaks) > 0 {
-				ref := m.deadWeaks[arg%len(m.deadWeaks)]
-				h.wantStale("DeleteWeakGlobalRef(dead)", vm.DeleteWeakGlobalRef(ref))
-			}
-		case 8:
 			vm.PushLocalFrame()
 			m.frames = append(m.frames, 0)
 			h.addLocals(arg % 4)
-		case 9: // the root frame cannot be popped; it takes locals instead
+		case 6: // the root frame cannot be popped; it takes locals instead
 			top := len(m.frames) - 1
 			if top == 0 {
 				h.addLocals(arg % 4)
@@ -363,16 +324,16 @@ func (h *refHarness) run(ops []byte) {
 				h.t.Fatalf("PopLocalFrame freed %d, model %d", got, m.frames[top])
 			}
 			m.frames = m.frames[:top]
-		case 10:
+		case 7:
 			h.clock.Advance(time.Duration(arg) * time.Millisecond)
 			if len(m.live) > 0 {
 				ref := m.live[arg%len(m.live)]
-				age, ok := vm.RefAge(ref)
-				if want := h.clock.Now() - m.globals[ref].addedAt; !ok || age != want {
-					h.t.Fatalf("RefAge(%#x) = %v, %v; model %v", uint64(ref), age, ok, want)
+				obj, ok := resolve(vm, ref)
+				if want := m.globals[ref].obj; !ok || obj != want {
+					h.t.Fatalf("global table resolves %#x to %v, %v; model %v", uint64(ref), obj, ok, want)
 				}
 			}
-		case 11: // churn: delete up to arg live refs, then add as many
+		case 8: // churn: delete up to arg live refs, then add as many
 			n := min(arg, len(m.live))
 			for i := 0; i < n; i++ {
 				h.deleteGlobal(arg + i)
@@ -385,9 +346,19 @@ func (h *refHarness) run(ops []byte) {
 	}
 }
 
+// resolve returns the object a global ref's slot holds, or false if the
+// global table does not resolve ref.
+func resolve(vm *VM, ref IndirectRef) (ObjectID, bool) {
+	i := vm.globals.lookup(ref)
+	if i < 0 {
+		return 0, false
+	}
+	return vm.globals.slots[i].obj, true
+}
+
 // refTemplate builds the frozen template FuzzRefTable clones: a few
-// hundred global refs with holes and some entries marked collectable,
-// and weak refs with holes. It returns the template and its model.
+// hundred global refs with holes and some entries marked collectable. It
+// returns the template and its model.
 func refTemplate(t *testing.T, cfg Config) (*VM, *refModel) {
 	clock := simclock.New()
 	aborts := 0
@@ -404,27 +375,21 @@ func refTemplate(t *testing.T, cfg Config) (*VM, *refModel) {
 	for k := 0; k < 5; k++ {
 		h.markCollectable(7 * k)
 	}
-	for i := 0; i < 24; i++ {
-		h.run([]byte{5, 0})
-	}
-	for k := 0; k < 8; k++ {
-		h.run([]byte{6, byte(3 * k)})
-	}
 	h.check(-1)
 	vm.Freeze()
 	return vm, h.m
 }
 
 // wantRewound checks that a VM rewound to the template resolves exactly
-// the template's live refs: a ref the trial took or deleted is stale
-// unless the template holds it.
+// the template's live refs, each to the template's object: a ref the
+// trial took or deleted is stale unless the template holds it.
 func wantRewound(t *testing.T, vm *VM, trial, tmpl *refModel) {
 	t.Helper()
 	for _, refs := range [][]IndirectRef{trial.live, trial.dead} {
 		for _, ref := range refs {
-			_, want := tmpl.globals[ref]
-			if _, ok := vm.RefAge(ref); ok != want {
-				t.Fatalf("rewound VM resolves %#x: %v, template %v", uint64(ref), ok, want)
+			want, live := tmpl.globals[ref]
+			if obj, ok := resolve(vm, ref); ok != live || obj != want.obj {
+				t.Fatalf("rewound VM resolves %#x to %v, %v; template %v, %v", uint64(ref), obj, ok, want.obj, live)
 			}
 		}
 	}
@@ -433,12 +398,12 @@ func wantRewound(t *testing.T, vm *VM, trial, tmpl *refModel) {
 // sameAsFreshClone checks that vm, rewound to tmpl, is indistinguishable
 // from a fresh clone of tmpl: the same counts and statistics, the same
 // number of collectable entries for a GC to free, and the same refs from
-// the next 64 global and 8 weak adds.
+// the next 64 global adds.
 func sameAsFreshClone(t *testing.T, vm, tmpl *VM) {
 	t.Helper()
 	fresh := tmpl.Clone(simclock.New(), nil)
-	stats := func(v *VM) [9]any {
-		return [...]any{v.GlobalRefCount(), v.WeakGlobalRefCount(), v.LocalRefCount(), v.TotalGlobalAdds(),
+	stats := func(v *VM) [8]any {
+		return [...]any{v.GlobalRefCount(), v.LocalRefCount(), v.TotalGlobalAdds(),
 			v.TotalGlobalRemoves(), v.PeakGlobalRefCount(), v.GCCycles(), v.Aborted(), v.MaxGlobal()}
 	}
 	if got, want := stats(vm), stats(fresh); got != want {
@@ -448,14 +413,9 @@ func sameAsFreshClone(t *testing.T, vm, tmpl *VM) {
 		t.Fatalf("rewound VM GC freed %d, fresh clone %d", got, want)
 	}
 	o := &Object{ID: 1}
-	for i := 0; i < 72; i++ {
-		add := vm.AddGlobalRef
-		addFresh := fresh.AddGlobalRef
-		if i >= 64 {
-			add, addFresh = vm.AddWeakGlobalRef, fresh.AddWeakGlobalRef
-		}
-		r1, err1 := add(o)
-		r2, err2 := addFresh(o)
+	for i := 0; i < 64; i++ {
+		r1, err1 := vm.AddGlobalRef(o)
+		r2, err2 := fresh.AddGlobalRef(o)
 		if r1 != r2 || (err1 == nil) != (err2 == nil) {
 			t.Fatalf("add %d after rewind: %#x, %v; fresh clone %#x, %v", i, uint64(r1), err1, uint64(r2), err2)
 		}
@@ -471,13 +431,13 @@ func sameAsFreshClone(t *testing.T, vm, tmpl *VM) {
 // fresh clone, and replays the ops on the rewound clone against the
 // template's model.
 func FuzzRefTable(f *testing.F) {
-	f.Add([]byte{3, 9, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 0, 0, 4, 0, 2, 1, 10, 3})
-	f.Add([]byte{60, 5, 11, 200, 11, 255, 3, 1, 3, 2, 3, 3, 4, 0, 2, 7})
-	f.Add([]byte{0, 0, 8, 3, 8, 2, 5, 0, 5, 0, 6, 1, 7, 0, 9, 0, 0, 0, 9, 0, 9, 0, 8, 1, 5, 7, 5, 7, 5, 7, 5, 7})
+	f.Add([]byte{3, 9, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 0, 0, 4, 0, 2, 1, 7, 3})
+	f.Add([]byte{60, 5, 8, 200, 8, 255, 3, 1, 3, 2, 3, 3, 4, 0, 2, 7})
+	f.Add([]byte{0, 0, 5, 3, 5, 2, 6, 0, 0, 0, 6, 0, 6, 0, 5, 1})
 	f.Add([]byte{0, 1, 0, 7, 0, 7, 0, 7, 0, 7, 0, 7, 0, 7, 0, 7, 0, 7, 0, 7, 0, 7,
-		1, 0, 2, 0, 3, 0, 4, 0, 5, 7, 6, 0, 7, 0, 8, 3, 9, 0, 10, 1, 11, 3})
-	f.Add([]byte{2, 40, 11, 90, 11, 90, 11, 90, 11, 90, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{1, 0, 3, 5, 3, 9, 10, 2})
+		1, 0, 2, 0, 3, 0, 4, 0, 5, 3, 6, 0, 7, 1, 8, 3})
+	f.Add([]byte{2, 40, 8, 90, 8, 90, 8, 90, 8, 90, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 0, 3, 5, 3, 9, 7, 2})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 2 {
 			return
@@ -489,7 +449,7 @@ func FuzzRefTable(f *testing.F) {
 		if in[1]%4 != 0 {
 			trigger = 6 + int(in[1]%16)
 		}
-		cfg := Config{MaxGlobalRefs: 288 + int(in[0]%32), MaxWeakGlobalRefs: 24 + int(in[0]%8), GCTrigger: trigger}
+		cfg := Config{MaxGlobalRefs: 288 + int(in[0]%32), GCTrigger: trigger}
 		ops := in[2:]
 		tmpl, tm := refTemplate(t, cfg)
 

@@ -35,7 +35,6 @@ const maxTemplates = 4
 // share one template and be re-keyed at clone time.
 type templateKey struct {
 	maxGlobalRefs     int
-	maxWeakGlobalRefs int
 	gcTrigger         int
 	faults            faults.Config
 	universalQuota    int
@@ -47,7 +46,6 @@ type templateKey struct {
 func templateKeyOf(cfg Config) templateKey {
 	return templateKey{
 		maxGlobalRefs:     cfg.ServerVM.MaxGlobalRefs,
-		maxWeakGlobalRefs: cfg.ServerVM.MaxWeakGlobalRefs,
 		gcTrigger:         cfg.ServerVM.GCTrigger,
 		faults:            cfg.Faults,
 		universalQuota:    cfg.UniversalQuota,
@@ -68,7 +66,7 @@ func SetCloneBoot(enabled bool) {
 }
 
 // Snapshot seals the device as an immutable clone template: the kernel
-// rejects further Spawn/Kill, every process VM's reference tables are
+// rejects further Spawn/Kill, every process VM's global table is
 // frozen copy-on-write, and the permission definition map is marked
 // shared. Snapshot is meant for a boot-quiescent device (no transactions
 // run yet); it is idempotent, one-way, and must not race with clones —

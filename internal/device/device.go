@@ -407,7 +407,8 @@ var daemonNames = func() []string {
 }()
 
 // spawnBaselineFillers brings the process count up to the stock-Android
-// level (Fig. 4's 382) with inert native daemons.
+// level (Fig. 4's 382) with inert native daemons: root-uid processes, to
+// which the kernel gives no ART runtime.
 func (d *Device) spawnBaselineFillers() {
 	for i := d.kern.RunningCount(); i < DefaultBaselineProcesses; i++ {
 		d.kern.Spawn(kernel.SpawnConfig{

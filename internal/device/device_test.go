@@ -354,13 +354,14 @@ func exhaust(d *Device) error {
 
 // bootState is what a soft reboot must restore, pids and binder handles
 // aside: every service's method name → code table, system_server's and
-// each host's JGR count, the running-process count and the sorted
-// process names.
+// each host's JGR count, the running-process count, the sorted process
+// names and the sorted names of the processes that have a runtime.
 type bootState struct {
-	codes   map[string]map[string]binder.TxCode
-	jgr     map[string]int
-	running int
-	names   []string
+	codes    map[string]map[string]binder.TxCode
+	jgr      map[string]int
+	running  int
+	names    []string
+	runtimes []string
 }
 
 func bootStateOf(d *Device) bootState {
@@ -382,8 +383,12 @@ func bootStateOf(d *Device) bootState {
 	}
 	for _, p := range d.Kernel().Processes() {
 		st.names = append(st.names, p.Name())
+		if p.VM() != nil {
+			st.runtimes = append(st.runtimes, p.Name())
+		}
 	}
 	sort.Strings(st.names)
+	sort.Strings(st.runtimes)
 	return st
 }
 
@@ -397,6 +402,14 @@ func TestSoftRebootRestoresBootState(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bootStateOf(fresh)
+	if want.running != DefaultBaselineProcesses {
+		t.Fatalf("RunningCount after a fresh boot = %d, want %d", want.running, DefaultBaselineProcesses)
+	}
+	for _, p := range fresh.Kernel().Processes() {
+		if (p.VM() == nil) != (p.Uid() == kernel.RootUid) {
+			t.Fatalf("fresh boot: %s (uid %d) has a runtime: %v; only root's native daemons run none", p.Name(), p.Uid(), p.VM() != nil)
+		}
+	}
 	for name, bootFn := range map[string]func(Config) (*Device, error){"clone": Boot, "fresh": BootFresh} {
 		d, err := bootFn(cfg)
 		if err != nil {
@@ -417,6 +430,9 @@ func TestSoftRebootRestoresBootState(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.names, want.names) {
 			t.Errorf("%s: process names after the reboot differ from a fresh boot's", name)
+		}
+		if !reflect.DeepEqual(got.runtimes, want.runtimes) {
+			t.Errorf("%s: processes with a runtime after the reboot = %v, fresh boot %v", name, got.runtimes, want.runtimes)
 		}
 	}
 }

@@ -110,10 +110,9 @@ func (d *Device) registerMetrics() {
 
 	// Per-process JGR and frame-churn series for the monitored hosts:
 	// system_server plus the dedicated service hosts (~10 processes, not
-	// all 382 — the filler daemons would explode series cardinality for
-	// tables that are empty by construction). Closures read d.hosts at
-	// render time, so a soft reboot transparently re-points every series
-	// at the host's new incarnation.
+	// all 382 — the filler daemons are native and have no runtime to
+	// report). Closures read d.hosts at render time, so a soft reboot
+	// transparently re-points every series at the host's new incarnation.
 	d.registerHostMetrics(kernel.SystemServerName)
 	for name := range d.hosts {
 		if name != kernel.SystemServerName {

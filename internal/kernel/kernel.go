@@ -8,6 +8,7 @@ package kernel
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -78,7 +79,9 @@ func (p *Process) Alive() bool { return p.alive }
 // ExitReason returns why the process died, or "" while alive.
 func (p *Process) ExitReason() string { return p.exitReason }
 
-// VM returns the process's Android runtime.
+// VM returns the process's Android runtime, or nil for one of init's
+// native daemons (a RootUid process), which are not forked from zygote
+// and run no runtime.
 func (p *Process) VM() *art.VM { return p.vm }
 
 // OomScoreAdj returns the current LMK priority.
@@ -91,9 +94,6 @@ func (p *Process) SetOomScoreAdj(adj int) { p.oomScoreAdj = adj }
 // MemoryKB returns the simulated resident set size.
 func (p *Process) MemoryKB() int { return p.memoryKB }
 
-// StartedAt returns the virtual time the process started.
-func (p *Process) StartedAt() time.Duration { return p.startedAt }
-
 // NotifyDeath registers fn to run when the process dies. Binder
 // link-to-death and the JGR release of a dead client are built on this.
 func (p *Process) NotifyDeath(fn func(*Process)) {
@@ -102,7 +102,10 @@ func (p *Process) NotifyDeath(fn func(*Process)) {
 
 // SpawnConfig parameterizes Kernel.Spawn.
 type SpawnConfig struct {
-	Name        string
+	Name string
+	// Uid is the owning user. A RootUid process is one of init's native
+	// daemons and gets no Android runtime: the paper's JGR tables live
+	// only in zygote-forked system and app processes.
 	Uid         Uid
 	OomScoreAdj int
 	// MemoryKB is the simulated RSS; 0 means DefaultAppMemoryKB.
@@ -193,7 +196,7 @@ func New(clock *simclock.Clock, cfg Config) *Kernel {
 
 // Seal freezes the kernel as a snapshot template: Spawn and Kill panic
 // from here on, which guarantees the process table Clone shares stays
-// immutable. Every process VM is frozen (reference tables marked
+// immutable. Every process VM is frozen (its global table marked
 // copy-on-write) so concurrent clones never write template state.
 // Sealing is one-way.
 func (k *Kernel) Seal() {
@@ -202,7 +205,9 @@ func (k *Kernel) Seal() {
 	}
 	k.sealed = true
 	for _, p := range k.procs {
-		p.vm.Freeze()
+		if p.vm != nil {
+			p.vm.Freeze()
+		}
 	}
 }
 
@@ -301,7 +306,9 @@ func (p *Process) resetFromFrozen(fp *Process, k *Kernel) {
 		deathFns:    p.deathFns[:0],
 		k:           k,
 	}
-	vm.ResetFromTemplate(fp.vm, k.clock)
+	if vm != nil {
+		vm.ResetFromTemplate(fp.vm, k.clock)
+	}
 }
 
 // lookup returns the process for pid from the clone overlay or the
@@ -327,9 +334,9 @@ func (k *Kernel) each(fn func(*Process)) {
 }
 
 // materialize returns a mutable, clone-owned process for pid, copying it
-// out of the frozen base on first use. The copy gets its own VM built on
-// the frozen VM's reference tables (copy-on-write, see art.VM.Clone) and
-// an abort hook rebuilt against this kernel.
+// out of the frozen base on first use. A copy of a process with a runtime
+// gets its own VM built on the frozen VM's global table (copy-on-write,
+// see art.VM.Clone) and an abort hook rebuilt against this kernel.
 func (k *Kernel) materialize(pid Pid) *Process {
 	if p, ok := k.procs[pid]; ok {
 		return p
@@ -355,9 +362,11 @@ func (k *Kernel) materialize(pid Pid) *Process {
 		exitReason:  fp.exitReason,
 		k:           k,
 	}
-	p.vm = fp.vm.Clone(k.clock, func(reason string) {
-		k.Kill(p.pid, "runtime abort: "+reason)
-	})
+	if fp.vm != nil {
+		p.vm = fp.vm.Clone(k.clock, func(reason string) {
+			k.Kill(p.pid, "runtime abort: "+reason)
+		})
+	}
 	k.procs[pid] = p
 	return p
 }
@@ -381,8 +390,9 @@ func (k *Kernel) OnKill(fn func(*Process, string)) {
 	k.onKill = append(k.onKill, fn)
 }
 
-// Spawn creates a new process with its own Android runtime. A runtime
-// abort (JGR exhaustion) automatically kills the process, which in turn
+// Spawn creates a new process with its own Android runtime, unless
+// cfg.Uid is RootUid: init's native daemons run none. A runtime abort
+// (JGR exhaustion) automatically kills the process, which in turn
 // soft-reboots the device if the process is system_server.
 func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 	if cfg.Name == "" {
@@ -409,13 +419,15 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 	}
 	k.nextPid++
 
-	vmCfg := cfg.VM
-	vmCfg.OnAbort = func(reason string) {
-		// Runtime abort kills the owning process (paper §II-A: "the
-		// victim process's runtime will abort").
-		k.Kill(p.pid, "runtime abort: "+reason)
+	if cfg.Uid != RootUid {
+		vmCfg := cfg.VM
+		vmCfg.OnAbort = func(reason string) {
+			// Runtime abort kills the owning process (paper §II-A: "the
+			// victim process's runtime will abort").
+			k.Kill(p.pid, "runtime abort: "+reason)
+		}
+		p.vm = art.NewVM(cfg.Name, k.clock, vmCfg)
 	}
-	p.vm = art.NewVM(cfg.Name, k.clock, vmCfg)
 
 	k.procs[p.pid] = p
 	k.running++
@@ -521,13 +533,16 @@ func (k *Kernel) softReboot(reason string) {
 	killReason := "soft reboot: " + reason
 	// Collect victims before killing: death recipients may themselves kill
 	// processes, and on a clone the kill path materializes into k.procs,
-	// which must not happen while ranging over it.
+	// which must not happen while ranging over it. Kill them in pid order,
+	// not map order: a death recipient fires only while its holder is
+	// alive, so the order decides which recipients fire.
 	var pids []Pid
 	k.each(func(p *Process) {
 		if p.alive && p.name != SystemServerName {
 			pids = append(pids, p.pid)
 		}
 	})
+	slices.Sort(pids)
 	for _, pid := range pids {
 		p := k.materialize(pid)
 		if !p.alive {

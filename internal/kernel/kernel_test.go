@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,111 @@ func TestSystemServerDeathSoftReboots(t *testing.T) {
 	if rebootReason == "" {
 		t.Fatal("OnSystemServerDeath not invoked")
 	}
+}
+
+// spawnMix spawns system_server, whose runtime aborts on its fourth
+// global ref, then n rounds of a native daemon, a system process and an
+// app.
+func spawnMix(k *Kernel, n int) {
+	k.Spawn(SpawnConfig{Name: SystemServerName, Uid: SystemUid, OomScoreAdj: SystemAdj, VM: art.Config{MaxGlobalRefs: 3}})
+	for i := 0; i < n; i++ {
+		spawnDaemon(k)
+		k.Spawn(SpawnConfig{Name: "host", Uid: SystemUid, OomScoreAdj: PersistentProcAdj})
+		k.Spawn(SpawnConfig{Name: "app", Uid: FirstAppUid + Uid(i), MemoryKB: 1024})
+	}
+}
+
+// spawnDaemon spawns one of init's native daemons, as the device's
+// baseline fillers are.
+func spawnDaemon(k *Kernel) {
+	k.Spawn(SpawnConfig{Name: "daemon", Uid: RootUid, OomScoreAdj: PersistentProcAdj, MemoryKB: 1024})
+}
+
+// exhaustSystemServer overflows system_server's JGR table: its runtime
+// aborts, and the kernel reaps it and soft-reboots.
+func exhaustSystemServer(t *testing.T, k *Kernel) {
+	t.Helper()
+	reboots := k.SoftReboots()
+	ss := k.FindProcess(SystemServerName)
+	for ss.Alive() {
+		ss.VM().AddGlobalRef(&art.Object{ID: 1})
+	}
+	if k.SoftReboots() != reboots+1 {
+		t.Fatalf("SoftReboots = %d after exhausting system_server, want %d", k.SoftReboots(), reboots+1)
+	}
+}
+
+// TestSoftRebootKillsInPidOrder: a soft reboot kills its victims in
+// ascending pid order, on a fresh kernel and on a clone whose victims are
+// part materialized and part still frozen. The order decides which death
+// recipients fire, since one fires only while its holder is alive.
+func TestSoftRebootKillsInPidOrder(t *testing.T) {
+	fresh := newKernel(t, Config{})
+	spawnMix(fresh, 20)
+	tmpl := newKernel(t, Config{})
+	spawnMix(tmpl, 20)
+	tmpl.Seal()
+	clone := tmpl.Clone(simclock.New(), nil)
+	for pid := Pid(60); pid > 40; pid -= 3 {
+		clone.Process(pid)
+	}
+	for name, k := range map[string]*Kernel{"fresh": fresh, "clone": clone} {
+		var killed []Pid
+		k.OnKill(func(p *Process, reason string) {
+			if strings.HasPrefix(reason, "soft reboot: ") {
+				killed = append(killed, p.Pid())
+			}
+		})
+		exhaustSystemServer(t, k)
+		if len(killed) != 60 || !slices.IsSorted(killed) {
+			t.Errorf("%s: the soft reboot killed pids %v, want its 60 victims in ascending order", name, killed)
+		}
+	}
+}
+
+// TestNativeDaemonsHaveNoRuntime: a RootUid process is one of init's
+// native daemons and has no runtime through Spawn, Seal, Clone, Kill, a
+// soft reboot (whose restart spawns a daemon again) and a CloneReusing
+// rewind, while system and app processes keep theirs throughout.
+func TestNativeDaemonsHaveNoRuntime(t *testing.T) {
+	wantRuntimes := func(stage string, k *Kernel) {
+		t.Helper()
+		daemons := 0
+		k.each(func(p *Process) {
+			if (p.VM() == nil) != (p.Uid() == RootUid) {
+				t.Fatalf("%s: pid %d (%s, uid %d) has a runtime: %v", stage, p.Pid(), p.Name(), p.Uid(), p.VM() != nil)
+			}
+			if p.Uid() == RootUid {
+				daemons++
+			}
+		})
+		if daemons == 0 {
+			t.Fatalf("%s: no native daemon to check", stage)
+		}
+	}
+	var fresh, clone *Kernel
+	fresh = newKernel(t, Config{OnSystemServerDeath: func(string) { spawnDaemon(fresh) }})
+	spawnMix(fresh, 3)
+	wantRuntimes("spawn", fresh)
+	tmpl := newKernel(t, Config{})
+	spawnMix(tmpl, 3)
+	tmpl.Seal()
+	wantRuntimes("seal", tmpl)
+	restart := func(string) { spawnDaemon(clone) }
+	clone = tmpl.Clone(simclock.New(), restart)
+	wantRuntimes("clone", clone)
+	for name, k := range map[string]*Kernel{"fresh": fresh, "clone": clone} {
+		if err := k.Kill(k.FindProcess("daemon").Pid(), "test"); err != nil {
+			t.Fatal(err)
+		}
+		wantRuntimes(name+" kill", k)
+		exhaustSystemServer(t, k)
+		wantRuntimes(name+" soft reboot", k)
+	}
+	clone = tmpl.CloneReusing(clone, simclock.New(), restart)
+	wantRuntimes("rewind", clone)
+	clone.Processes()
+	wantRuntimes("rewind materialized", clone)
 }
 
 func TestLMKEvictsCachedApps(t *testing.T) {
