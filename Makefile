@@ -30,9 +30,11 @@ vet:
 # art JGR hooks, defender causal spans, the recorder/exporter) and the
 # traced-fleet capture that runs them across worker goroutines, and the
 # lock-free virtual clock every layer reads, and the service dispatch
-# tables every boot, soft reboot and client on any goroutine shares.
+# tables every boot, soft reboot and client on any goroutine shares, and
+# the kernel whose sealed process table every clone reads while each
+# worker's recycled slot parks and respawns its own processes.
 race:
-	$(GO) test -race ./internal/parallel ./internal/experiments ./internal/analysis ./internal/scenario ./internal/defense ./internal/binder ./internal/faults ./internal/event ./internal/device ./internal/chaos ./internal/fleet ./internal/art ./internal/trace ./internal/simclock ./internal/services ./cmd/jgre-trace
+	$(GO) test -race ./internal/parallel ./internal/experiments ./internal/analysis ./internal/scenario ./internal/defense ./internal/binder ./internal/faults ./internal/event ./internal/device ./internal/chaos ./internal/fleet ./internal/art ./internal/trace ./internal/simclock ./internal/services ./internal/kernel ./cmd/jgre-trace
 
 # Coverage-guided fuzzing smoke: the kernel log-record parser (the one
 # spot where the defender consumes a wire format), the differential pin
@@ -107,9 +109,13 @@ bench_gate = awk -v names='$(1)' -v key='$(3)' -v unit='$(4)' ' \
 # value: BenchmarkDeviceClone's B/op and allocs/op (max_bytes_per_op,
 # max_allocs_per_op), BenchmarkSoftReboot's allocs/op (only the timed
 # reboot counts, 20x), so a reboot that rebuilds what every boot shares,
-# or gives the filler daemons an ART runtime again, fails, and
-# BenchmarkFleet's allocs/op (256 devices on recycled slots, 2x), so a
-# fleet whose slots stop recycling fails.
+# or gives the filler daemons an ART runtime again, fails,
+# BenchmarkRegister's allocs/op and B/op (one attacker registration on a
+# recycled slot, 2000x: the count is whole objects per registration, the
+# bytes also catch the amortized regrowth of storage the slot should have
+# kept), and BenchmarkFleet's allocs/op (256 devices on recycled slots,
+# 2x), so a fleet whose slots stop recycling, or stop keeping their
+# binder storage and spawned processes, fails.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/services ./internal/telemetry \
 		| tee /tmp/jgre-bench-smoke.out
@@ -131,6 +137,10 @@ bench-smoke:
 	$(GO) test -bench='^BenchmarkSoftReboot$$' -benchtime=20x -benchmem -run '^$$' ./internal/device \
 		| tee /tmp/jgre-reboot-smoke.out
 	@$(call bench_gate,BenchmarkSoftReboot,/tmp/jgre-reboot-smoke.out,max_allocs_per_op,allocs/op)
+	$(GO) test -bench='^BenchmarkRegister$$' -benchtime=2000x -benchmem -run '^$$' ./internal/device \
+		| tee /tmp/jgre-register-smoke.out
+	@$(call bench_gate,BenchmarkRegister,/tmp/jgre-register-smoke.out,max_allocs_per_op,allocs/op)
+	@$(call bench_gate,BenchmarkRegister,/tmp/jgre-register-smoke.out,max_bytes_per_op,B/op)
 	$(GO) test -bench='^BenchmarkTransactLogged$$' -benchtime=2000x -count=5 -run '^$$' ./internal/binder \
 		| tee /tmp/jgre-hotpath-smoke.out
 	@$(call bench_gate,BenchmarkTransactLogged/unbounded BenchmarkTransactLogged/ring-flood,/tmp/jgre-hotpath-smoke.out,max_ns_per_op,ns/op)

@@ -89,7 +89,9 @@ const (
 // Kind extracts the table kind encoded in the reference.
 func (r IndirectRef) Kind() RefKind { return RefKind(r >> refKindShift) }
 
-func (r IndirectRef) index() int { return int(r & refIndexMask) }
+// Index returns the reference's slot index in its table: while the
+// reference is live, no other live reference of the table shares it.
+func (r IndirectRef) Index() int { return int(r & refIndexMask) }
 
 func makeRef(kind RefKind, serial uint64, index int) IndirectRef {
 	return IndirectRef(uint64(kind)<<refKindShift | (serial&refSerialMask)<<refIndexBits | uint64(index))
@@ -206,7 +208,7 @@ func (t *table) len() int { return len(t.slots) - len(t.holes) }
 // lookup returns the slot index of a live ref, or -1 if ref is stale or
 // belongs to another table.
 func (t *table) lookup(ref IndirectRef) int {
-	i := ref.index()
+	i := ref.Index()
 	if ref.Kind() != t.kind || i >= len(t.slots) || t.slots[i].ref != ref {
 		return -1
 	}
@@ -240,6 +242,17 @@ func (t *table) remove(i int) {
 	t.touch(i)
 	t.slots[i] = slot{}
 	t.holes = append(t.holes, int32(i))
+}
+
+// empty turns t into an empty table of the given kind and cap, keeping
+// the storage it owns; storage it shares belongs to a template and is
+// left to it.
+func (t *table) empty(kind RefKind, max int) {
+	slots, holes := t.slots[:0], t.holes[:0]
+	if t.shared {
+		slots, holes = nil, nil
+	}
+	*t = table{kind: kind, max: max, slots: slots, holes: holes, touched: t.touched[:0]}
 }
 
 // share returns a copy-on-write view of t, which rewinds to t.
@@ -324,11 +337,18 @@ type VM struct {
 	clock   *simclock.Clock
 
 	globals *table
-	frames  []*table // local reference frame stack
-	// framePool recycles popped local frames (their truncated slot arrays
-	// keep their storage), so the push/pop around every transaction stops
-	// allocating once the frame stack has reached its working depth.
-	framePool []*table
+	// frames is the local reference frame stack, root frame first. The
+	// frames past its length, up to its capacity, are the ones popped
+	// since, each kept at its depth for the next push there: the
+	// push/pop around every transaction stops allocating once the stack
+	// has reached its working depth, and a rewind keeps them too.
+	frames []*table
+	// frameHigh is the deepest the frame stack has been since the runtime
+	// was built or rewound. A push below it reuses a frame this runtime
+	// popped, a pool hit; a push at it takes a frame as good as new,
+	// kept across a rewind or allocated, so a rewound runtime counts the
+	// pool hits a fresh one would.
+	frameHigh int
 
 	hooks       []JGRHook
 	collectable int
@@ -355,6 +375,18 @@ type VM struct {
 
 // NewVM creates the runtime for the named process. clock must not be nil.
 func NewVM(process string, clock *simclock.Clock, cfg Config) *VM {
+	vm := new(VM)
+	vm.Reset(process, clock, cfg)
+	return vm
+}
+
+// Reset turns vm, in place, into the runtime NewVM(process, clock, cfg)
+// returns: empty tables, no hooks and no recorder, zeroed statistics and
+// cfg's abort hook. It keeps the storage of the global table, the local
+// frames and the hook list, which is how a process spawned again at a
+// pid a retired trial used reuses its predecessor's runtime. The caller
+// must guarantee nothing references the runtime's old state.
+func (vm *VM) Reset(process string, clock *simclock.Clock, cfg Config) {
 	if clock == nil {
 		panic("art: NewVM requires a clock")
 	}
@@ -366,15 +398,46 @@ func NewVM(process string, clock *simclock.Clock, cfg Config) *VM {
 	if trigger == 0 {
 		trigger = DefaultGCTrigger
 	}
-	vm := &VM{
+	g := vm.globals
+	if g == nil {
+		g = newTable(KindGlobal, maxG)
+	} else {
+		g.empty(KindGlobal, maxG)
+	}
+	frames, hooks := vm.rewindFrames(), vm.rewindHooks()
+	*vm = VM{
 		process:   process,
 		clock:     clock,
-		globals:   newTable(KindGlobal, maxG),
+		globals:   g,
+		frames:    frames,
+		frameHigh: 1,
+		hooks:     hooks,
 		gcTrigger: trigger,
 		onAbort:   cfg.OnAbort,
 	}
-	vm.frames = []*table{newTable(KindLocal, DefaultMaxLocalRefs)}
-	return vm
+}
+
+// rewindFrames empties every local frame the runtime has built, on the
+// stack or kept past it, and returns the stack holding only the root
+// frame, which it allocates for a runtime that has none.
+func (vm *VM) rewindFrames() []*table {
+	frames := vm.frames[:cap(vm.frames)]
+	if len(frames) == 0 {
+		return []*table{newTable(KindLocal, DefaultMaxLocalRefs)}
+	}
+	for _, fr := range frames {
+		if fr != nil {
+			fr.empty(KindLocal, DefaultMaxLocalRefs)
+		}
+	}
+	return frames[:1]
+}
+
+// rewindHooks returns the hook list emptied, its storage kept and no
+// longer pointing at the hooks it held.
+func (vm *VM) rewindHooks() []JGRHook {
+	clear(vm.hooks)
+	return vm.hooks[:0]
 }
 
 // Process returns the owning process name.
@@ -412,9 +475,13 @@ func (vm *VM) GCCycles() uint64 { return vm.gcCycles }
 // exposes.
 func (vm *VM) FramePushes() uint64 { return vm.framePushes }
 
-// FramePoolHits returns how many frame pushes were served from the
-// recycled-frame pool rather than allocating a fresh table.
+// FramePoolHits returns how many frame pushes reused a local frame this
+// runtime popped since it was built or last rewound, rather than taking
+// a new one.
 func (vm *VM) FramePoolHits() uint64 { return vm.framePoolHits }
+
+// JGRHookCount returns how many JGR hooks are attached.
+func (vm *VM) JGRHookCount() int { return len(vm.hooks) }
 
 // AddJGRHook registers a hook observing global-table mutations. Hooks run
 // synchronously in table-operation order. This is the attachment point of
@@ -567,15 +634,20 @@ func (vm *VM) AddLocalRef(obj *Object) (IndirectRef, error) {
 // native method returns").
 func (vm *VM) PushLocalFrame() {
 	vm.framePushes++
-	if n := len(vm.framePool); n > 0 {
+	n := len(vm.frames)
+	if n < vm.frameHigh {
 		vm.framePoolHits++
-		fr := vm.framePool[n-1]
-		vm.framePool[n-1] = nil
-		vm.framePool = vm.framePool[:n-1]
-		vm.frames = append(vm.frames, fr)
-		return
+	} else {
+		vm.frameHigh = n + 1
 	}
-	vm.frames = append(vm.frames, newTable(KindLocal, DefaultMaxLocalRefs))
+	if n == cap(vm.frames) {
+		vm.frames = append(vm.frames, nil)
+	} else {
+		vm.frames = vm.frames[:n+1]
+	}
+	if vm.frames[n] == nil {
+		vm.frames[n] = newTable(KindLocal, DefaultMaxLocalRefs)
+	}
 }
 
 // PopLocalFrame leaves the current native frame, freeing all its local
@@ -586,11 +658,9 @@ func (vm *VM) PopLocalFrame() int {
 		panic("art: PopLocalFrame on root frame")
 	}
 	top := vm.frames[len(vm.frames)-1]
-	vm.frames[len(vm.frames)-1] = nil
 	vm.frames = vm.frames[:len(vm.frames)-1]
 	n := top.len()
 	top.slots, top.holes = top.slots[:0], top.holes[:0]
-	vm.framePool = append(vm.framePool, top)
 	return n
 }
 
@@ -630,16 +700,17 @@ func (vm *VM) Clone(clock *simclock.Clock, onAbort func(reason string)) *VM {
 		peakGlobals:        vm.peakGlobals,
 		gcCycles:           vm.gcCycles,
 	}
-	nv.frames = []*table{newTable(KindLocal, DefaultMaxLocalRefs)}
+	nv.frames, nv.frameHigh = []*table{newTable(KindLocal, DefaultMaxLocalRefs)}, 1
 	return nv
 }
 
 // ResetFromTemplate rewinds vm in place to the state Clone(tmpl) would
 // return — a global table equal to the frozen template's, handing out the
-// same refs next — reusing the table struct and slot storage, frame stack
-// and frame pool. The abort hook is preserved: it was bound to this VM's owning
-// process at materialization, and a recycled process keeps its identity.
-// The caller must guarantee nothing references the VM's retired state.
+// same refs next, and no hooks — reusing the storage of the global table,
+// the local frames and the hook list. The abort hook is preserved: it was
+// bound to this VM's owning process at materialization, and a recycled
+// process keeps its identity. The caller must guarantee nothing
+// references the VM's retired state.
 func (vm *VM) ResetFromTemplate(tmpl *VM, clock *simclock.Clock) {
 	if clock == nil {
 		panic("art: ResetFromTemplate requires a clock")
@@ -649,23 +720,15 @@ func (vm *VM) ResetFromTemplate(tmpl *VM, clock *simclock.Clock) {
 	}
 	g := vm.globals
 	g.resetFrom(tmpl.globals)
-	var local *table
-	if len(vm.frames) > 0 {
-		local = vm.frames[0]
-		*local = table{kind: KindLocal, max: DefaultMaxLocalRefs,
-			slots: local.slots[:0], holes: local.holes[:0]}
-	} else {
-		local = newTable(KindLocal, DefaultMaxLocalRefs)
-	}
-	frames := append(vm.frames[:0], local)
+	frames, hooks := vm.rewindFrames(), vm.rewindHooks()
 	onAbort := vm.onAbort
-	framePool := vm.framePool[:0]
 	*vm = VM{
 		process:            tmpl.process,
 		clock:              clock,
 		globals:            g,
 		frames:             frames,
-		framePool:          framePool,
+		frameHigh:          1,
+		hooks:              hooks,
 		collectable:        tmpl.collectable,
 		gcTrigger:          tmpl.gcTrigger,
 		aborted:            tmpl.aborted,

@@ -291,3 +291,118 @@ func BenchmarkAddGlobalRefWithHook(b *testing.B) {
 	}
 	_ = sink
 }
+
+// frameChurn pushes three nested frames, each taking a local ref, and
+// pops them, twice: the first round builds the frames, the second reuses
+// them.
+func frameChurn(t *testing.T, vm *VM) {
+	t.Helper()
+	for round := 0; round < 2; round++ {
+		for d := 0; d < 3; d++ {
+			vm.PushLocalFrame()
+			if _, err := vm.AddLocalRef(obj(uint64(d + 1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for d := 0; d < 3; d++ {
+			vm.PopLocalFrame()
+		}
+	}
+}
+
+// TestRewindKeepsLocalFrames checks that both rewinds, ResetFromTemplate
+// for a recycled clone's process and Reset for a respawned pid, keep the
+// local frames a trial built, emptied, and that the rewound runtime then
+// reuses them without building one, while it counts frame pushes and
+// pool hits, and hands out local refs, exactly as a fresh one does.
+func TestRewindKeepsLocalFrames(t *testing.T) {
+	tmpl := NewVM("system_server", simclock.New(), Config{})
+	if _, err := tmpl.AddGlobalRef(obj(1)); err != nil {
+		t.Fatal(err)
+	}
+	tmpl.Freeze()
+	rewinds := []struct {
+		name         string
+		trial, fresh *VM
+		rewind       func(*VM)
+	}{
+		{"ResetFromTemplate", tmpl.Clone(simclock.New(), nil), tmpl.Clone(simclock.New(), nil),
+			func(vm *VM) { vm.ResetFromTemplate(tmpl, simclock.New()) }},
+		{"Reset", NewVM("app", simclock.New(), Config{}), NewVM("app", simclock.New(), Config{}),
+			func(vm *VM) { vm.Reset("app", simclock.New(), Config{}) }},
+	}
+	for _, c := range rewinds {
+		vm := c.trial
+		frameChurn(t, vm)
+		vm.PushLocalFrame() // a frame left on the stack, as by a process killed mid-call
+		built := append([]*table(nil), vm.frames[:cap(vm.frames)]...)
+		c.rewind(vm)
+		if len(vm.frames) != 1 || vm.frameHigh != 1 {
+			t.Fatalf("%s: frame stack %d deep, high %d after the rewind; want the root alone", c.name, len(vm.frames), vm.frameHigh)
+		}
+		for i, fr := range built {
+			if vm.frames[:cap(vm.frames)][i] != fr {
+				t.Fatalf("%s: frame %d not kept", c.name, i)
+			}
+			if fr != nil && (fr.len() != 0 || fr.serial != 0) {
+				t.Fatalf("%s: kept frame %d holds %d refs at serial %d; want a new frame's 0 and 0", c.name, i, fr.len(), fr.serial)
+			}
+		}
+		frameChurn(t, vm)
+		for i, fr := range vm.frames[:cap(vm.frames)] {
+			if i >= len(built) || fr != built[i] {
+				t.Fatalf("%s: the rewound runtime built frame %d again", c.name, i)
+			}
+		}
+		frameChurn(t, c.fresh)
+		got := [...]uint64{vm.FramePushes(), vm.FramePoolHits()}
+		want := [...]uint64{c.fresh.FramePushes(), c.fresh.FramePoolHits()}
+		if got != want || want[1] == 0 {
+			t.Fatalf("%s: rewound runtime pushes and pool hits %v, fresh runtime %v", c.name, got, want)
+		}
+		vm.PushLocalFrame()
+		c.fresh.PushLocalFrame()
+		r1, _ := vm.AddLocalRef(obj(9))
+		r2, _ := c.fresh.AddLocalRef(obj(9))
+		if r1 != r2 {
+			t.Fatalf("%s: rewound runtime's local ref %#x, fresh runtime's %#x", c.name, uint64(r1), uint64(r2))
+		}
+	}
+}
+
+// TestResetIsNewVM checks that Reset turns a used runtime into the one
+// NewVM builds: the new cap and GC trigger, zeroed statistics, no hooks,
+// an empty table handing out a fresh runtime's refs, and the new abort
+// hook.
+func TestResetIsNewVM(t *testing.T) {
+	oldCalls := 0
+	vm := NewVM("old", simclock.New(), Config{MaxGlobalRefs: 4, OnAbort: func(string) { oldCalls++ }})
+	vm.AddJGRHook(func(JGREvent) { oldCalls++ })
+	for i := 0; i < 5; i++ {
+		vm.AddGlobalRef(obj(uint64(i))) // the fifth add aborts
+	}
+	oldCalls = 0
+	aborts := 0
+	cfg := Config{MaxGlobalRefs: 3, GCTrigger: -1, OnAbort: func(string) { aborts++ }}
+	vm.Reset("new", simclock.New(), cfg)
+	freshCfg := cfg
+	freshCfg.OnAbort = nil
+	fresh := NewVM("new", simclock.New(), freshCfg)
+	stats := func(v *VM) [10]any {
+		return [...]any{v.Process(), v.MaxGlobal(), v.GlobalRefCount(), v.TotalGlobalAdds(), v.TotalGlobalRemoves(),
+			v.PeakGlobalRefCount(), v.GCCycles(), v.Aborted(), v.JGRHookCount(), v.gcTrigger}
+	}
+	if got, want := stats(vm), stats(fresh); got != want {
+		t.Fatalf("reset runtime %v, NewVM %v", got, want)
+	}
+	for i := 0; i < 4; i++ {
+		r1, err1 := vm.AddGlobalRef(obj(1))
+		r2, err2 := fresh.AddGlobalRef(obj(1))
+		if r1 != r2 || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("add %d: reset runtime %#x, %v; NewVM %#x, %v", i, uint64(r1), err1, uint64(r2), err2)
+		}
+	}
+	if aborts != 1 || !vm.Aborted() || oldCalls != 0 {
+		t.Fatalf("new abort hook ran %d times, aborted %v, old hooks ran %d times; want once, true and 0", aborts, vm.Aborted(), oldCalls)
+	}
+}

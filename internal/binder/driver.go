@@ -167,15 +167,73 @@ func (n *node) removeLink(dl *DeathLink) {
 
 // procContext is the per-process binder state: the proxy cache (one
 // BinderProxy per node, as javaObjectForIBinder guarantees) and the JGR
-// bookkeeping that ties proxies to the process runtime.
+// bookkeeping that ties proxies to the process runtime. A context
+// belongs to a pid, not to one process: the driver keeps it, emptied,
+// when its process dies and when a recycled slot rewinds, so the pid's
+// next process, in this trial's device or the next one's, reuses its
+// storage.
 type procContext struct {
-	driver  *Driver
+	driver *Driver
+	// proc is the process the context serves, nil after a rewind until
+	// the pid's next process opens it again.
 	proc    *kernel.Process
 	proxies map[Handle]*BinderRef
-	byJGR   map[art.IndirectRef]*BinderRef
+	byJGR   jgrIndex
 	// links holds the process's active death links, in no particular
 	// order: a link leaves by swap-remove when it fires or unlinks.
 	links []*DeathLink
+	// hook is onJGR as a JGR hook, made once per context and attached
+	// to each runtime the context serves.
+	hook art.JGRHook
+}
+
+// jgrPage is how many JGR slots one page of a jgrIndex covers.
+const jgrPage = 128
+
+// jgrIndex maps a proxy's JGR to its ref by the reference's slot index
+// in the runtime's global table, where ART keeps the proxy's object. It
+// is a slice paged by slot: a page is allocated the first time one of
+// its slots holds a proxy, so a runtime whose proxies sit past a large
+// boot table, as system_server's do past its ~1,500 pins, pays for the
+// pages its proxies use and not for the whole table.
+type jgrIndex struct {
+	pages [][]*BinderRef
+}
+
+// get returns the ref whose JGR sits at slot i, or nil.
+func (x *jgrIndex) get(i int) *BinderRef {
+	if p := i / jgrPage; p < len(x.pages) && x.pages[p] != nil {
+		return x.pages[p][i%jgrPage]
+	}
+	return nil
+}
+
+// set records br, or with nil no ref, at slot i.
+func (x *jgrIndex) set(i int, br *BinderRef) {
+	p := i / jgrPage
+	if p >= len(x.pages) {
+		x.pages = append(x.pages, make([][]*BinderRef, p+1-len(x.pages))...)
+	}
+	if x.pages[p] == nil {
+		x.pages[p] = make([]*BinderRef, jgrPage)
+	}
+	x.pages[p][i%jgrPage] = br
+}
+
+// empty drops every ref, keeping the pages.
+func (x *jgrIndex) empty() {
+	for _, pg := range x.pages {
+		clear(pg)
+	}
+}
+
+// empty drops every proxy, JGR and death link the context holds,
+// keeping the storage.
+func (c *procContext) empty() {
+	clear(c.proxies)
+	c.byJGR.empty()
+	clear(c.links)
+	c.links = c.links[:0]
 }
 
 // dropLink swap-removes dl from c.links in O(1).
@@ -218,19 +276,26 @@ func (c *procContext) materialize(b IBinder) (*BinderRef, error) {
 	}
 	ref := &BinderRef{ctx: c, binder: px, jgr: jgr}
 	c.proxies[n.handle] = ref
-	c.byJGR[jgr] = ref
+	c.byJGR.set(jgr.Index(), ref)
 	c.driver.addRemoteRef(n)
 	return ref, nil
+}
+
+// onJGR is the context's JGR hook: a removed reference may be a proxy's.
+func (c *procContext) onJGR(ev art.JGREvent) {
+	if ev.Op == art.OpRemove {
+		c.onJGRRemoved(ev.Ref)
+	}
 }
 
 // onJGRRemoved finalizes proxy bookkeeping when a proxy's global
 // reference is deleted (explicit release or GC).
 func (c *procContext) onJGRRemoved(ref art.IndirectRef) {
-	br, ok := c.byJGR[ref]
-	if !ok {
+	br := c.byJGR.get(ref.Index())
+	if br == nil || br.jgr != ref {
 		return
 	}
-	delete(c.byJGR, ref)
+	c.byJGR.set(ref.Index(), nil)
 	if cur, ok := c.proxies[br.node().handle]; ok && cur == br {
 		delete(c.proxies, br.node().handle)
 	}
@@ -256,14 +321,13 @@ type Driver struct {
 	// does stops at its last node instead of scanning the whole slice.
 	nodes []*node
 	owned map[kernel.Pid]int
-	ctxs  map[kernel.Pid]*procContext
-	// nodeSlab and lbSlab are block allocators for nodes and
-	// LocalBinders: boot (and every device clone) mints one of each per
-	// census service, and a block amortizes ~100 small heap allocations
-	// into one. Blocks are never appended past capacity, so pointers into
-	// them stay valid; exhausted blocks are simply replaced.
-	nodeSlab []node
-	lbSlab   []LocalBinder
+	// ctxs holds each pid's binder context; see procContext.
+	ctxs map[kernel.Pid]*procContext
+	// nodeSlab and lbSlab allocate nodes and LocalBinders: boot (and
+	// every device clone) mints one of each per census service, and an
+	// attack trial one of each per registration.
+	nodeSlab slab[node]
+	lbSlab   slab[LocalBinder]
 
 	logging bool
 	logSeq  uint64
@@ -330,11 +394,16 @@ func New(k *kernel.Kernel, cfg Config) *Driver {
 
 // NewReusing is New with allocation recycling: prev, when non-nil, must
 // be a retired driver whose device is no longer referenced anywhere.
-// Its node index, block allocators, per-process context maps, log-ring
-// storage and flushed-log index are rewound and reused in place — the
-// fleet slot recycle path mints ~100 stubs per trial, and reusing the
-// slabs turns those into writes over warm memory instead of fresh heap.
-// Passing a prev that is still in use corrupts both devices.
+// Its storage is rewound and reused in place: the node index, every
+// block of both slabs, each pid's context (proxy cache, JGR index and
+// death links), the log ring and the flushed log with its per-pid index.
+// The rewind keeps no pointer into the retired trial: it zeroes every
+// slab entry and node index entry the trial used and empties each
+// context, which its pid's next process opens again. An attack trial
+// mints a node and a LocalBinder per registration and fills
+// system_server's context with thousands of proxies and death links; on
+// a recycled slot the next trial writes them over warm memory instead of
+// fresh heap. Passing a prev that is still in use corrupts both devices.
 func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 	ringCap := 0
 	if cfg.Faults != nil {
@@ -349,8 +418,16 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 		}
 		d = prev
 		clear(d.owned)
-		clear(d.ctxs)
-		clear(d.byPid)
+		for _, c := range d.ctxs {
+			c.empty()
+			c.proc = nil
+		}
+		for pid, idx := range d.byPid {
+			d.byPid[pid] = idx[:0]
+		}
+		clear(d.nodes)
+		d.nodeSlab.reset()
+		d.lbSlab.reset()
 		*d = Driver{
 			k:        k,
 			cfg:      cfg,
@@ -359,8 +436,8 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 			owned:    d.owned,
 			ctxs:     d.ctxs,
 			byPid:    d.byPid,
-			nodeSlab: d.nodeSlab[:0],
-			lbSlab:   d.lbSlab[:0],
+			nodeSlab: d.nodeSlab,
+			lbSlab:   d.lbSlab,
 			pending:  pending,
 			flushed:  d.flushed[:0],
 		}
@@ -472,32 +549,26 @@ func (d *Driver) NewLocalBinder(proc *kernel.Process, class string, handler Tran
 		class = "android.os.Binder"
 	}
 	d.nextBinderID++
-	if len(d.lbSlab) == cap(d.lbSlab) {
-		d.lbSlab = make([]LocalBinder, 0, 128)
-	}
-	d.lbSlab = d.lbSlab[:len(d.lbSlab)+1]
-	lb := &d.lbSlab[len(d.lbSlab)-1]
+	lb := d.lbSlab.next()
 	*lb = LocalBinder{driver: d, owner: proc, class: class, handler: handler, id: d.nextBinderID}
 	return lb
 }
 
-// context returns (creating if needed) the per-process binder state.
+// context returns the per-process binder state. A context is made once
+// per pid; the first time the pid's process asks after the context was
+// made or rewound, the context opens for it and attaches its JGR hook
+// to the process's runtime.
 func (d *Driver) context(proc *kernel.Process) *procContext {
-	if c, ok := d.ctxs[proc.Pid()]; ok {
-		return c
+	c := d.ctxs[proc.Pid()]
+	if c == nil {
+		c = &procContext{driver: d, proxies: make(map[Handle]*BinderRef)}
+		c.hook = c.onJGR
+		d.ctxs[proc.Pid()] = c
 	}
-	c := &procContext{
-		driver:  d,
-		proc:    proc,
-		proxies: make(map[Handle]*BinderRef),
-		byJGR:   make(map[art.IndirectRef]*BinderRef),
+	if c.proc == nil {
+		c.proc = proc
+		proc.VM().AddJGRHook(c.hook)
 	}
-	proc.VM().AddJGRHook(func(ev art.JGREvent) {
-		if ev.Op == art.OpRemove {
-			c.onJGRRemoved(ev.Ref)
-		}
-	})
-	d.ctxs[proc.Pid()] = c
 	return c
 }
 
@@ -517,11 +588,7 @@ func (d *Driver) ensureNode(lb *LocalBinder) *node {
 	if lb.node != nil {
 		return lb.node
 	}
-	if len(d.nodeSlab) == cap(d.nodeSlab) {
-		d.nodeSlab = make([]node, 0, 128)
-	}
-	d.nodeSlab = d.nodeSlab[:len(d.nodeSlab)+1]
-	n := &d.nodeSlab[len(d.nodeSlab)-1]
+	n := d.nodeSlab.next()
 	*n = node{handle: Handle(len(d.nodes) + 1), local: lb, owner: lb.owner}
 	d.nodes = append(d.nodes, n)
 	d.owned[lb.owner.Pid()]++
@@ -757,8 +824,7 @@ func (d *Driver) linkToDeath(p *proxy, fn func()) (*DeathLink, error) {
 // is how services learn to drop a dead client's listeners and JGRs.
 func (d *Driver) onProcessDeath(p *kernel.Process) {
 	pid := p.Pid()
-	if ctx, ok := d.ctxs[pid]; ok {
-		delete(d.ctxs, pid)
+	if ctx := d.ctxs[pid]; ctx != nil && ctx.proc != nil {
 		for _, br := range ctx.proxies {
 			if !br.closed {
 				br.closed = true
@@ -769,7 +835,7 @@ func (d *Driver) onProcessDeath(p *kernel.Process) {
 			dl.active = false
 			dl.node.removeLink(dl)
 		}
-		ctx.links = nil
+		ctx.empty()
 	}
 	// Walk the nodes in handle order, so death recipients fire in handle
 	// order, and stop after the pid's last one. A recipient may re-flatten

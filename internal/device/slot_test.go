@@ -6,12 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/art"
+	"repro/internal/catalog"
 	"repro/internal/kernel"
+	"repro/internal/services"
 )
 
 // slotFingerprint drives a deterministic workload and renders every
-// observable surface — dumpsys report plus every kill the kernel
-// reports, with its virtual time and reason — so two devices can be
+// observable surface — dumpsys report, every kill the kernel reports,
+// with its virtual time and reason, each runtime's local-frame pushes
+// and frame-pool hits, and /proc/jgre_metrics — so two devices can be
 // compared byte-for-byte.
 func slotFingerprint(t testing.TB, d *Device, registers int) string {
 	t.Helper()
@@ -34,6 +37,16 @@ func slotFingerprint(t testing.TB, d *Device, registers int) string {
 	var sb strings.Builder
 	d.DumpState(&sb)
 	sb.WriteString(kills.String())
+	for _, p := range d.Kernel().Processes() {
+		if vm := p.VM(); vm != nil && vm.FramePushes() > 0 {
+			fmt.Fprintf(&sb, "pid %d %s: %d frame pushes, %d pool hits\n", p.Pid(), p.Name(), vm.FramePushes(), vm.FramePoolHits())
+		}
+	}
+	metrics, err := d.Kernel().ProcFS().Read(MetricsPath, kernel.SystemUid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.Write(metrics)
 	return sb.String()
 }
 
@@ -145,6 +158,71 @@ func BenchmarkSlotAcquireRecycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := slot.Acquire(int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRegister prices one attacker registration on the exhaust
+// workload's target, catalog.FastestInterfaces(1)[0], sent by a
+// services.Client over the attacker's raw proxy to a device on a
+// recycled slot whose system_server takes 6,000 JGRs: the app mints a
+// token, and system_server materializes a proxy for it and retains it
+// with a death link, each taking a JGR. Before the timer starts, the
+// slot runs one trial to system_server's abort, so the timed
+// registrations run where a fleet's do, on storage a retired trial grew.
+// When system_server nears its cap the slot is re-acquired, untimed.
+// make bench-smoke holds its allocs/op to max_allocs_per_op in
+// BENCH_hotpath.json.
+func BenchmarkRegister(b *testing.B) {
+	target, ok := catalog.InterfaceByName(catalog.FastestInterfaces(1)[0])
+	if !ok {
+		b.Fatal("no exploitable interface")
+	}
+	slot, err := NewSlot(Config{ServerVM: art.Config{MaxGlobalRefs: 6000}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed := int64(0)
+	var c *services.Client
+	var server *art.VM
+	acquire := func() {
+		seed++
+		d, err := slot.Acquire(seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		app, err := d.Apps().Install("com.evil.app")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if target.Permission != "" {
+			if err := d.Permissions().Grant(app.Uid(), target.Permission); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if c, err = d.NewClient(app, target.Service); err != nil {
+			b.Fatal(err)
+		}
+		server = d.SystemServer().VM()
+	}
+	acquire()
+	for i := 0; !server.Aborted(); i++ {
+		if i == server.MaxGlobal() {
+			b.Fatalf("%d registrations did not abort system_server", i)
+		}
+		c.Register(target.Method)
+	}
+	acquire()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if server.GlobalRefCount()+2 > server.MaxGlobal() {
+			b.StopTimer()
+			acquire()
+			b.StartTimer()
+		}
+		if err := c.Register(target.Method); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/art"
 	"repro/internal/catalog"
 	"repro/internal/device"
+	"repro/internal/kernel"
 	"repro/internal/workload"
 )
 
@@ -160,6 +161,132 @@ func TestFleetRecycleAfterSoftReboot(t *testing.T) {
 			}
 		}
 	})
+}
+
+// spawnedState is what a process a trial spawned shows of itself: its
+// identity, its runtime's counters, table size and hooks, and its death
+// notifications.
+type spawnedState struct {
+	name                                      string
+	uid                                       kernel.Uid
+	alive                                     bool
+	adds, removes, gcCycles, pushes, poolHits uint64
+	peak, size, hooks, deathFns               int
+}
+
+func stateOf(p *kernel.Process) spawnedState {
+	s := spawnedState{name: p.Name(), uid: p.Uid(), alive: p.Alive(), deathFns: p.DeathNotificationCount()}
+	if vm := p.VM(); vm != nil {
+		s.adds, s.removes, s.gcCycles = vm.TotalGlobalAdds(), vm.TotalGlobalRemoves(), vm.GCCycles()
+		s.pushes, s.poolHits = vm.FramePushes(), vm.FramePoolHits()
+		s.peak, s.size, s.hooks = vm.PeakGlobalRefCount(), vm.GlobalRefCount(), vm.JGRHookCount()
+	}
+	return s
+}
+
+// trialSpawns runs the exhaust workload's trial on dev and returns every
+// process it spawned, the processes at pids from first on, alive or
+// killed on the way, with the device's /proc/jgre_metrics render.
+func trialSpawns(t *testing.T, dev *device.Device, seed int64, first kernel.Pid) (map[kernel.Pid]*kernel.Process, string) {
+	t.Helper()
+	spawned := map[kernel.Pid]*kernel.Process{}
+	dev.Kernel().OnKill(func(p *kernel.Process, _ string) {
+		if p.Pid() >= first {
+			spawned[p.Pid()] = p
+		}
+	})
+	if _, err := exhaust().Run(dev, 0, seed); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range dev.Kernel().Processes() {
+		if p.Pid() >= first {
+			spawned[p.Pid()] = p
+		}
+	}
+	render, err := dev.Kernel().ProcFS().Read(device.MetricsPath, kernel.SystemUid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spawned, string(render)
+}
+
+// TestReusedPidLooksFreshlySpawned runs the exhaust trial, an attacker
+// beside benign apps until system_server aborts and the device
+// soft-reboots, on a recycled slot, then a trial with another seed. The
+// second trial spawns most of its processes at pids the first one used,
+// so the kernel hands it the first trial's parked processes and
+// runtimes. Every such process must look freshly spawned: equal, field
+// by field, to the process at the same pid on a device booted fresh
+// (SetCloneBoot(false)). The first trial's survivors leave with a death
+// notification, an extra JGR hook and, through the broadcast receivers,
+// a system_server JGR peak above a fresh one's, which a parked process
+// must not carry over.
+func TestReusedPidLooksFreshlySpawned(t *testing.T) {
+	cfg := device.Config{ServerVM: art.Config{MaxGlobalRefs: exhaustCap}}
+	var first kernel.Pid
+	freshBoots(func() {
+		d, err := device.Boot(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range d.Kernel().Processes() {
+			first = max(first, p.Pid()+1)
+		}
+	})
+	slot, err := device.NewSlot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := slot.Acquire(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := trialSpawns(t, d, 3, first)
+	for _, p := range before {
+		if !p.Alive() {
+			continue
+		}
+		if err := d.RegisterBroadcastReceiver(p); err != nil {
+			t.Fatal(err)
+		}
+		if vm := p.VM(); vm != nil {
+			vm.AddJGRHook(func(art.JGREvent) {})
+		}
+	}
+	if d, err = slot.Acquire(9); err != nil {
+		t.Fatal(err)
+	}
+	got, gotRender := trialSpawns(t, d, 9, first)
+
+	var want map[kernel.Pid]*kernel.Process
+	var wantRender string
+	freshBoots(func() {
+		fresh, err := device.Boot(device.Config{Seed: 9, ServerVM: cfg.ServerVM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantRender = trialSpawns(t, fresh, 9, first)
+	})
+	reused := 0
+	for pid, p := range got {
+		if before[pid] == nil {
+			continue
+		}
+		reused++
+		w := want[pid]
+		if w == nil {
+			t.Fatalf("pid %d, spawned again on the recycled slot, was never spawned on the fresh device", pid)
+		}
+		if stateOf(p) != stateOf(w) {
+			t.Fatalf("pid %d, spawned again on the recycled slot: %+v; booted fresh: %+v", pid, stateOf(p), stateOf(w))
+		}
+	}
+	if reused < 380 {
+		t.Fatalf("the second trial spawned %d processes at pids the first one used; want 380 or more", reused)
+	}
+	if gotRender != wantRender {
+		t.Fatalf("recycled /proc/jgre_metrics differs from a fresh boot's:\n--- recycled ---\n%s\n--- fresh ---\n%s", gotRender, wantRender)
+	}
 }
 
 // TestFleetAttackRolloutDetects sanity-checks the rollout physics: the

@@ -100,6 +100,10 @@ func (p *Process) NotifyDeath(fn func(*Process)) {
 	p.deathFns = append(p.deathFns, fn)
 }
 
+// DeathNotificationCount returns how many death notifications are
+// registered and not yet fired.
+func (p *Process) DeathNotificationCount() int { return len(p.deathFns) }
+
 // SpawnConfig parameterizes Kernel.Spawn.
 type SpawnConfig struct {
 	Name string
@@ -175,6 +179,15 @@ type Kernel struct {
 	softReboots int
 	lmkKills    int
 	onKill      []func(*Process, string)
+
+	// parked holds the processes a retired trial spawned on this
+	// recycled clone, indexed by pid minus firstSpawn (the template's
+	// next pid, where every trial's spawns start), stripped of
+	// everything that pointed into that trial. The next Spawn of a
+	// parked pid reuses the Process and its runtime's storage (see
+	// CloneReusing); nil for any other kernel.
+	parked     []*Process
+	firstSpawn Pid
 }
 
 // New creates a kernel on the given clock.
@@ -228,12 +241,16 @@ func (k *Kernel) Clone(clock *simclock.Clock, onSystemServerDeath func(reason st
 // kill-observer slice are rewound and reused in place — materialized
 // processes that shadow a frozen pid are reset to frozen state, keeping
 // their Process and VM storage (valid because the kernel pointer, and
-// hence every closure bound to it, stays the same across the rewind);
-// processes spawned during the retired trial are dropped. A fleet slot
-// that churns through thousands of per-trial devices thus stops paying
-// the clone path's map, filesystem and materialization allocations after
-// the first trial. Passing a prev that is still in use corrupts both
-// devices.
+// hence every closure bound to it, stays the same across the rewind).
+// Processes spawned during the retired trial are parked: stripped of
+// their death notifications, JGR hooks and abort hook, they wait for
+// the next Spawn of their pid, which reuses the Process, its runtime
+// and its table storage and returns a process indistinguishable from a
+// freshly built one. A fleet slot that churns through thousands of
+// per-trial devices thus stops paying the clone path's map, filesystem
+// and materialization allocations, and the trial's process and runtime
+// allocations, after the first trial. Passing a prev that is still in
+// use corrupts both devices.
 func (k *Kernel) CloneReusing(prev *Kernel, clock *simclock.Clock, onSystemServerDeath func(reason string)) *Kernel {
 	if !k.sealed {
 		panic("kernel: Clone of unsealed kernel")
@@ -250,11 +267,13 @@ func (k *Kernel) CloneReusing(prev *Kernel, clock *simclock.Clock, onSystemServe
 	var procs map[Pid]*Process
 	var procfs *ProcFS
 	var onKill []func(*Process, string)
+	var parked []*Process
 	if prev != nil {
 		if prev.frozen == nil {
 			panic("kernel: CloneReusing prev is not a clone")
 		}
-		nk, procs, procfs, onKill = prev, prev.procs, prev.procfs, prev.onKill[:0]
+		clear(prev.onKill)
+		nk, procs, procfs, onKill, parked = prev, prev.procs, prev.procfs, prev.onKill[:0], prev.parked
 		procfs.Reset()
 	} else {
 		nk = &Kernel{}
@@ -273,17 +292,36 @@ func (k *Kernel) CloneReusing(prev *Kernel, clock *simclock.Clock, onSystemServe
 		running:     k.running,
 		appMemKB:    k.appMemKB,
 		onKill:      onKill,
+		parked:      parked,
+		firstSpawn:  k.nextPid,
 	}
 	for pid, p := range procs {
 		fp, ok := k.procs[pid]
 		if !ok {
 			// Spawned during the retired trial; not part of the template.
 			delete(procs, pid)
+			nk.park(p)
 			continue
 		}
 		p.resetFromFrozen(fp, nk)
 	}
 	return nk
+}
+
+// park keeps p, a process a retired trial spawned, for the next Spawn of
+// its pid, after dropping everything in it that points into that trial:
+// its death notifications, and its runtime's hooks, recorder and abort
+// hook, which a reset to a blank runtime on the kernel's clock drops.
+func (k *Kernel) park(p *Process) {
+	p.deathFns = clearFns(p.deathFns)
+	if p.vm != nil {
+		p.vm.Reset(p.name, k.clock, art.Config{})
+	}
+	i := int(p.pid - k.firstSpawn)
+	if i >= len(k.parked) {
+		k.parked = append(k.parked, make([]*Process, i+1-len(k.parked))...)
+	}
+	k.parked[i] = p
 }
 
 // resetFromFrozen rewinds a materialized clone process to its frozen
@@ -303,12 +341,19 @@ func (p *Process) resetFromFrozen(fp *Process, k *Kernel) {
 		alive:       fp.alive,
 		exitReason:  fp.exitReason,
 		vm:          vm,
-		deathFns:    p.deathFns[:0],
+		deathFns:    clearFns(p.deathFns),
 		k:           k,
 	}
 	if vm != nil {
 		vm.ResetFromTemplate(fp.vm, k.clock)
 	}
+}
+
+// clearFns returns fns emptied, its storage kept and no longer pointing
+// at the callbacks it held.
+func clearFns(fns []func(*Process)) []func(*Process) {
+	clear(fns)
+	return fns[:0]
 }
 
 // lookup returns the process for pid from the clone overlay or the
@@ -393,7 +438,10 @@ func (k *Kernel) OnKill(fn func(*Process, string)) {
 // Spawn creates a new process with its own Android runtime, unless
 // cfg.Uid is RootUid: init's native daemons run none. A runtime abort
 // (JGR exhaustion) automatically kills the process, which in turn
-// soft-reboots the device if the process is system_server.
+// soft-reboots the device if the process is system_server. On a
+// recycled clone, a pid a retired trial spawned reuses that trial's
+// parked Process and runtime storage; the process is indistinguishable
+// from a new one.
 func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 	if cfg.Name == "" {
 		panic("kernel: Spawn requires a process name")
@@ -407,17 +455,26 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 	if cfg.MemoryKB == 0 {
 		cfg.MemoryKB = DefaultAppMemoryKB
 	}
-	p := &Process{
-		pid:         k.nextPid,
+	pid := k.nextPid
+	k.nextPid++
+	var p *Process
+	if i := int(pid - k.firstSpawn); i < len(k.parked) && k.parked[i] != nil {
+		p, k.parked[i] = k.parked[i], nil
+	} else {
+		p = new(Process)
+	}
+	vm := p.vm
+	*p = Process{
+		pid:         pid,
 		uid:         cfg.Uid,
 		name:        cfg.Name,
 		oomScoreAdj: cfg.OomScoreAdj,
 		memoryKB:    cfg.MemoryKB,
 		startedAt:   k.clock.Now(),
 		alive:       true,
+		deathFns:    p.deathFns,
 		k:           k,
 	}
-	k.nextPid++
 
 	if cfg.Uid != RootUid {
 		vmCfg := cfg.VM
@@ -426,7 +483,11 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 			// victim process's runtime will abort").
 			k.Kill(p.pid, "runtime abort: "+reason)
 		}
-		p.vm = art.NewVM(cfg.Name, k.clock, vmCfg)
+		if vm == nil {
+			vm = new(art.VM)
+		}
+		vm.Reset(cfg.Name, k.clock, vmCfg)
+		p.vm = vm
 	}
 
 	k.procs[p.pid] = p

@@ -240,6 +240,56 @@ func TestNativeDaemonsHaveNoRuntime(t *testing.T) {
 	wantRuntimes("rewind materialized", clone)
 }
 
+// TestRewindParksSpawnedProcesses: a CloneReusing rewind parks each
+// process the retired trial spawned with no death notification or JGR
+// hook left, and the next Spawn of its pid reuses the Process and its
+// runtime as a new one: the new name, uid and JGR cap, an empty table
+// and an abort that reaps the new process. A pid spawned again as a
+// native daemon gets no runtime.
+func TestRewindParksSpawnedProcesses(t *testing.T) {
+	tmpl := newKernel(t, Config{})
+	spawnMix(tmpl, 1)
+	tmpl.Seal()
+	clone := tmpl.Clone(simclock.New(), nil)
+	app := clone.Spawn(SpawnConfig{Name: "old", Uid: FirstAppUid})
+	app.NotifyDeath(func(*Process) { t.Fatal("a retired trial's death notification ran") })
+	app.VM().AddGlobalRef(&art.Object{ID: 1})
+	app.VM().AddJGRHook(func(art.JGREvent) { t.Fatal("a retired trial's JGR hook ran") })
+	vm := app.VM()
+	other := clone.Spawn(SpawnConfig{Name: "other", Uid: FirstAppUid + 1})
+
+	clone = tmpl.CloneReusing(clone, simclock.New(), nil)
+	parked := func(pid Pid) *Process { return clone.parked[pid-clone.firstSpawn] }
+	for _, p := range []*Process{app, other} {
+		if parked(p.Pid()) != p || p.DeathNotificationCount() != 0 || p.VM().JGRHookCount() != 0 {
+			t.Fatalf("pid %d after the rewind: parked %v, %d death notifications, %d JGR hooks; want parked, 0, 0",
+				p.Pid(), parked(p.Pid()) == p, p.DeathNotificationCount(), p.VM().JGRHookCount())
+		}
+	}
+	if clone.Process(app.Pid()) != nil || clone.RunningCount() != tmpl.RunningCount() {
+		t.Fatalf("a parked pid is running: %d processes, template %d", clone.RunningCount(), tmpl.RunningCount())
+	}
+
+	p := clone.Spawn(SpawnConfig{Name: "new", Uid: FirstAppUid + 5, VM: art.Config{MaxGlobalRefs: 2}})
+	if p != app || p.VM() != vm || parked(p.Pid()) != nil {
+		t.Fatalf("Spawn of a parked pid reused the Process %v and runtime %v; want both", p == app, p.VM() == vm)
+	}
+	if p.Name() != "new" || p.Uid() != FirstAppUid+5 || !p.Alive() || p.VM().Process() != "new" ||
+		p.VM().MaxGlobal() != 2 || p.VM().GlobalRefCount() != 0 || p.VM().PeakGlobalRefCount() != 0 {
+		t.Fatalf("respawned pid %d: %s uid %d alive %v, runtime %s cap %d with %d refs, peak %d; want a new process",
+			p.Pid(), p.Name(), p.Uid(), p.Alive(), p.VM().Process(), p.VM().MaxGlobal(), p.VM().GlobalRefCount(), p.VM().PeakGlobalRefCount())
+	}
+	for i := 0; i < 3; i++ {
+		p.VM().AddGlobalRef(&art.Object{ID: 1})
+	}
+	if p.Alive() || !strings.HasPrefix(p.ExitReason(), "runtime abort") {
+		t.Fatalf("respawned process after overflowing its table: alive %v, exit %q; want reaped by its abort", p.Alive(), p.ExitReason())
+	}
+	if d := clone.Spawn(SpawnConfig{Name: "daemon", Uid: RootUid}); d != other || d.VM() != nil {
+		t.Fatalf("a daemon spawned at a parked pid: reused %v, runtime %v; want the Process and no runtime", d == other, d.VM() != nil)
+	}
+}
+
 func TestLMKEvictsCachedApps(t *testing.T) {
 	// Budget fits exactly 2 default-size apps.
 	k := newKernel(t, Config{AppMemoryBudgetKB: 2 * DefaultAppMemoryKB})
