@@ -277,12 +277,26 @@ type AppService struct {
 	// recycled clone reuses it (see services.Service.transactor).
 	transactor binder.Transactor
 	regName    string
-	methods    map[binder.TxCode]catalog.AppInterface
+	methods    Methods
 	codes      map[string]binder.TxCode
 	// entries holds retained callbacks per short method name, each list
 	// in registration order.
 	entries map[string]*binder.CallbackList[struct{}]
 	calls   uint64
+}
+
+// Methods is an app service's method table, code → catalog row. It is
+// built once per publication and never written after, so every clone of
+// the service and the device's handle index read the same one.
+type Methods map[binder.TxCode]catalog.AppInterface
+
+// Name resolves a code to its short method name ("setCallback").
+func (m Methods) Name(code binder.TxCode) (string, bool) {
+	ai, ok := m[code]
+	if !ok {
+		return "", false
+	}
+	return methodNameOf(ai.Method), true
 }
 
 // AppServiceName returns the registry name an app interface is published
@@ -329,7 +343,7 @@ func NewAppService(owner *App, d *binder.Driver, clock *simclock.Clock, reg *Ser
 		clock:   clock,
 		rngSeed: seed ^ mix,
 		seedMix: mix,
-		methods: make(map[binder.TxCode]catalog.AppInterface),
+		methods: make(Methods),
 		codes:   make(map[string]binder.TxCode),
 	}
 	var names []string
@@ -387,6 +401,9 @@ func (s *AppService) rand() *rand.Rand {
 	return s.rng
 }
 
+// Name returns the registry name the service is published under.
+func (s *AppService) Name() string { return s.regName }
+
 // Owner returns the exporting app.
 func (s *AppService) Owner() *App { return s.owner }
 
@@ -399,14 +416,8 @@ func (s *AppService) Code(method string) (binder.TxCode, bool) {
 	return c, ok
 }
 
-// MethodName resolves a code back to the short method name.
-func (s *AppService) MethodName(code binder.TxCode) (string, bool) {
-	ai, ok := s.methods[code]
-	if !ok {
-		return "", false
-	}
-	return methodNameOf(ai.Method), true
-}
+// Methods returns the service's method table.
+func (s *AppService) Methods() Methods { return s.methods }
 
 // EntryCount returns retained registrations for a short method name.
 func (s *AppService) EntryCount(method string) int { return s.entries[method].Len() }

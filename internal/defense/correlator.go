@@ -9,14 +9,6 @@ import (
 	"repro/internal/binder"
 )
 
-// nameKey caches interface display names per (handle, code) — the only
-// fields name resolution depends on, so types differing just by path or
-// caller share one lookup.
-type nameKey struct {
-	handle binder.Handle
-	code   binder.TxCode
-}
-
 // correlator runs Algorithm 1 (§V-A) over one evidence window in
 // streaming, columnar form. The window arrives as a binder.LogColumns
 // (struct-of-arrays); scoring sorts an index permutation to group rows
@@ -54,10 +46,6 @@ type correlator struct {
 	// subrange it touched.
 	diff []int64
 
-	// names caches interface display names within a single score call
-	// only: caching across engagements would pin stale fallback names
-	// when a service restarts mid-run and its handle becomes resolvable.
-	names map[nameKey]string
 	// scratch accumulates per-uid scores in uid order; the ranked copy
 	// handed to the caller is the only per-round allocation.
 	scratch []AppScore
@@ -144,11 +132,6 @@ func (c *correlator) score(d *Defender, w *binder.LogColumns, jgrAdds []time.Dur
 	c.w = w
 	defer func() { c.w = nil }()
 	c.usePath = !d.cfg.DisablePathClassification
-	if c.names == nil {
-		c.names = make(map[nameKey]string)
-	} else {
-		clear(c.names)
-	}
 
 	c.adds = append(c.adds[:0], jgrAdds...)
 	slices.Sort(c.adds)
@@ -317,19 +300,11 @@ func (c *correlator) typeBest(adds []time.Duration, rows []int32, maxDelay time.
 	return best
 }
 
-// nameFor resolves the display name for row's interface, cached per
-// (handle, code) within the current score call.
+// nameFor resolves the display name for row's interface.
 func (c *correlator) nameFor(d *Defender, row int32) string {
-	k := nameKey{handle: c.w.Handle[row], code: c.w.Code[row]}
-	if name, ok := c.names[k]; ok {
-		return name
+	handle, code := c.w.Handle[row], c.w.Code[row]
+	if t, ok := d.dev.Resolve(handle, code); ok {
+		return t.FullName()
 	}
-	var name string
-	if t, resolved := d.dev.Resolve(k.handle, k.code); resolved {
-		name = t.FullName()
-	} else {
-		name = fmt.Sprintf("handle%d.code%d", k.handle, k.code)
-	}
-	c.names[k] = name
-	return name
+	return fmt.Sprintf("handle%d.code%d", handle, code)
 }

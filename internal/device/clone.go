@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/apps"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/permissions"
-	"repro/internal/services"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -116,26 +116,27 @@ func template(cfg Config) (*Device, error) {
 
 // CloneWithSeed builds a device sharing this (sealed) device's boot
 // state copy-on-write: the process table and every VM's reference tables
-// come from the kernel snapshot, immutable service metadata is shared,
-// and only the mutable shells — driver, service manager, stubs, per-run
-// rng seeds — are rebuilt, in boot order, so driver ids and handles
-// replay identically. The clone runs on its own virtual clock and is
-// byte-for-byte equivalent to BootFresh with the same config and seed.
-// Snapshot is taken automatically on first use; taking it here is not
-// safe against concurrent clones, so pre-Snapshot templates that fan
-// out across goroutines.
+// come from the kernel snapshot, immutable service metadata and the
+// handle index are shared, and only the mutable shells — driver, service
+// manager, stubs, per-run rng seeds — are rebuilt, in boot order, so
+// driver ids and handles replay identically. The clone runs on its own
+// virtual clock and is byte-for-byte equivalent to BootFresh with the
+// same config and seed. Snapshot is taken automatically on first use;
+// taking it here is not safe against concurrent clones, so pre-Snapshot
+// templates that fan out across goroutines.
 func (d *Device) CloneWithSeed(seed int64) (*Device, error) {
 	return d.cloneWithSeed(seed, nil)
 }
 
 // cloneWithSeed is CloneWithSeed with allocation recycling: prev, when
 // non-nil, must be a retired clone of this same sealed template whose
-// device is no longer referenced anywhere. Its maps, slabs, kernel and
-// driver storage are rewound and the new device is rebuilt in place
-// through the same boot-order replay as a cold clone, so the result is
-// byte-identical to one — this is the fleet Slot's per-trial reseed
-// path. Passing a prev that is still in use corrupts both
-// devices.
+// device is no longer referenced anywhere. Its host map, service slices,
+// slabs, kernel and driver storage are rewound and the new device is
+// rebuilt in place through the same boot-order replay as a cold clone,
+// so the result is byte-identical to one — this is the fleet Slot's
+// per-trial reseed path. Neither path writes a name table: both take the
+// template's handle index as it is. Passing a prev that is still in use
+// corrupts both devices.
 func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 	if !d.sealed {
 		d.Snapshot()
@@ -147,11 +148,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 		}
 		// Harvest the retired clone's storage, rewound in place; the
 		// zeroing assignment below drops everything else.
-		hosts, svcMap, appSvcMap, handleIdx := nd.hosts, nd.services, nd.appServices, nd.handleIndex
-		clear(hosts)
-		clear(svcMap)
-		clear(appSvcMap)
-		clear(handleIdx)
+		clear(nd.hosts)
 		*nd = Device{
 			cfg:         d.cfg,
 			kern:        nd.kern,
@@ -160,13 +157,11 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			apps:        nd.apps,
 			appReg:      nd.appReg,
 			rec:         nd.rec,
-			hosts:       hosts,
-			services:    svcMap,
-			appServices: appSvcMap,
-			handleIndex: handleIdx,
-			svcSlab:     nd.svcSlab[:0],
-			appSlab:     nd.appSlab[:0],
-			appOrder:    nd.appOrder[:0],
+			hosts:       nd.hosts,
+			services:    nd.services[:0],
+			appServices: nd.appServices[:0],
+			svcSlab:     nd.svcSlab,
+			appSlab:     nd.appSlab,
 		}
 	} else {
 		nd = &Device{cfg: d.cfg}
@@ -229,53 +224,32 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 	}
 	nd.systemServer = nd.hosts[kernel.SystemServerName]
 
-	// System services replay in recorded creation order — the same order
-	// startSystem walked the catalog — into one slab allocation. The
-	// template's own bookkeeping (svcOrder, Host().Name()) stands in for
-	// the census so the hot path never copies it.
-	if nd.services == nil {
-		nd.services = make(map[string]*services.Service, len(d.services))
-		nd.handleIndex = make(map[binder.Handle]handleEntry, len(d.handleIndex))
-	}
-	nd.svcOrder = d.svcOrder
-	if cap(nd.svcSlab) < len(d.svcOrder) {
-		nd.svcSlab = make([]services.Service, len(d.svcOrder))
-	} else {
-		nd.svcSlab = nd.svcSlab[:len(d.svcOrder)]
-	}
-	for i, name := range d.svcOrder {
-		tmpl := d.services[name]
-		if tmpl == nil {
-			return nil, fmt.Errorf("device: clone template missing service %s", name)
-		}
+	// Census services replay in the template's catalog order, then app
+	// services in its publish order, each into one slab allocation. Each
+	// HandleOf mints its stub's node in boot order, so every handle equals
+	// the template's and the clone reads the template's handle index.
+	nd.handleIndex = d.handleIndex
+	nd.svcSlab = slices.Grow(nd.svcSlab[:0], len(d.services))[:len(d.services)]
+	nd.services = slices.Grow(nd.services, len(d.services))
+	for i, tmpl := range d.services {
 		svc := &nd.svcSlab[i]
 		tmpl.CloneInto(svc, nd.hosts[tmpl.Host().Name()], nd.driver, nd.clock, nd.perms, seed)
-		nd.services[name] = svc
-		nd.handleIndex[nd.driver.HandleOf(svc.Stub())] = handleEntry{kind: "system", sys: svc, name: name}
+		nd.driver.HandleOf(svc.Stub())
+		nd.services = append(nd.services, svc)
 	}
-
-	// App services replay in recorded publish order.
-	if nd.appServices == nil {
-		nd.appServices = make(map[string]*apps.AppService, len(d.appServices))
-	}
-	nd.appOrder = append(nd.appOrder, d.appOrder...)
-	if cap(nd.appSlab) < len(d.appOrder) {
-		nd.appSlab = make([]apps.AppService, len(d.appOrder))
-	} else {
-		nd.appSlab = nd.appSlab[:len(d.appOrder)]
-	}
-	for i, name := range d.appOrder {
-		tmpl := d.appServices[name]
+	nd.appSlab = slices.Grow(nd.appSlab[:0], len(d.appServices))[:len(d.appServices)]
+	nd.appServices = slices.Grow(nd.appServices, len(d.appServices))
+	for i, tmpl := range d.appServices {
 		owner := nd.apps.ByPackage(tmpl.Owner().Package())
 		if owner == nil {
 			return nil, fmt.Errorf("device: clone template missing app %s", tmpl.Owner().Package())
 		}
 		svc := &nd.appSlab[i]
 		if err := tmpl.CloneInto(svc, owner, nd.driver, nd.clock, nd.appReg, seed); err != nil {
-			return nil, fmt.Errorf("device: cloning app service %s: %w", name, err)
+			return nil, fmt.Errorf("device: cloning app service %s: %w", tmpl.Name(), err)
 		}
-		nd.appServices[name] = svc
-		nd.handleIndex[nd.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
+		nd.driver.HandleOf(svc.Stub())
+		nd.appServices = append(nd.appServices, svc)
 	}
 
 	if got, want := nd.driver.NodeCount(), d.driver.NodeCount(); got != want {

@@ -7,6 +7,8 @@ package device
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -94,7 +96,8 @@ type IPCTarget struct {
 // FullName returns "service.method".
 func (t IPCTarget) FullName() string { return t.Service + "." + t.Method }
 
-// Device is a booted simulated Android system.
+// Device is a booted simulated Android system. A clone shares its
+// template's handle index and rebuilds only what a trial mutates.
 type Device struct {
 	cfg    Config
 	clock  *simclock.Clock
@@ -107,31 +110,26 @@ type Device struct {
 
 	systemServer *kernel.Process
 	hosts        map[string]*kernel.Process
-	services     map[string]*services.Service
-	appServices  map[string]*apps.AppService
-	// svcOrder and appOrder record the service creation/publish order so
-	// a snapshot clone can replay the stubs and reproduce the template's
-	// driver ids without consulting (and copying) the catalog census.
-	svcOrder    []string
-	appOrder    []string
+	// services holds the census services in catalog order and
+	// appServices the app services in publish order: the order a clone
+	// replays their stubs in, so driver ids and handles reproduce the
+	// template's.
+	services    []*services.Service
+	appServices []*apps.AppService
+	// handleIndex maps each service stub's handle to what Resolve reads.
+	// A clone shares its template's, which nothing writes after the seal:
+	// a soft reboot builds a new one, and RestartHost and
+	// RestartAppService copy it before they add their new handles.
 	handleIndex map[binder.Handle]handleEntry
-	// svcSlab and appSlab are the clone replay's backing arrays (the
-	// services/appServices maps point into them); a slot recycle rewinds
-	// and refills them in place instead of allocating new slabs.
+	// svcSlab and appSlab are the clone replay's backing arrays (services
+	// and appServices point into them); a slot recycle rewinds and
+	// refills them in place instead of allocating new slabs.
 	svcSlab []services.Service
 	appSlab []apps.AppService
 
 	// sealed marks the device as an immutable snapshot template (see
 	// Snapshot); it must not run workloads from then on, only clone.
 	sealed bool
-
-	// resolveMu guards resolveMemo, the (handle, code) → IPCTarget cache
-	// behind Resolve. The lock exists for Resolve's concurrent readers
-	// (the Δ-sweep scores windows across a worker pool); every
-	// handleIndex mutation invalidates the whole memo. Safe because the
-	// driver never reuses handles.
-	resolveMu   sync.RWMutex
-	resolveMemo map[resolveKey]resolveResult
 
 	broadcastSeq uint64
 	onReboot     []func(reason string)
@@ -156,30 +154,15 @@ type Device struct {
 	defenderHealth func() DefenderHealth
 }
 
+// handleEntry is what Resolve reads for one stub handle: the name the
+// service is registered under, its method table and, for an app
+// service, its catalog row. Every incarnation and every clone of a
+// service shares all three.
 type handleEntry struct {
-	kind string
-	sys  *services.Service
-	app  *apps.AppService
-	name string
-}
-
-// resolveKey addresses one memoized Resolve result.
-type resolveKey struct {
-	handle binder.Handle
-	code   binder.TxCode
-}
-
-type resolveResult struct {
-	target IPCTarget
-	ok     bool
-}
-
-// invalidateResolve drops the Resolve memo; callers must do this after
-// every handleIndex mutation (service starts, reboots, republication).
-func (d *Device) invalidateResolve() {
-	d.resolveMu.Lock()
-	d.resolveMemo = nil
-	d.resolveMu.Unlock()
+	name   string
+	sys    *services.Dispatch    // a census service's table; nil for an app service
+	app    apps.Methods          // an app service's table
+	appRow *catalog.AppInterface // the first prebuilt row published under name; nil for Table V
 }
 
 // Boot returns a booted device: a microsecond copy-on-write clone of a
@@ -267,41 +250,43 @@ func (d *Device) installThirdParty() error {
 func (d *Device) publishThirdPartyServices() error {
 	for _, row := range catalog.ThirdPartyAppInterfaces() {
 		name := apps.AppServiceName(row)
-		if err := d.publishAppService(name, []catalog.AppInterface{row}); err != nil {
+		svc, err := d.publishAppService(name, []catalog.AppInterface{row})
+		if err != nil {
 			return fmt.Errorf("device: publishing %s: %w", name, err)
 		}
-		d.appOrder = append(d.appOrder, name)
+		d.appServices = append(d.appServices, svc)
 	}
-	d.invalidateResolve()
 	return nil
 }
 
 // publishAppService (re)publishes the app service name over rows from
 // the app that owns them, replacing any earlier registration under the
-// name, and indexes the new stub's handle.
-func (d *Device) publishAppService(name string, rows []catalog.AppInterface) error {
+// name, and indexes the new stub's handle. Prebuilt rows come first in
+// rows, so rows[0] is the first prebuilt row published under name.
+func (d *Device) publishAppService(name string, rows []catalog.AppInterface) (*apps.AppService, error) {
 	owner := d.apps.ByPackage(rows[0].Package)
 	if owner == nil {
-		return fmt.Errorf("app %s not installed", rows[0].Package)
+		return nil, fmt.Errorf("app %s not installed", rows[0].Package)
 	}
 	d.appReg.Unpublish(name)
 	svc, err := apps.NewAppService(owner, d.driver, d.clock, d.appReg, rows, d.cfg.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	d.appServices[name] = svc
-	d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
-	return nil
+	he := handleEntry{name: name, app: svc.Methods()}
+	if rows[0].Prebuilt {
+		he.appRow = &rows[0]
+	}
+	d.handleIndex[d.driver.HandleOf(svc.Stub())] = he
+	return svc, nil
 }
 
 // startSystem spawns system_server and the dedicated host processes, then
 // instantiates all census services.
 func (d *Device) startSystem() error {
 	d.hosts = make(map[string]*kernel.Process)
-	d.services = make(map[string]*services.Service)
-	d.svcOrder = nil
+	d.services = d.services[:0]
 	d.handleIndex = make(map[binder.Handle]handleEntry)
-	d.invalidateResolve()
 
 	d.systemServer = d.kern.Spawn(kernel.SpawnConfig{
 		Name:        kernel.SystemServerName,
@@ -318,12 +303,12 @@ func (d *Device) startSystem() error {
 		if !ok {
 			host = d.spawnHost(hostName)
 		}
-		if err := d.startService(meta, host); err != nil {
+		svc, err := d.startService(meta, host)
+		if err != nil {
 			return fmt.Errorf("device: starting %s: %w", meta.Name, err)
 		}
-		d.svcOrder = append(d.svcOrder, meta.Name)
+		d.services = append(d.services, svc)
 	}
-	d.invalidateResolve()
 	return nil
 }
 
@@ -341,7 +326,7 @@ func (d *Device) spawnHost(name string) *kernel.Process {
 
 // startService starts the census service meta on host, registers it
 // with the ServiceManager and indexes its stub's handle.
-func (d *Device) startService(meta catalog.Service, host *kernel.Process) error {
+func (d *Device) startService(meta catalog.Service, host *kernel.Process) (*services.Service, error) {
 	svc, err := services.New(services.Config{
 		Meta:           meta,
 		Host:           host,
@@ -353,11 +338,10 @@ func (d *Device) startService(meta catalog.Service, host *kernel.Process) error 
 		ExtraBootRefs:  bootRefs(meta.Name),
 	}, d.sm)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	d.services[meta.Name] = svc
-	d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "system", sys: svc, name: meta.Name}
-	return nil
+	d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{name: meta.Name, sys: svc.Dispatch()}
+	return svc, nil
 }
 
 // installPrebuilts installs the Table IV core apps and publishes their
@@ -375,8 +359,7 @@ func (d *Device) installPrebuilts() error {
 }
 
 func (d *Device) publishPrebuiltServices() error {
-	d.appServices = make(map[string]*apps.AppService)
-	d.appOrder = nil
+	d.appServices = d.appServices[:0]
 	grouped := make(map[string][]catalog.AppInterface)
 	var order []string
 	for _, row := range catalog.PrebuiltAppInterfaces() {
@@ -387,12 +370,12 @@ func (d *Device) publishPrebuiltServices() error {
 		grouped[name] = append(grouped[name], row)
 	}
 	for _, name := range order {
-		if err := d.publishAppService(name, grouped[name]); err != nil {
+		svc, err := d.publishAppService(name, grouped[name])
+		if err != nil {
 			return fmt.Errorf("device: publishing %s: %w", name, err)
 		}
-		d.appOrder = append(d.appOrder, name)
+		d.appServices = append(d.appServices, svc)
 	}
-	d.invalidateResolve()
 	return nil
 }
 
@@ -480,10 +463,26 @@ func (d *Device) AppServices() *apps.ServiceRegistry { return d.appReg }
 func (d *Device) SystemServer() *kernel.Process { return d.systemServer }
 
 // Service returns a running system service by registry name.
-func (d *Device) Service(name string) *services.Service { return d.services[name] }
+func (d *Device) Service(name string) *services.Service {
+	for _, s := range d.services {
+		if s.Name() == name {
+			return s
+		}
+	}
+	return nil
+}
 
 // AppService returns a published app service by registry name.
-func (d *Device) AppService(name string) *apps.AppService { return d.appServices[name] }
+func (d *Device) AppService(name string) *apps.AppService {
+	if i := d.appServiceIndex(name); i >= 0 {
+		return d.appServices[i]
+	}
+	return nil
+}
+
+func (d *Device) appServiceIndex(name string) int {
+	return slices.IndexFunc(d.appServices, func(s *apps.AppService) bool { return s.Name() == name })
+}
 
 // SoftReboots returns how many soft reboots the device has survived, as
 // the kernel counts them.
@@ -545,8 +544,9 @@ func (d *Device) fireServiceRestart(kind, name string) {
 // every census service it carries — the supervisor's recovery action,
 // modelling init respawning a persistent service. system_server is not
 // restartable this way (that path is the soft reboot); a host that is
-// still alive is a no-op. Old handle-index entries are retained so IPC
-// records from before the crash still resolve to the dead incarnation.
+// still alive is a no-op. It adds the new handles to a copy of the
+// handle index, never to one a clone shares with its template, and keeps
+// the old entries, so IPC records from before the crash still resolve.
 func (d *Device) RestartHost(name string) error {
 	if name == kernel.SystemServerName {
 		return fmt.Errorf("device: %s restarts via soft reboot, not RestartHost", name)
@@ -559,16 +559,18 @@ func (d *Device) RestartHost(name string) error {
 		return nil
 	}
 	host = d.spawnHost(name)
-	for _, meta := range catalog.Services() {
+	d.handleIndex = maps.Clone(d.handleIndex)
+	for i, meta := range catalog.Services() {
 		if meta.HostProcess() != name {
 			continue
 		}
 		d.sm.RemoveService(meta.Name)
-		if err := d.startService(meta, host); err != nil {
+		svc, err := d.startService(meta, host)
+		if err != nil {
 			return fmt.Errorf("device: restarting %s on %s: %w", meta.Name, name, err)
 		}
+		d.services[i] = svc
 	}
-	d.invalidateResolve()
 	if d.rec != nil {
 		host.VM().SetTraceRecorder(d.rec, int32(host.Pid()))
 	}
@@ -577,14 +579,15 @@ func (d *Device) RestartHost(name string) error {
 }
 
 // RestartAppService revives a crashed app service: the owning app is
-// relaunched and the stub re-published under the same registry name. A
-// still-alive stub is a no-op.
+// relaunched and the stub re-published under the same registry name,
+// its handle added to a copy of the handle index as RestartHost adds its
+// own. A still-alive stub is a no-op.
 func (d *Device) RestartAppService(name string) error {
-	old, ok := d.appServices[name]
-	if !ok {
+	i := d.appServiceIndex(name)
+	if i < 0 {
 		return fmt.Errorf("device: unknown app service %s", name)
 	}
-	if old.Stub().IsAlive() {
+	if d.appServices[i].Stub().IsAlive() {
 		return nil
 	}
 	var rows []catalog.AppInterface
@@ -603,10 +606,12 @@ func (d *Device) RestartAppService(name string) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("device: no catalog rows for app service %s", name)
 	}
-	if err := d.publishAppService(name, rows); err != nil {
+	d.handleIndex = maps.Clone(d.handleIndex)
+	svc, err := d.publishAppService(name, rows)
+	if err != nil {
 		return fmt.Errorf("device: republishing %s: %w", name, err)
 	}
-	d.invalidateResolve()
+	d.appServices[i] = svc
 	d.fireServiceRestart("app", name)
 	return nil
 }
@@ -614,59 +619,27 @@ func (d *Device) RestartAppService(name string) error {
 // Resolve attributes a logged IPC record's (handle, code) — the only
 // fields attribution reads — to its target interface. The defender uses
 // this exactly as the paper's defender uses the servicemanager +
-// framework metadata: handle → service, code → method. Results (hits
-// and misses alike) are memoized per (handle, code); the memo is dropped
-// whenever the handle index changes, so a record from before a service
-// restart resolves exactly as it did uncached.
+// framework metadata: handle → service, code → method. It is two reads,
+// the handle index and the service's shared method table, and writes
+// nothing, so concurrent callers (the Δ-sweep scores windows across a
+// worker pool) need no lock. The returned rows are shared: read-only.
 func (d *Device) Resolve(handle binder.Handle, code binder.TxCode) (IPCTarget, bool) {
-	key := resolveKey{handle: handle, code: code}
-	d.resolveMu.RLock()
-	res, hit := d.resolveMemo[key]
-	d.resolveMu.RUnlock()
-	if hit {
-		return res.target, res.ok
-	}
-	t, ok := d.resolveUncached(handle, code)
-	d.resolveMu.Lock()
-	if d.resolveMemo == nil {
-		d.resolveMemo = make(map[resolveKey]resolveResult)
-	}
-	d.resolveMemo[key] = resolveResult{target: t, ok: ok}
-	d.resolveMu.Unlock()
-	return t, ok
-}
-
-func (d *Device) resolveUncached(handle binder.Handle, code binder.TxCode) (IPCTarget, bool) {
 	he, ok := d.handleIndex[handle]
 	if !ok {
 		return IPCTarget{}, false
 	}
-	t := IPCTarget{Kind: he.kind, Service: he.name}
-	switch he.kind {
-	case "system":
-		m, ok := he.sys.MethodName(code)
+	if he.sys != nil {
+		m, row, ok := he.sys.Lookup(code)
 		if !ok {
 			return IPCTarget{}, false
 		}
-		t.Method = m
-		if row, ok := catalog.InterfaceByName(he.name + "." + m); ok {
-			t.Catalogued = &row
-		}
-	case "app":
-		m, ok := he.app.MethodName(code)
-		if !ok {
-			return IPCTarget{}, false
-		}
-		t.Method = m
-		for _, row := range catalog.PrebuiltAppInterfaces() {
-			if apps.AppServiceName(row) == he.name && row.FullName() != "" {
-				r := row
-				t.AppRow = &r
-				break
-			}
-		}
+		return IPCTarget{Kind: "system", Service: he.name, Method: m, Catalogued: row}, true
 	}
-	return t, true
+	m, ok := he.app.Name(code)
+	if !ok {
+		return IPCTarget{}, false
+	}
+	return IPCTarget{Kind: "app", Service: he.name, Method: m, AppRow: he.appRow}, true
 }
 
 // bootRefs is how many long-lived internal JGR pins the named service

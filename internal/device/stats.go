@@ -103,9 +103,9 @@ func (d *Device) DumpState(w io.Writer) {
 		calls   uint64
 	}
 	var loads []svcLoad
-	for name, svc := range d.services {
+	for _, svc := range d.services {
 		if n := svc.TotalEntries(); n > 0 || svc.Calls() > 0 {
-			loads = append(loads, svcLoad{name: name, entries: n, calls: svc.Calls()})
+			loads = append(loads, svcLoad{name: svc.Name(), entries: n, calls: svc.Calls()})
 		}
 	}
 	sort.Slice(loads, func(i, j int) bool {

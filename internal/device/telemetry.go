@@ -146,14 +146,6 @@ func (d *Device) registerMetrics() {
 			}
 			return 0
 		})
-	reg.GaugeFunc("jgre_defender_coverage_last",
-		"Delivered/generated record fraction of the most recent defender engagement (NaN before one).",
-		func() float64 {
-			if d.defenderHealth == nil {
-				return 0
-			}
-			return d.defenderHealth().Coverage
-		})
 }
 
 // registerHostMetrics wires one monitored host process's runtime series.

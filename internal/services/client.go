@@ -41,7 +41,7 @@ type Client struct {
 	driver      *binder.Driver
 	sm          *binder.ServiceManager
 	ref         *binder.BinderRef
-	tab         *dispatch
+	tab         *Dispatch
 	pkg         string
 	retry       RetryPolicy
 	retries     int

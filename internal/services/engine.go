@@ -148,7 +148,7 @@ type Service struct {
 	// so a recycled clone (CloneInto onto the same dst) reuses it instead
 	// of allocating one closure per service per trial.
 	transactor binder.Transactor
-	tab        *dispatch
+	tab        *Dispatch
 
 	// entries holds retained registrations per catalogued method name,
 	// each list in registration order.
@@ -273,14 +273,9 @@ func (s *Service) Code(methodName string) (binder.TxCode, bool) {
 	return c, ok
 }
 
-// MethodName resolves a transaction code back to its method name.
-func (s *Service) MethodName(code binder.TxCode) (string, bool) {
-	m := s.tab.method(code)
-	if m == nil {
-		return "", false
-	}
-	return m.name, true
-}
+// Dispatch returns the service's dispatch table, which every instance
+// of the service shares.
+func (s *Service) Dispatch() *Dispatch { return s.tab }
 
 // MethodNames returns all dispatchable method names, sorted: codes run
 // in name order.

@@ -343,9 +343,9 @@ func TestMethodNameRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("Code(%q) missing", name)
 		}
-		back, ok := r.svc.MethodName(code)
+		back, _, ok := r.svc.Dispatch().Lookup(code)
 		if !ok || back != name {
-			t.Fatalf("MethodName(%d) = %q, want %q", code, back, name)
+			t.Fatalf("Lookup(%d) = %q, want %q", code, back, name)
 		}
 	}
 	// midi: 4 catalogued + 4 unregister + 5 innocent.

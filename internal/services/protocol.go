@@ -47,13 +47,14 @@ func MethodNamesFor(ifaces []catalog.Interface) []string {
 	return names
 }
 
-// dispatch is one service's dispatch table: transaction code → method
+// Dispatch is one service's dispatch table: transaction code → method
 // and method name → code, numbered by MethodCodes. A table is a pure
 // function of the static catalog, so each service's is built once per
 // process, on its first lookup, and never written after: every instance
-// of the service (boot, soft reboot, host restart, clone) and every
-// Client of it read the same one, from any goroutine.
-type dispatch struct {
+// of the service (boot, soft reboot, host restart, clone), every Client
+// of it and the device's handle index read the same one, from any
+// goroutine.
+type Dispatch struct {
 	// methods holds the method with code c at index c-1: MethodCodes
 	// numbers a service's methods 1..n.
 	methods []method
@@ -61,30 +62,41 @@ type dispatch struct {
 }
 
 // method returns the method with the given code, or nil.
-func (t *dispatch) method(code binder.TxCode) *method {
+func (t *Dispatch) method(code binder.TxCode) *method {
 	if code == 0 || int(code) > len(t.methods) {
 		return nil
 	}
 	return &t.methods[code-1]
 }
 
-// dispatchTables holds the built tables, service name → *dispatch.
+// Lookup resolves a transaction code to its method name and, for a
+// catalogued method, its catalog row (nil for an unregister pair or an
+// innocent method).
+func (t *Dispatch) Lookup(code binder.TxCode) (name string, row *catalog.Interface, ok bool) {
+	m := t.method(code)
+	if m == nil {
+		return "", nil, false
+	}
+	return m.name, m.spec, true
+}
+
+// dispatchTables holds the built tables, service name → *Dispatch.
 var dispatchTables sync.Map
 
 // dispatchFor returns the named service's shared dispatch table.
-func dispatchFor(serviceName string) *dispatch {
+func dispatchFor(serviceName string) *Dispatch {
 	if t, ok := dispatchTables.Load(serviceName); ok {
-		return t.(*dispatch)
+		return t.(*Dispatch)
 	}
 	t, _ := dispatchTables.LoadOrStore(serviceName, newDispatch(catalog.InterfacesForService(serviceName)))
-	return t.(*dispatch)
+	return t.(*Dispatch)
 }
 
 // newDispatch builds the table for a service exposing ifaces: each
 // catalogued method retains its caller's binder and gets a generated
 // unregister pair, and the innocent set fills the names left free.
-func newDispatch(ifaces []catalog.Interface) *dispatch {
-	t := &dispatch{codes: MethodCodes(ifaces)}
+func newDispatch(ifaces []catalog.Interface) *Dispatch {
+	t := &Dispatch{codes: MethodCodes(ifaces)}
 	t.methods = make([]method, len(t.codes))
 	for i := range ifaces {
 		spec := &ifaces[i]
