@@ -106,21 +106,22 @@ bench_gate = awk -v names='$(1)' -v key='$(3)' -v unit='$(4)' ' \
 # recorded baselines (BenchmarkTransactLogged, the median of 5 runs at
 # 2000x: one run's mean spreads past 5% on host noise alone). On a
 # shared host those ns/op ceilings catch only a large regression, so
-# the correlator, kill and logged-transact runs also gate allocs/op
-# (max_allocs_per_op), at the count each reads today. The allocation
-# gates hold deterministic
-# counts to 5% over the measured value: BenchmarkDeviceClone's B/op and
+# the correlator, kill, table-attack and logged-transact runs also gate
+# allocs/op (max_allocs_per_op), at the count each reads today. The
+# allocation gates hold deterministic counts to 5% over the measured
+# value: BenchmarkDeviceClone's B/op and
 # allocs/op (max_bytes_per_op, max_allocs_per_op), so a clone that
 # refills the service-name maps or the handle index it shares with its
 # template again fails, BenchmarkSoftReboot's allocs/op (only the timed
 # reboot counts, 20x), so a reboot that rebuilds what every boot shares,
 # or gives the filler daemons an ART runtime again, fails,
 # BenchmarkRegister's allocs/op and B/op (one attacker registration on a
-# recycled slot, 2000x: the count is whole objects per registration, the
-# bytes also catch the amortized regrowth of storage the slot should have
-# kept), and BenchmarkFleet's allocs/op (256 devices on recycled slots,
-# 2x), so a fleet whose slots stop recycling, or stop keeping their
-# binder storage and spawned processes, fails.
+# recycled slot, 2000x: the count is whole objects per registration, two
+# since the proxy is its BinderRef and the callback entry holds its
+# death link, and the bytes also catch the amortized regrowth of storage
+# the slot should have kept), and BenchmarkFleet's allocs/op (256
+# devices on recycled slots, 2x), so a fleet whose slots stop recycling,
+# or stop keeping their binder storage and spawned processes, fails.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/services ./internal/telemetry \
 		| tee /tmp/jgre-bench-smoke.out
@@ -134,9 +135,10 @@ bench-smoke:
 		| tee /tmp/jgre-kill-smoke.out
 	@$(call bench_gate,BenchmarkKillRegistrant/entries=6000,/tmp/jgre-kill-smoke.out,max_ns_per_op,ns/op)
 	@$(call bench_gate,BenchmarkKillRegistrant/entries=6000,/tmp/jgre-kill-smoke.out,max_allocs_per_op,allocs/op)
-	$(GO) test -bench='^BenchmarkJGRTableAttack$$' -benchtime=50x -run '^$$' ./internal/art \
+	$(GO) test -bench='^BenchmarkJGRTableAttack$$' -benchtime=50x -benchmem -run '^$$' ./internal/art \
 		| tee /tmp/jgre-table-smoke.out
 	@$(call bench_gate,BenchmarkJGRTableAttack,/tmp/jgre-table-smoke.out,max_ns_per_op,ns/op)
+	@$(call bench_gate,BenchmarkJGRTableAttack,/tmp/jgre-table-smoke.out,max_allocs_per_op,allocs/op)
 	$(GO) test -bench='^BenchmarkDevice(Boot|Clone)$$' -benchtime=400x -benchmem -run '^$$' . \
 		| tee /tmp/jgre-clone-smoke.out
 	@$(call bench_gate,BenchmarkDeviceClone,/tmp/jgre-clone-smoke.out,max_allocs_per_op,allocs/op)

@@ -422,6 +422,11 @@ func (s *AppService) Methods() Methods { return s.methods }
 // EntryCount returns retained registrations for a short method name.
 func (s *AppService) EntryCount(method string) int { return s.entries[method].Len() }
 
+// DropRegistrations forgets every registration the service holds,
+// releasing none, as services.Service.DropRegistrations does for an
+// instance replaced after its host died.
+func (s *AppService) DropRegistrations() { s.entries = nil }
+
 func (s *AppService) onTransact(call *binder.Call) error {
 	ai, ok := s.methods[call.Code]
 	if !ok {

@@ -2,7 +2,6 @@ package binder
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/art"
 	"repro/internal/kernel"
@@ -139,12 +138,11 @@ func (b *LocalBinder) LinkToDeath(func()) (*DeathLink, error) {
 }
 
 // proxy is a remote reference to a binder node, the analogue of
-// android.os.BinderProxy. One proxy exists per (holding process, node).
-type proxy struct {
-	driver *Driver
-	node   *node
-	holder *kernel.Process
-}
+// android.os.BinderProxy: a view of the BinderRef that holds it, so one
+// allocation is both. One proxy exists per (holding process, node) while
+// its ref is open. The proxy reads its holder and its driver through the
+// ref's context.
+type proxy BinderRef
 
 // Owner returns the process hosting the underlying binder object.
 func (p *proxy) Owner() *kernel.Process { return p.node.owner }
@@ -154,22 +152,45 @@ func (p *proxy) IsAlive() bool { return !p.node.dead && p.node.owner.Alive() }
 
 // Transact routes the transaction through the driver.
 func (p *proxy) Transact(code TxCode, data, reply *Parcel) error {
-	return p.driver.transact(p.holder, p.node, code, data, reply)
+	return p.ctx.driver.transact(p.ctx.proc, p.node, code, data, reply)
 }
 
 // LinkToDeath registers a death recipient for the remote process.
 func (p *proxy) LinkToDeath(fn func()) (*DeathLink, error) {
-	return p.driver.linkToDeath(p, fn)
+	dl := new(DeathLink)
+	if err := p.ctx.driver.linkToDeath(p, dl, deathFunc(fn)); err != nil {
+		return nil, err
+	}
+	return dl, nil
 }
 
-// DeathLink is a registered death recipient; Unlink cancels it.
+// deathRecipient is what a death link notifies when the node's owner
+// dies: a CallbackList entry, or the function LinkToDeath was given.
+type deathRecipient interface {
+	binderDied()
+}
+
+// deathFunc is a function as a death recipient, the form LinkToDeath
+// links.
+type deathFunc func()
+
+func (f deathFunc) binderDied() { f() }
+
+// DeathLink is a registered death recipient; Unlink cancels it. While it
+// is active it sits on its node's chain, in link order, and in its
+// holder's list of active links. A CallbackList entry holds its link
+// inline, so a registration allocates no link of its own.
 type DeathLink struct {
-	// idx is the link's position in holder.links while it is active.
-	idx    int
-	node   *node
-	holder *procContext
-	fn     func()
-	jgr    art.IndirectRef
+	node      *node
+	holder    *procContext
+	recipient deathRecipient
+	// next is the following link on the node's chain.
+	next *DeathLink
+	jgr  art.IndirectRef
+	// idx is the link's position in holder.links while it is active. An
+	// int32 shares a word with active, which keeps a link at 56 bytes and
+	// a service's callback entry at 112.
+	idx    int32
 	active bool
 }
 
@@ -199,7 +220,7 @@ func (dl *DeathLink) fire() {
 		_ = dl.holder.proc.VM().DeleteGlobalRef(dl.jgr)
 		dl.jgr = 0
 	}
-	dl.fn()
+	dl.recipient.binderDied()
 }
 
 // CallbackList holds the binders a service retains for its callers, in
@@ -216,26 +237,31 @@ type CallbackList[C any] struct {
 	n          int
 }
 
-// Callback is one registration in a CallbackList.
+// Callback is one registration in a CallbackList. It holds its death
+// link inline and is that link's recipient.
 type Callback[C any] struct {
 	// Cookie is the data the service registered the entry with.
 	Cookie     C
 	ref        *BinderRef
-	link       *DeathLink
+	link       DeathLink
 	list       *CallbackList[C] // nil once removed
 	prev, next *Callback[C]
 }
 
 // Register retains ref and appends it with cookie, linking the death of
-// ref's binder to the entry's removal. The entry is appended even when
-// linking fails (a binder the service owns itself cannot die apart from
-// it); the link error is returned for the service to judge, and one that
-// refuses the registration removes the entry again.
+// ref's binder to the entry's removal. It allocates the entry and
+// nothing else: the driver fills the entry's own death link. The entry
+// is appended even when linking fails (a binder the service owns itself
+// cannot die apart from it); the link error is returned for the service
+// to judge, and one that refuses the registration removes the entry
+// again.
 func (l *CallbackList[C]) Register(ref *BinderRef, cookie C) (*Callback[C], error) {
 	ref.Retain()
 	cb := &Callback[C]{Cookie: cookie, ref: ref, list: l}
-	link, err := ref.Binder().LinkToDeath(cb.Remove)
-	cb.link = link
+	err := ErrLocalBinder
+	if ref.local == nil {
+		err = ref.ctx.driver.linkToDeath((*proxy)(ref), &cb.link, cb)
+	}
 	cb.prev = l.tail
 	if l.tail != nil {
 		l.tail.next = cb
@@ -271,8 +297,8 @@ func (cb *Callback[C]) Next() *Callback[C] { return cb.next }
 func (cb *Callback[C]) Ref() *BinderRef { return cb.ref }
 
 // Remove takes cb off its list, cancels its death link and releases its
-// binder. It is the death recipient Register links, and a service calls
-// it to unregister; removing an entry twice is a no-op.
+// binder. A service calls it to unregister, and the entry's death link
+// calls it when the binder dies; removing an entry twice is a no-op.
 func (cb *Callback[C]) Remove() {
 	l := cb.list
 	if l == nil {
@@ -290,16 +316,19 @@ func (cb *Callback[C]) Remove() {
 	}
 	cb.list, cb.prev, cb.next = nil, nil, nil
 	l.n--
-	if cb.link != nil {
-		cb.link.Unlink()
-	}
+	cb.link.Unlink()
 	cb.ref.Release()
 }
+
+// binderDied makes the entry its own link's recipient.
+func (cb *Callback[C]) binderDied() { cb.Remove() }
 
 // BinderRef is a binder object materialized in a reading process by
 // ReadStrongBinder (or handed out by the ServiceManager). It couples the
 // IBinder with the JNI global reference that keeps the proxy alive in the
-// reader's runtime.
+// reader's runtime. A ref over another process's binder is itself the
+// proxy (see proxy), so materializing one allocates 40 bytes, one object
+// of the 48-byte size class.
 //
 // A ref obtained inside a transaction starts unretained: when the
 // transaction ends the framework marks it collectable and the next GC
@@ -307,15 +336,24 @@ func (cb *Callback[C]) Remove() {
 // stores the binder must call Retain, which is exactly the operation that
 // makes an IPC interface a JGRE risk.
 type BinderRef struct {
-	ctx      *procContext
-	binder   IBinder
+	ctx *procContext
+	// local is the binder when the reading process owns it, and node the
+	// remote node when it does not; exactly one is set.
+	local    *LocalBinder
+	node     *node
 	jgr      art.IndirectRef
 	retained bool
 	closed   bool
 }
 
-// Binder returns the underlying IBinder.
-func (r *BinderRef) Binder() IBinder { return r.binder }
+// Binder returns the underlying IBinder: the local binder itself, or the
+// ref as a proxy.
+func (r *BinderRef) Binder() IBinder {
+	if r.local != nil {
+		return r.local
+	}
+	return (*proxy)(r)
+}
 
 // HasJGR reports whether this ref holds a JNI global reference (false for
 // same-process binders).
@@ -366,13 +404,5 @@ func (r *BinderRef) endOfTransaction() {
 	// Drop from the proxy cache now: a later read of the same node
 	// materializes a fresh proxy, as javaObjectForIBinder would after
 	// the BinderProxy is finalized.
-	delete(r.ctx.proxies, r.node().handle)
-}
-
-// node returns the driver node behind a proxy-backed ref.
-func (r *BinderRef) node() *node {
-	if p, ok := r.binder.(*proxy); ok {
-		return p.node
-	}
-	panic(fmt.Sprintf("binder: BinderRef over %T has no node", r.binder))
+	r.ctx.proxies.set(int(r.node.handle), nil)
 }

@@ -153,32 +153,57 @@ type node struct {
 	remoteRefs int
 	ownerJGR   art.IndirectRef
 
-	links []*DeathLink
+	// first and last bound the node's chain of active death links, in
+	// link order; each link points to the next.
+	first, last *DeathLink
 }
 
+// appendLink puts dl at the tail of the node's chain.
+func (n *node) appendLink(dl *DeathLink) {
+	if n.last != nil {
+		n.last.next = dl
+	} else {
+		n.first = dl
+	}
+	n.last = dl
+}
+
+// removeLink takes dl off the node's chain, if it is on it.
 func (n *node) removeLink(dl *DeathLink) {
-	for i, l := range n.links {
-		if l == dl {
-			n.links = append(n.links[:i], n.links[i+1:]...)
-			return
+	var prev *DeathLink
+	for l := n.first; l != nil; prev, l = l, l.next {
+		if l != dl {
+			continue
 		}
+		if prev != nil {
+			prev.next = dl.next
+		} else {
+			n.first = dl.next
+		}
+		if n.last == dl {
+			n.last = prev
+		}
+		dl.next = nil
+		return
 	}
 }
 
 // procContext is the per-process binder state: the proxy cache (one
 // BinderProxy per node, as javaObjectForIBinder guarantees) and the JGR
-// bookkeeping that ties proxies to the process runtime. A context
-// belongs to a pid, not to one process: the driver keeps it, emptied,
-// when its process dies and when a recycled slot rewinds, so the pid's
-// next process, in this trial's device or the next one's, reuses its
-// storage.
+// bookkeeping that ties proxies to the process runtime. Both caches are
+// refIndexes, one indexed by the node's handle and one by the proxy
+// JGR's slot, so materializing a proxy and finalizing one hash nothing.
+// A context belongs to a pid, not to one process: the driver keeps it,
+// emptied, when its process dies and when a recycled slot rewinds, so
+// the pid's next process, in this trial's device or the next one's,
+// reuses its storage.
 type procContext struct {
 	driver *Driver
 	// proc is the process the context serves, nil after a rewind until
 	// the pid's next process opens it again.
 	proc    *kernel.Process
-	proxies map[Handle]*BinderRef
-	byJGR   jgrIndex
+	proxies refIndex // by handle
+	byJGR   refIndex // by the proxy JGR's slot index
 	// links holds the process's active death links, in no particular
 	// order: a link leaves by swap-remove when it fires or unlinks.
 	links []*DeathLink
@@ -187,41 +212,41 @@ type procContext struct {
 	hook art.JGRHook
 }
 
-// jgrPage is how many JGR slots one page of a jgrIndex covers.
-const jgrPage = 128
+// refPage is how many entries one page of a refIndex covers.
+const refPage = 128
 
-// jgrIndex maps a proxy's JGR to its ref by the reference's slot index
-// in the runtime's global table, where ART keeps the proxy's object. It
-// is a slice paged by slot: a page is allocated the first time one of
-// its slots holds a proxy, so a runtime whose proxies sit past a large
-// boot table, as system_server's do past its ~1,500 pins, pays for the
-// pages its proxies use and not for the whole table.
-type jgrIndex struct {
+// refIndex maps a small non-negative integer, a handle or a JGR slot
+// index, to a ref. It is a slice paged by index: a page is allocated the
+// first time one of its entries holds a ref, so a context whose refs sit
+// past a large range, as system_server's JGRs do past its ~1,500 boot
+// pins and the attacker's tokens past the service stubs' handles, pays
+// for the pages it uses and not for the whole range.
+type refIndex struct {
 	pages [][]*BinderRef
 }
 
-// get returns the ref whose JGR sits at slot i, or nil.
-func (x *jgrIndex) get(i int) *BinderRef {
-	if p := i / jgrPage; p < len(x.pages) && x.pages[p] != nil {
-		return x.pages[p][i%jgrPage]
+// get returns the ref at i, or nil.
+func (x *refIndex) get(i int) *BinderRef {
+	if p := i / refPage; p < len(x.pages) && x.pages[p] != nil {
+		return x.pages[p][i%refPage]
 	}
 	return nil
 }
 
-// set records br, or with nil no ref, at slot i.
-func (x *jgrIndex) set(i int, br *BinderRef) {
-	p := i / jgrPage
+// set records br, or with nil no ref, at i.
+func (x *refIndex) set(i int, br *BinderRef) {
+	p := i / refPage
 	if p >= len(x.pages) {
 		x.pages = append(x.pages, make([][]*BinderRef, p+1-len(x.pages))...)
 	}
 	if x.pages[p] == nil {
-		x.pages[p] = make([]*BinderRef, jgrPage)
+		x.pages[p] = make([]*BinderRef, refPage)
 	}
-	x.pages[p][i%jgrPage] = br
+	x.pages[p][i%refPage] = br
 }
 
 // empty drops every ref, keeping the pages.
-func (x *jgrIndex) empty() {
+func (x *refIndex) empty() {
 	for _, pg := range x.pages {
 		clear(pg)
 	}
@@ -230,7 +255,7 @@ func (x *jgrIndex) empty() {
 // empty drops every proxy, JGR and death link the context holds,
 // keeping the storage.
 func (c *procContext) empty() {
-	clear(c.proxies)
+	c.proxies.empty()
 	c.byJGR.empty()
 	clear(c.links)
 	c.links = c.links[:0]
@@ -247,13 +272,13 @@ func (c *procContext) dropLink(dl *DeathLink) {
 }
 
 // materialize turns a parceled binder into this process's view of it,
-// taking a JGR for cross-process binders.
+// taking a JGR for cross-process binders. A new proxy is one BinderRef.
 func (c *procContext) materialize(b IBinder) (*BinderRef, error) {
 	var n *node
 	switch t := b.(type) {
 	case *LocalBinder:
 		if t.owner == c.proc {
-			return &BinderRef{ctx: c, binder: t}, nil
+			return &BinderRef{ctx: c, local: t}, nil
 		}
 		n = c.driver.ensureNode(t)
 	case *proxy:
@@ -262,20 +287,19 @@ func (c *procContext) materialize(b IBinder) (*BinderRef, error) {
 		return nil, fmt.Errorf("binder: cannot materialize %T", b)
 	}
 	if n.owner == c.proc {
-		return &BinderRef{ctx: c, binder: n.local}, nil
+		return &BinderRef{ctx: c, local: n.local}, nil
 	}
-	if existing, ok := c.proxies[n.handle]; ok && !existing.closed {
+	if existing := c.proxies.get(int(n.handle)); existing != nil && !existing.closed {
 		return existing, nil
 	}
-	px := &proxy{driver: c.driver, node: n, holder: c.proc}
 	jgr, err := c.proc.VM().AddGlobalRef(&art.Object{ID: c.driver.nextObjectID()})
 	if err != nil {
 		// The reading process just exhausted its own JGR table; its
 		// runtime has aborted and the kernel reaped it.
 		return nil, fmt.Errorf("binder: materializing proxy in %s: %w", c.proc.Name(), err)
 	}
-	ref := &BinderRef{ctx: c, binder: px, jgr: jgr}
-	c.proxies[n.handle] = ref
+	ref := &BinderRef{ctx: c, node: n, jgr: jgr}
+	c.proxies.set(int(n.handle), ref)
 	c.byJGR.set(jgr.Index(), ref)
 	c.driver.addRemoteRef(n)
 	return ref, nil
@@ -296,11 +320,11 @@ func (c *procContext) onJGRRemoved(ref art.IndirectRef) {
 		return
 	}
 	c.byJGR.set(ref.Index(), nil)
-	if cur, ok := c.proxies[br.node().handle]; ok && cur == br {
-		delete(c.proxies, br.node().handle)
+	if h := int(br.node.handle); c.proxies.get(h) == br {
+		c.proxies.set(h, nil)
 	}
 	br.closed = true
-	c.driver.dropRemoteRef(br.node())
+	c.driver.dropRemoteRef(br.node)
 }
 
 // Driver is the simulated binder kernel driver: the single mediator of
@@ -561,7 +585,7 @@ func (d *Driver) NewLocalBinder(proc *kernel.Process, class string, handler Tran
 func (d *Driver) context(proc *kernel.Process) *procContext {
 	c := d.ctxs[proc.Pid()]
 	if c == nil {
-		c = &procContext{driver: d, proxies: make(map[Handle]*BinderRef)}
+		c = &procContext{driver: d}
 		c.hook = c.onJGR
 		d.ctxs[proc.Pid()] = c
 	}
@@ -802,33 +826,41 @@ func recycleCall(c *Call) {
 	callPool.Put(c)
 }
 
-// linkToDeath implements proxy.LinkToDeath.
-func (d *Driver) linkToDeath(p *proxy, fn func()) (*DeathLink, error) {
-	if p.node.dead || !p.node.owner.Alive() {
-		return nil, ErrDeadObject
+// linkToDeath fills dl as p's holder's link to the death of p's node,
+// notifying r, and puts it on the node's chain and the holder's list. It
+// allocates nothing: the caller owns dl. It is the one link function
+// behind LinkToDeath and CallbackList.Register.
+func (d *Driver) linkToDeath(p *proxy, dl *DeathLink, r deathRecipient) error {
+	n := p.node
+	if n.dead || !n.owner.Alive() {
+		return ErrDeadObject
 	}
-	holder := d.context(p.holder)
+	holder := p.ctx
 	jgr, err := holder.proc.VM().AddGlobalRef(&art.Object{ID: d.nextObjectID()})
 	if err != nil {
-		return nil, fmt.Errorf("binder: linkToDeath in %s: %w", holder.proc.Name(), err)
+		return fmt.Errorf("binder: linkToDeath in %s: %w", holder.proc.Name(), err)
 	}
-	dl := &DeathLink{idx: len(holder.links), node: p.node, holder: holder, fn: fn, jgr: jgr, active: true}
-	p.node.links = append(p.node.links, dl)
+	*dl = DeathLink{node: n, holder: holder, recipient: r, jgr: jgr, idx: int32(len(holder.links)), active: true}
+	n.appendLink(dl)
 	holder.links = append(holder.links, dl)
-	return dl, nil
+	return nil
 }
 
 // onProcessDeath reclaims binder state for a dead process: its proxies
-// release their remote refs, its death links deactivate, its nodes die and
-// fire death recipients in the processes holding proxies to them — which
-// is how services learn to drop a dead client's listeners and JGRs.
+// release their remote refs in handle order, its death links deactivate,
+// its nodes die and fire death recipients in the processes holding
+// proxies to them — which is how services learn to drop a dead client's
+// listeners and JGRs. The handle order fixes the order of the owners' JGR
+// deletes, and so where the holes fall in their tables.
 func (d *Driver) onProcessDeath(p *kernel.Process) {
 	pid := p.Pid()
 	if ctx := d.ctxs[pid]; ctx != nil && ctx.proc != nil {
-		for _, br := range ctx.proxies {
-			if !br.closed {
-				br.closed = true
-				d.dropRemoteRef(br.node())
+		for _, pg := range ctx.proxies.pages {
+			for _, br := range pg {
+				if br != nil && !br.closed {
+					br.closed = true
+					d.dropRemoteRef(br.node)
+				}
 			}
 		}
 		for _, dl := range ctx.links {
@@ -856,15 +888,19 @@ func (d *Driver) onProcessDeath(p *kernel.Process) {
 		}
 		n.dead = true
 		n.ownerJGR = 0
-		// The detached slice is walked in place: linkToDeath refuses a dead
-		// node, and a recipient that unlinks another of its links edits
-		// n.links, nil from here on, so nothing changes the slice walked.
-		links := n.links
-		n.links = nil
-		for _, dl := range links {
+		// The chain is detached before any recipient fires and walked in
+		// link order: linkToDeath refuses a dead node, and a recipient that
+		// unlinks another of its links finds it on no chain, so nothing
+		// changes the links walked.
+		dl := n.first
+		n.first, n.last = nil, nil
+		for dl != nil {
+			next := dl.next
+			dl.next = nil
 			if dl.holder.proc.Alive() {
 				dl.fire()
 			}
+			dl = next
 		}
 		// Unlink the binder→node edge so a later flatten of the same
 		// (dead) binder mints a fresh node, matching the map-era behaviour
@@ -1040,15 +1076,17 @@ func (d *Driver) AttributeRetainedRefs(victim kernel.Pid) map[kernel.Uid]int {
 		return nil
 	}
 	out := make(map[kernel.Uid]int)
-	for _, br := range ctx.proxies {
-		if br.closed {
-			continue
+	for _, pg := range ctx.proxies.pages {
+		for _, br := range pg {
+			if br == nil || br.closed {
+				continue
+			}
+			n := br.node
+			if n.dead || !n.owner.Alive() || !kernel.IsAppUid(n.owner.Uid()) {
+				continue
+			}
+			out[n.owner.Uid()]++
 		}
-		n := br.node()
-		if n.dead || !n.owner.Alive() || !kernel.IsAppUid(n.owner.Uid()) {
-			continue
-		}
-		out[n.owner.Uid()]++
 	}
 	for _, dl := range ctx.links {
 		if dl.node.dead || !dl.node.owner.Alive() || !kernel.IsAppUid(dl.node.owner.Uid()) {

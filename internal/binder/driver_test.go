@@ -562,8 +562,11 @@ func reapNodesByScan(d *Driver, pid kernel.Pid) {
 		}
 		n.dead = true
 		n.ownerJGR = 0
-		links := append([]*DeathLink(nil), n.links...)
-		n.links = nil
+		var links []*DeathLink
+		for dl := n.first; dl != nil; dl = dl.next {
+			links = append(links, dl)
+		}
+		n.first, n.last = nil, nil
 		for _, dl := range links {
 			if dl.holder.proc.Alive() {
 				dl.fire()
@@ -747,16 +750,63 @@ func TestDeathWalkMatchesScan(t *testing.T) {
 	}
 }
 
+// TestDeathReleasesProxiesInHandleOrder checks that a dying holder
+// releases its proxies in an order fixed by the run: each release
+// deletes the owner's pin on the node, so the release order decides
+// where the holes fall in the owner's JGR table and so the slot of every
+// JGR the owner takes next. A holder materializes 50 tokens of a live
+// app and dies; the app then takes 50 JGRs, whose slots two identical
+// runs must share.
+func TestDeathReleasesProxiesInHandleOrder(t *testing.T) {
+	run := func() []int {
+		r := newRig(t, art.Config{})
+		holder := r.k.Spawn(kernel.SpawnConfig{Name: "holder", Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj})
+		for i := 0; i < 50; i++ {
+			if _, err := r.d.Materialize(holder, r.d.NewLocalBinder(r.app, "android.os.Binder", nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.k.Kill(holder.Pid(), "test"); err != nil {
+			t.Fatal(err)
+		}
+		slots := make([]int, 50)
+		for i := range slots {
+			ref, err := r.app.VM().AddGlobalRef(&art.Object{ID: art.ObjectID(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots[i] = ref.Index()
+		}
+		return slots
+	}
+	first, second := run(), run()
+	if !slices.Equal(first, second) {
+		t.Fatalf("two identical runs put the app's next JGRs in different slots:\n%v\n%v", first, second)
+	}
+}
+
+// caller has the shape of the services' registration cookie, a pid and
+// a package name, for the size pin below.
+type caller struct {
+	pid kernel.Pid
+	pkg string
+}
+
 // TestHolderLinksPruned drives seeded link, unlink and owner-death steps,
 // with recipients that unlink other links while a death is being reaped,
 // and checks after every step that each holder keeps exactly its active
-// death links and that AttributeRetainedRefs equals a count over every
-// link and proxy the test made.
+// death links, that each node's chain holds exactly its active links in
+// link order with the last as its tail, and that AttributeRetainedRefs
+// equals a count over every link and proxy the test made.
 func TestHolderLinksPruned(t *testing.T) {
-	// Pruning stores the link's index where an unread driver pointer sat,
-	// so a link stays in the 48-byte size class.
-	if got := unsafe.Sizeof(DeathLink{}); got != 48 {
-		t.Fatalf("DeathLink is %d bytes, want 48", got)
+	// A registration allocates a BinderRef, which is also its proxy, and a
+	// callback entry holding its death link: 40 bytes in the 48-byte size
+	// class and 112 bytes, a size class of its own.
+	if got := unsafe.Sizeof(BinderRef{}); got != 40 {
+		t.Fatalf("BinderRef is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(Callback[caller]{}); got != 112 {
+		t.Fatalf("Callback[caller] is %d bytes, want 112", got)
 	}
 	r := newRig(t, art.Config{})
 	other := r.k.Spawn(kernel.SpawnConfig{Name: "other", Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj})
@@ -791,14 +841,31 @@ func TestHolderLinksPruned(t *testing.T) {
 				t.Fatalf("step %d: %s keeps %d links, %d active", step, h.Name(), len(ctx.links), active)
 			}
 			for i, dl := range ctx.links {
-				if dl.idx != i || !dl.active {
+				if int(dl.idx) != i || !dl.active {
 					t.Fatalf("step %d: %s links[%d] has idx %d, active %v", step, h.Name(), i, dl.idx, dl.active)
 				}
 			}
 		}
+		for _, n := range r.d.nodes {
+			var want, got []*DeathLink
+			for _, dl := range links {
+				if dl.active && dl.node == n {
+					want = append(want, dl)
+				}
+			}
+			for dl := n.first; dl != nil && len(got) <= len(links); dl = dl.next {
+				got = append(got, dl)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: handle %d's chain holds %d links, want its %d active links in link order", step, n.handle, len(got), len(want))
+			}
+			if len(want) > 0 && n.last != want[len(want)-1] || len(want) == 0 && n.last != nil {
+				t.Fatalf("step %d: handle %d's chain tail is not its last active link", step, n.handle)
+			}
+		}
 		want := map[kernel.Uid]int{}
 		for ref := range refs {
-			if n := ref.node(); !ref.closed && !n.dead && n.owner.Alive() {
+			if n := ref.node; !ref.closed && !n.dead && n.owner.Alive() {
 				want[n.owner.Uid()]++
 			}
 		}

@@ -40,6 +40,19 @@ func checkSlab[T any](t *testing.T, when, name string, s *slab[T]) {
 	}
 }
 
+// refCount counts the refs a refIndex holds.
+func refCount(x *refIndex) int {
+	n := 0
+	for _, pg := range x.pages {
+		for _, br := range pg {
+			if br != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // checkNoRetired fails if the driver's node index or slabs hold a
 // pointer past what the current trial used.
 func checkNoRetired(t *testing.T, when string, d *Driver) {
@@ -66,8 +79,8 @@ func TestRewindDropsRetiredPointers(t *testing.T) {
 	blocks := len(r.d.nodeSlab.blocks)
 	firstNodes, firstLBs := &r.d.nodeSlab.blocks[0][0], &r.d.lbSlab.blocks[0][0]
 	ctx := r.d.ctxs[r.server.Pid()]
-	if blocks < 3 || len(ctx.proxies) != 300 || len(ctx.links) != 300 {
-		t.Fatalf("trial made %d node blocks, %d proxies and %d links; want 3+, 300 and 300", blocks, len(ctx.proxies), len(ctx.links))
+	if blocks < 3 || refCount(&ctx.proxies) != 300 || len(ctx.links) != 300 {
+		t.Fatalf("trial made %d node blocks, %d proxies and %d links; want 3+, 300 and 300", blocks, refCount(&ctx.proxies), len(ctx.links))
 	}
 
 	k := kernel.New(simclock.New(), kernel.Config{})
@@ -80,16 +93,12 @@ func TestRewindDropsRetiredPointers(t *testing.T) {
 		t.Fatalf("rewind kept %d of %d node blocks, or not the first blocks", len(d.nodeSlab.blocks), blocks)
 	}
 	for pid, c := range d.ctxs {
-		if c.proc != nil || len(c.proxies) != 0 || len(c.links) != 0 {
+		if c.proc != nil || refCount(&c.proxies) != 0 || len(c.links) != 0 {
 			t.Fatalf("pid %d's context after NewReusing: proc %v, %d proxies, %d links; want empty",
-				pid, c.proc, len(c.proxies), len(c.links))
+				pid, c.proc, refCount(&c.proxies), len(c.links))
 		}
-		for _, pg := range c.byJGR.pages {
-			for _, br := range pg {
-				if br != nil {
-					t.Fatalf("pid %d's JGR index still points at a retired proxy", pid)
-				}
-			}
+		if refCount(&c.byJGR) != 0 {
+			t.Fatalf("pid %d's JGR index still points at a retired proxy", pid)
 		}
 		for _, dl := range c.links[:cap(c.links)] {
 			if dl != nil {
@@ -105,14 +114,14 @@ func TestRewindDropsRetiredPointers(t *testing.T) {
 	r2.app = k.Spawn(kernel.SpawnConfig{Name: "com.evil.app", Uid: 10061})
 	refs := registerTokens(t, r2, 30)
 	checkNoRetired(t, "after a smaller second trial", d)
-	if d.ctxs[r2.server.Pid()] != ctx || ctx.proc != r2.server || len(ctx.proxies) != 30 {
+	if d.ctxs[r2.server.Pid()] != ctx || ctx.proc != r2.server || refCount(&ctx.proxies) != 30 {
 		t.Fatalf("second trial's server context: reused %v, proc %v, %d proxies; want the pid's context, the new server, 30",
-			d.ctxs[r2.server.Pid()] == ctx, ctx.proc == r2.server, len(ctx.proxies))
+			d.ctxs[r2.server.Pid()] == ctx, ctx.proc == r2.server, refCount(&ctx.proxies))
 	}
 	// The reopened context's JGR hook is on the new server's runtime: a
 	// released proxy leaves the cache.
 	refs[0].Release()
-	if len(ctx.proxies) != 29 || r2.server.VM().JGRHookCount() != 1 {
-		t.Fatalf("after a release: %d proxies, %d hooks on the new server; want 29 and 1", len(ctx.proxies), r2.server.VM().JGRHookCount())
+	if refCount(&ctx.proxies) != 29 || r2.server.VM().JGRHookCount() != 1 {
+		t.Fatalf("after a release: %d proxies, %d hooks on the new server; want 29 and 1", refCount(&ctx.proxies), r2.server.VM().JGRHookCount())
 	}
 }

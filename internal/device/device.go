@@ -407,6 +407,16 @@ func (d *Device) spawnBaselineFillers() {
 // ServiceManager registry is rebuilt with fresh service instances (and
 // fresh, empty JGR tables).
 func (d *Device) restartSystem(reason string) {
+	// Every host died with system_server. A clone's slabs and the
+	// driver's old stubs point to the instances replaced below until the
+	// next slot rewind, so each drops its registrations first, or it would
+	// keep every entry, with its proxy and death link, reachable.
+	for _, s := range d.services {
+		s.DropRegistrations()
+	}
+	for _, s := range d.appServices {
+		s.DropRegistrations()
+	}
 	d.sm.Clear()
 	if err := d.startSystem(); err != nil {
 		panic(fmt.Sprintf("device: soft reboot failed: %v", err))
@@ -565,6 +575,7 @@ func (d *Device) RestartHost(name string) error {
 			continue
 		}
 		d.sm.RemoveService(meta.Name)
+		d.services[i].DropRegistrations()
 		svc, err := d.startService(meta, host)
 		if err != nil {
 			return fmt.Errorf("device: restarting %s on %s: %w", meta.Name, name, err)
@@ -607,6 +618,7 @@ func (d *Device) RestartAppService(name string) error {
 		return fmt.Errorf("device: no catalog rows for app service %s", name)
 	}
 	d.handleIndex = maps.Clone(d.handleIndex)
+	d.appServices[i].DropRegistrations()
 	svc, err := d.publishAppService(name, rows)
 	if err != nil {
 		return fmt.Errorf("device: republishing %s: %w", name, err)

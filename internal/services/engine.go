@@ -302,6 +302,16 @@ func (s *Service) TotalEntries() int {
 // Calls returns how many transactions the service has handled.
 func (s *Service) Calls() uint64 { return s.calls }
 
+// DropRegistrations forgets every registration the service holds,
+// releasing none. The device calls it on an instance it replaces after
+// the instance's host died: the host's runtime and binder context died
+// with it, so there is nothing left to release, and an instance that the
+// device's storage still points to keeps no registration reachable.
+func (s *Service) DropRegistrations() {
+	s.entries = nil
+	s.member = nil
+}
+
 // onTransact is the service stub dispatch.
 func (s *Service) onTransact(call *binder.Call) error {
 	m := s.tab.method(call.Code)
