@@ -46,9 +46,13 @@ race:
 # byte-identically), the Chrome trace-event exporter (never panics
 # on arbitrary span records, always emits schema-valid JSON), the
 # bounded record ring under every buffer (matches the copy-shift
-# reference over random capacities, push runs, drains and resets), and
-# the ART reference tables (match a map model op by op, on a fresh VM and
-# on a template clone, and rewind to a fresh clone's state).
+# reference over random capacities, push runs, drains and resets), the
+# ART reference tables (match a map model op by op, on a fresh VM and
+# on a template clone, and rewind to a fresh clone's state), and the
+# kernel's process table (spawns, kills, LMK evictions and soft reboots
+# on a template, its clones and their rewinds, checked after every step
+# against a model of the pids built from Spawn's results and kill
+# events).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseIPCRecord -fuzztime=10s -run '^$$' ./internal/binder
 	$(GO) test -fuzz=FuzzCorrelatorDifferential -fuzztime=5s -run '^$$' ./internal/defense
@@ -57,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTraceExport -fuzztime=5s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzRing -fuzztime=5s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzRefTable -fuzztime=5s -run '^$$' ./internal/art
+	$(GO) test -fuzz=FuzzProcessTable -fuzztime=5s -run '^$$' ./internal/kernel
 
 # Regenerate the sequential-vs-parallel sweep timings (BENCH_parallel.json).
 bench-json:
@@ -112,9 +117,10 @@ bench_gate = awk -v names='$(1)' -v key='$(3)' -v unit='$(4)' ' \
 # value: BenchmarkDeviceClone's B/op and
 # allocs/op (max_bytes_per_op, max_allocs_per_op), so a clone that
 # refills the service-name maps or the handle index it shares with its
-# template again fails, BenchmarkSoftReboot's allocs/op (only the timed
-# reboot counts, 20x), so a reboot that rebuilds what every boot shares,
-# or gives the filler daemons an ART runtime again, fails,
+# template again fails, BenchmarkSoftReboot's allocs/op and B/op (only
+# the timed reboot counts, 20x), so a reboot that rebuilds what every
+# boot shares, gives the filler daemons an ART runtime again, or regrows
+# a process map, fails,
 # BenchmarkRegister's allocs/op and B/op (one attacker registration on a
 # recycled slot, 2000x: the count is whole objects per registration, two
 # since the proxy is its BinderRef and the callback entry holds its
@@ -146,6 +152,7 @@ bench-smoke:
 	$(GO) test -bench='^BenchmarkSoftReboot$$' -benchtime=20x -benchmem -run '^$$' ./internal/device \
 		| tee /tmp/jgre-reboot-smoke.out
 	@$(call bench_gate,BenchmarkSoftReboot,/tmp/jgre-reboot-smoke.out,max_allocs_per_op,allocs/op)
+	@$(call bench_gate,BenchmarkSoftReboot,/tmp/jgre-reboot-smoke.out,max_bytes_per_op,B/op)
 	$(GO) test -bench='^BenchmarkRegister$$' -benchtime=2000x -benchmem -run '^$$' ./internal/device \
 		| tee /tmp/jgre-register-smoke.out
 	@$(call bench_gate,BenchmarkRegister,/tmp/jgre-register-smoke.out,max_allocs_per_op,allocs/op)
@@ -166,7 +173,9 @@ bench-smoke:
 # fleet engine's chunking/merge/slot-pool paths back every fleet-*
 # rollup, so internal/fleet holds >= 75%. The trace package (recorder
 # ring, ID minting, Chrome exporter) backs every byte-identity claim the
-# tracing layer makes, so it holds >= 80%.
+# tracing layer makes, so it holds >= 80%. The kernel's process table,
+# LMK and soft reboot sit under every device, template and clone, so
+# internal/kernel holds >= 90%.
 cover:
 	$(GO) test -cover -coverprofile=/tmp/jgre-telemetry.cover ./internal/telemetry
 	@total=$$($(GO) tool cover -func=/tmp/jgre-telemetry.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
@@ -188,6 +197,11 @@ cover:
 		echo "internal/trace coverage: $$total%"; \
 		awk -v t="$$total" 'BEGIN { exit (t >= 80.0) ? 0 : 1 }' \
 		|| { echo "cover: internal/trace coverage $$total% below 80% floor"; exit 1; }
+	$(GO) test -cover -coverprofile=/tmp/jgre-kernel.cover ./internal/kernel
+	@total=$$($(GO) tool cover -func=/tmp/jgre-kernel.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
+		echo "internal/kernel coverage: $$total%"; \
+		awk -v t="$$total" 'BEGIN { exit (t >= 90.0) ? 0 : 1 }' \
+		|| { echo "cover: internal/kernel coverage $$total% below 90% floor"; exit 1; }
 
 # Every Go file must be gofmt-clean.
 fmt:

@@ -70,10 +70,7 @@ func (r *PipelineResult) Funnel() Funnel {
 // permissions are obtainable by a third-party app, anything undefined is
 // treated as signature-gated.
 func CatalogObtainable() func(string) bool {
-	m := permissions.NewManager()
-	for p, l := range catalog.PermissionLevels {
-		m.Define(p, l)
-	}
+	m := permissions.NewManager(catalog.PermissionLevels)
 	return func(perm string) bool {
 		return m.ObtainableByApp(permissions.Permission(perm))
 	}

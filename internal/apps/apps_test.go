@@ -26,10 +26,7 @@ func newAppRig(t *testing.T) *appRig {
 	clock := simclock.New()
 	k := kernel.New(clock, kernel.Config{})
 	d := binder.New(k, binder.Config{})
-	perms := permissions.NewManager()
-	for p, l := range catalog.PermissionLevels {
-		perms.Define(p, l)
-	}
+	perms := permissions.NewManager(catalog.PermissionLevels)
 	return &appRig{clock: clock, k: k, d: d, perms: perms, mgr: NewManager(k, perms), reg: NewServiceRegistry(d)}
 }
 
@@ -155,7 +152,7 @@ func TestAppServiceExhaustionCrashesApp(t *testing.T) {
 	clock := simclock.New()
 	k := kernel.New(clock, kernel.Config{})
 	d := binder.New(k, binder.Config{})
-	perms := permissions.NewManager()
+	perms := permissions.NewManager(nil)
 	mgr := NewManager(k, perms)
 	reg := NewServiceRegistry(d)
 

@@ -88,7 +88,7 @@ func newAppStoreRig(t *testing.T, oracle bool) *appStoreRig {
 	clock := simclock.New()
 	k := kernel.New(clock, kernel.Config{})
 	d := binder.New(k, binder.Config{})
-	r := &appStoreRig{k: k, d: d, mgr: NewManager(k, permissions.NewManager()), reg: NewServiceRegistry(d)}
+	r := &appStoreRig{k: k, d: d, mgr: NewManager(k, permissions.NewManager(nil)), reg: NewServiceRegistry(d)}
 	r.watcher = k.Spawn(kernel.SpawnConfig{Name: "watcher", Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj})
 	r.owner, _ = r.mgr.Install("com.svox.pico")
 	rows := catalog.PrebuiltAppInterfaces()[:1] // PicoService.setCallback()

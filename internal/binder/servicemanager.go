@@ -3,7 +3,8 @@ package binder
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/kernel"
 )
@@ -15,18 +16,19 @@ import (
 // apps bypass the protections baked into service helper classes
 // (Code-Snippet 2 calls ServiceManager.getService("wifi") and hits the raw
 // IWifiManager interface).
+//
+// The registry maps each name to the handle of its binder's node on this
+// manager's driver. A handle names the same service on every clone of a
+// device, because a clone replays stub minting in boot order and so
+// reproduces its template's handle space exactly: a clone shares its
+// template's map, and copies it before its first write.
 type ServiceManager struct {
-	driver *Driver
-	// services is the mutable registry; on a clone it overlays frozen,
-	// with a nil binder as a removal tombstone. It is nil until the first
-	// write so that clones which never re-register pay nothing.
-	services map[string]*LocalBinder
-	// frozen is a sealed template's registry, shared read-only by every
-	// clone. Its binders belong to the TEMPLATE; resolve() remaps one to
-	// this driver's equivalent stub through its node handle, which is
-	// valid because device clones replay stub minting in boot order and
-	// therefore reproduce the template's handle space exactly.
-	frozen map[string]*LocalBinder
+	driver   *Driver
+	services map[string]Handle
+	// shared marks services as a map this manager shares with the
+	// template it was cloned from, which it copies before its first
+	// write, as RestartHost copies the device's handle index.
+	shared bool
 }
 
 // Registration errors.
@@ -38,42 +40,42 @@ var (
 
 // NewServiceManager creates an empty registry on the driver.
 func NewServiceManager(d *Driver) *ServiceManager {
-	// Presized for the full census (104 services): a fresh boot registers
-	// every service, and incremental map growth would rehash the table
-	// several times on that path.
-	return &ServiceManager{driver: d, services: make(map[string]*LocalBinder, 128)}
+	return &ServiceManager{driver: d, services: newRegistry()}
 }
+
+// newRegistry returns an empty name map presized for the full census (104
+// services): a boot or soft reboot registers every service, and
+// incremental map growth would rehash the table several times on that
+// path.
+func newRegistry() map[string]Handle { return make(map[string]Handle, 128) }
 
 // Clone returns a registry for a cloned device's driver that shares this
-// (template) registry's name table read-only. No re-registration runs:
-// lookups remap the template's binders onto d's replayed stubs by handle.
+// (template) registry's map until its first write. No re-registration
+// runs: each handle names the clone's replayed stub on d.
 func (sm *ServiceManager) Clone(d *Driver) *ServiceManager {
-	base := sm.frozen
-	if base == nil {
-		base = sm.services
-	}
-	return &ServiceManager{driver: d, frozen: base}
+	return &ServiceManager{driver: d, services: sm.services, shared: true}
 }
 
-// resolve returns the binder registered under name on this manager's own
-// driver, consulting the overlay first and then the frozen base.
+// resolve returns the binder registered under name, or nil.
 func (sm *ServiceManager) resolve(name string) *LocalBinder {
-	if b, ok := sm.services[name]; ok {
-		return b // nil if tombstoned
-	}
-	tb := sm.frozen[name]
-	if tb == nil || tb.node == nil {
+	h, ok := sm.services[name]
+	if !ok {
 		return nil
 	}
-	if h := int(tb.node.handle) - 1; h >= 0 && h < len(sm.driver.nodes) {
-		return sm.driver.nodes[h].local
-	}
-	return nil
+	return sm.driver.nodes[h-1].local
 }
 
-// AddService registers a service binder under name. Only non-app uids may
-// register (SELinux confines servicemanager registration to system
-// domains).
+// own copies a shared map before the first write to it.
+func (sm *ServiceManager) own() {
+	if sm.shared {
+		sm.services = maps.Clone(sm.services)
+		sm.shared = false
+	}
+}
+
+// AddService registers a service binder under name, minting its node on
+// the driver. Only non-app uids may register (SELinux confines
+// servicemanager registration to system domains).
 func (sm *ServiceManager) AddService(name string, b *LocalBinder) error {
 	if name == "" {
 		return errors.New("servicemanager: empty service name")
@@ -84,32 +86,25 @@ func (sm *ServiceManager) AddService(name string, b *LocalBinder) error {
 	if kernel.IsAppUid(b.Owner().Uid()) {
 		return fmt.Errorf("register %q from uid %d: %w", name, b.Owner().Uid(), ErrNotSystem)
 	}
-	if sm.resolve(name) != nil {
+	if _, ok := sm.services[name]; ok {
 		return fmt.Errorf("register %q: %w", name, ErrServiceExists)
 	}
-	if sm.services == nil {
-		sm.services = make(map[string]*LocalBinder)
-	}
-	sm.services[name] = b
+	sm.own()
+	sm.services[name] = sm.driver.ensureNode(b).handle
 	return nil
 }
 
-// RemoveService drops a registration (used on soft reboot).
+// RemoveService drops a registration, as a host restart does before it
+// registers the host's services again.
 func (sm *ServiceManager) RemoveService(name string) {
-	if _, shadowed := sm.frozen[name]; shadowed {
-		if sm.services == nil {
-			sm.services = make(map[string]*LocalBinder)
-		}
-		sm.services[name] = nil // tombstone over the frozen base
-		return
-	}
+	sm.own()
 	delete(sm.services, name)
 }
 
 // Clear drops every registration (soft reboot).
 func (sm *ServiceManager) Clear() {
-	sm.services = make(map[string]*LocalBinder)
-	sm.frozen = nil
+	sm.services = newRegistry()
+	sm.shared = false
 }
 
 // GetService returns client's handle on the named service: a retained
@@ -135,17 +130,10 @@ func (sm *ServiceManager) CheckService(name string) bool {
 // ListServices returns all registered service names, sorted — the
 // `service list` view the paper's IPC method extractor starts from.
 func (sm *ServiceManager) ListServices() []string {
-	out := make([]string, 0, len(sm.services)+len(sm.frozen))
-	for name, b := range sm.services {
-		if b != nil {
-			out = append(out, name)
-		}
+	out := make([]string, 0, len(sm.services))
+	for name := range sm.services {
+		out = append(out, name)
 	}
-	for name := range sm.frozen {
-		if _, shadowed := sm.services[name]; !shadowed {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }

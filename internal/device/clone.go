@@ -66,18 +66,19 @@ func SetCloneBoot(enabled bool) {
 }
 
 // Snapshot seals the device as an immutable clone template: the kernel
-// rejects further Spawn/Kill, every process VM's global table is
-// frozen copy-on-write, and the permission definition map is marked
-// shared. Snapshot is meant for a boot-quiescent device (no transactions
-// run yet); it is idempotent, one-way, and must not race with clones —
-// call it once before handing the template to concurrent cloners.
+// rejects further Spawn/Kill, and every process VM's global table is
+// frozen copy-on-write. Nothing else needs sealing: a clone copies the
+// ServiceManager's map and the handle index before its first write to
+// either, and the permission definitions are never written. Snapshot is
+// meant for a boot-quiescent device (no transactions run yet); it is
+// idempotent, one-way, and must not race with clones — call it once
+// before handing the template to concurrent cloners.
 func (d *Device) Snapshot() {
 	if d.sealed {
 		return
 	}
 	d.sealed = true
 	d.kern.Seal()
-	d.perms.Freeze()
 }
 
 // Clone returns a copy-on-write clone of the device with the same seed.

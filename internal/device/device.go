@@ -203,10 +203,7 @@ func BootFresh(cfg Config) (*Device, error) {
 	d.driver = binder.New(d.kern, dcfg)
 	d.driver.SetRecorder(d.rec)
 	d.sm = binder.NewServiceManager(d.driver)
-	d.perms = permissions.NewManager()
-	for p, l := range catalog.PermissionLevels {
-		d.perms.Define(p, l)
-	}
+	d.perms = permissions.NewManager(catalog.PermissionLevels)
 	d.apps = apps.NewManager(d.kern, d.perms)
 	d.appReg = apps.NewServiceRegistry(d.driver)
 

@@ -437,30 +437,52 @@ func TestSoftRebootRestoresBootState(t *testing.T) {
 	}
 }
 
-// TestConcurrentSoftReboots boots two devices from scratch on two
-// goroutines and soft-reboots each: the service tables every boot and
-// reboot reads are shared process-wide (run under -race via `make race`).
+// TestConcurrentSoftReboots soft-reboots two devices on two goroutines,
+// first two booted from scratch, then two clones of one sealed template:
+// the service tables every boot and reboot reads are shared
+// process-wide, and each clone's reboot copies its process table from
+// the template's and replaces the registry map it shares with it (run
+// under -race via `make race`).
 func TestConcurrentSoftReboots(t *testing.T) {
-	var wg sync.WaitGroup
-	for seed := int64(1); seed <= 2; seed++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			d, err := BootFresh(Config{Seed: seed, ServerVM: art.Config{MaxGlobalRefs: 2000}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := exhaust(d); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-				return
-			}
-			if d.SoftReboots() != 1 || !d.SystemServer().Alive() {
-				t.Errorf("seed %d: soft reboots = %d, system_server alive = %v", seed, d.SoftReboots(), d.SystemServer().Alive())
-			}
-		}(seed)
+	cfg := Config{ServerVM: art.Config{MaxGlobalRefs: 2000}}
+	tmpl, err := template(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	if tmpl == nil {
+		t.Fatal("clone boot is off")
+	}
+	for _, cloned := range []bool{false, true} {
+		var wg sync.WaitGroup
+		for seed := int64(1); seed <= 2; seed++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				c := cfg
+				c.Seed = seed
+				boot := BootFresh
+				if cloned {
+					boot = func(c Config) (*Device, error) { return tmpl.CloneWithSeed(c.Seed) }
+				}
+				d, err := boot(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := exhaust(d); err != nil {
+					t.Errorf("cloned %v, seed %d: %v", cloned, seed, err)
+					return
+				}
+				if d.SoftReboots() != 1 || !d.SystemServer().Alive() {
+					t.Errorf("cloned %v, seed %d: soft reboots = %d, system_server alive = %v", cloned, seed, d.SoftReboots(), d.SystemServer().Alive())
+				}
+			}(seed)
+		}
+		wg.Wait()
+	}
+	if tmpl.SoftReboots() != 0 || len(tmpl.ServiceManager().ListServices()) != 104 {
+		t.Fatalf("template after its clones' reboots: %d soft reboots, %d services; want 0, 104", tmpl.SoftReboots(), len(tmpl.ServiceManager().ListServices()))
+	}
 }
 
 // BenchmarkSoftReboot times the soft-reboot layer on its own:

@@ -200,9 +200,11 @@ func TestResolveMatchesReferenceDerivation(t *testing.T) {
 
 // TestRestartLeavesTemplateIndex restarts mediaserver on two clones of
 // one sealed template at once: each restart must add its handles to its
-// own copy of the index, so the template's keeps its boot entries (and
-// `make race` sees no write to it), and each clone resolves both the
-// replaced and the new handles.
+// own copy of the index and its registrations to its own copy of the
+// ServiceManager's map, so the template keeps its boot entries in both
+// (and `make race` sees no write to either), each clone resolves both
+// the replaced and the new handles, and each clone's registry holds a
+// live stub for every census service.
 func TestRestartLeavesTemplateIndex(t *testing.T) {
 	tmpl, err := template(Config{Seed: 1})
 	if err != nil {
@@ -240,6 +242,19 @@ func TestRestartLeavesTemplateIndex(t *testing.T) {
 	wg.Wait()
 	if got := len(tmpl.handleIndex); got != bootEntries {
 		t.Fatalf("template index has %d entries after the clones' restarts, want %d", got, bootEntries)
+	}
+	if got := len(tmpl.ServiceManager().ListServices()); got != 104 {
+		t.Fatalf("template registry lists %d services after the clones' restarts, want 104", got)
+	}
+	for _, meta := range catalog.Services() {
+		if !tmpl.ServiceManager().CheckService(meta.Name) {
+			t.Fatalf("template registry lost %s to a clone's restart", meta.Name)
+		}
+		for i, d := range clones {
+			if !d.ServiceManager().CheckService(meta.Name) {
+				t.Fatalf("clone %d: no live stub registered for %s after the restart", i, meta.Name)
+			}
+		}
 	}
 	for i, d := range clones {
 		idx := merge(before[i], oracleIndex(t, d))

@@ -8,8 +8,6 @@ package kernel
 
 import (
 	"errors"
-	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/art"
@@ -147,23 +145,28 @@ const SystemServerName = "system_server"
 // Kernel is the simulated kernel. Create with New, or clone a sealed
 // kernel with Clone.
 //
-// A cloned kernel shares its template's process table as an immutable
-// frozen base: processes materialize into the clone's own table (procs)
-// only when a caller needs a mutable handle (Kill, Process, FindProcess,
-// Processes). RunningCount and the LMK's memory check read counters
-// copied from the template and kept on every aliveness transition; only
-// LMK victim selection walks the merged view, and only once app memory is
-// over budget. A clone of a 400-process device thus costs a few map
-// allocations rather than 400 process + VM constructions.
+// The process table is one slice indexed by pid: procs[pid-1] holds
+// pid's process, and every walk runs in pid order. A clone's table
+// starts empty in front of its template's (base), and a pid past its end
+// reads the template's process, which every clone shares and none
+// writes. A process is copied out of the template only when a caller
+// needs a mutable handle (Kill, Process, FindProcess, Processes); see
+// materialize. RunningCount and the LMK's memory check read counters
+// copied from the template and kept on every aliveness transition. A
+// clone of a 400-process device thus copies the few processes a trial
+// touches rather than building 400 processes and runtimes.
 type Kernel struct {
-	clock   *simclock.Clock
-	cfg     Config
-	nextPid Pid
-	procs   map[Pid]*Process
-	// frozen is the sealed template's process table (nil for a kernel
-	// built with New). Entries are shared across every clone and must
-	// never be mutated; a pid present in procs shadows its frozen entry.
-	frozen map[Pid]*Process
+	clock *simclock.Clock
+	cfg   Config
+	// procs is the table. On a clone an entry below its length may still
+	// be the template's process (one whose kernel is not this one) until
+	// materialize copies it out, and past its length, inside its
+	// capacity, a recycled clone keeps the processes a retired trial
+	// spawned for the next Spawn of their pid (see CloneReusing).
+	procs []*Process
+	// base is the sealed template's table, nil for a kernel built with
+	// New. Its entries are shared with every clone and never written.
+	base   []*Process
 	sealed bool
 	procfs *ProcFS
 	// running counts alive processes, maintained on every aliveness
@@ -179,15 +182,6 @@ type Kernel struct {
 	softReboots int
 	lmkKills    int
 	onKill      []func(*Process, string)
-
-	// parked holds the processes a retired trial spawned on this
-	// recycled clone, indexed by pid minus firstSpawn (the template's
-	// next pid, where every trial's spawns start), stripped of
-	// everything that pointed into that trial. The next Spawn of a
-	// parked pid reuses the Process and its runtime's storage (see
-	// CloneReusing); nil for any other kernel.
-	parked     []*Process
-	firstSpawn Pid
 }
 
 // New creates a kernel on the given clock.
@@ -199,11 +193,9 @@ func New(clock *simclock.Clock, cfg Config) *Kernel {
 		cfg.AppMemoryBudgetKB = DefaultAppMemoryBudgetKB
 	}
 	return &Kernel{
-		clock:   clock,
-		cfg:     cfg,
-		nextPid: 1,
-		procs:   make(map[Pid]*Process),
-		procfs:  NewProcFS(),
+		clock:  clock,
+		cfg:    cfg,
+		procfs: NewProcFS(),
 	}
 }
 
@@ -224,38 +216,40 @@ func (k *Kernel) Seal() {
 	}
 }
 
-// Clone creates a kernel that shares this sealed kernel's process table
-// as a copy-on-write base. The clone runs on its own clock and fires its
-// own OnSystemServerDeath hook; kill observers (OnKill) start empty and
-// must be re-registered by the layers above, in the same order as at
-// boot. Its procfs starts empty too: every file renders from a producer
-// bound to one device, so each producer registers its file again on the
-// clone. Cloning an unsealed kernel, or re-cloning a clone, panics.
+// Clone creates a kernel whose process table starts empty in front of
+// this sealed kernel's (see Kernel). The clone runs on its own clock and
+// fires its own OnSystemServerDeath hook; kill observers (OnKill) start
+// empty and must be re-registered by the layers above, in the same order
+// as at boot. Its procfs starts empty too: every file renders from a
+// producer bound to one device, so each producer registers its file
+// again on the clone. Cloning an unsealed kernel, or re-cloning a clone,
+// panics.
 func (k *Kernel) Clone(clock *simclock.Clock, onSystemServerDeath func(reason string)) *Kernel {
 	return k.CloneReusing(nil, clock, onSystemServerDeath)
 }
 
 // CloneReusing is Clone with allocation recycling: prev, when non-nil,
 // must be a retired clone of this same sealed template whose device is
-// no longer referenced anywhere. Its overlay process table, procfs and
-// kill-observer slice are rewound and reused in place — materialized
-// processes that shadow a frozen pid are reset to frozen state, keeping
-// their Process and VM storage (valid because the kernel pointer, and
-// hence every closure bound to it, stays the same across the rewind).
-// Processes spawned during the retired trial are parked: stripped of
-// their death notifications, JGR hooks and abort hook, they wait for
-// the next Spawn of their pid, which reuses the Process, its runtime
-// and its table storage and returns a process indistinguishable from a
-// freshly built one. A fleet slot that churns through thousands of
-// per-trial devices thus stops paying the clone path's map, filesystem
-// and materialization allocations, and the trial's process and runtime
-// allocations, after the first trial. Passing a prev that is still in
-// use corrupts both devices.
+// no longer referenced anywhere. Its process table, procfs and
+// kill-observer slice are rewound and reused in place. The table keeps
+// its template pids: each process the retired trial copied out is reset
+// to the template's state, keeping its Process and VM storage (valid
+// because the kernel pointer, and hence every closure bound to it,
+// stays the same across the rewind). The processes the retired trial
+// spawned are parked past the table's length, inside its capacity:
+// stripped of their death notifications, JGR hooks and abort hook, they
+// wait for the next Spawn of their pid, which reuses the Process, its
+// runtime and its table storage and returns a process
+// indistinguishable from a freshly built one. A fleet slot that churns
+// through thousands of per-trial devices thus stops paying the clone
+// path's table, filesystem and materialization allocations, and the
+// trial's process and runtime allocations, after the first trial.
+// Passing a prev that is still in use corrupts both devices.
 func (k *Kernel) CloneReusing(prev *Kernel, clock *simclock.Clock, onSystemServerDeath func(reason string)) *Kernel {
 	if !k.sealed {
 		panic("kernel: Clone of unsealed kernel")
 	}
-	if k.frozen != nil {
+	if k.base != nil {
 		panic("kernel: Clone of a clone")
 	}
 	if clock == nil {
@@ -263,47 +257,40 @@ func (k *Kernel) CloneReusing(prev *Kernel, clock *simclock.Clock, onSystemServe
 	}
 	cfg := k.cfg
 	cfg.OnSystemServerDeath = onSystemServerDeath
-	var nk *Kernel
-	var procs map[Pid]*Process
+	nk := prev
+	var procs []*Process
 	var procfs *ProcFS
 	var onKill []func(*Process, string)
-	var parked []*Process
 	if prev != nil {
-		if prev.frozen == nil {
-			panic("kernel: CloneReusing prev is not a clone")
+		if len(prev.base) != len(k.procs) {
+			panic("kernel: CloneReusing prev is not a clone of this kernel")
 		}
 		clear(prev.onKill)
-		nk, procs, procfs, onKill, parked = prev, prev.procs, prev.procfs, prev.onKill[:0], prev.parked
+		procs, procfs, onKill = prev.procs, prev.procfs, prev.onKill[:0]
 		procfs.Reset()
 	} else {
 		nk = &Kernel{}
-		procs = make(map[Pid]*Process)
 		procfs = NewProcFS()
 	}
 	*nk = Kernel{
 		clock:       clock,
 		cfg:         cfg,
-		nextPid:     k.nextPid,
-		procs:       procs,
-		frozen:      k.procs,
+		procs:       procs[:min(len(procs), len(k.procs))],
+		base:        k.procs,
 		procfs:      procfs,
 		softReboots: k.softReboots,
 		lmkKills:    k.lmkKills,
 		running:     k.running,
 		appMemKB:    k.appMemKB,
 		onKill:      onKill,
-		parked:      parked,
-		firstSpawn:  k.nextPid,
 	}
-	for pid, p := range procs {
-		fp, ok := k.procs[pid]
-		if !ok {
-			// Spawned during the retired trial; not part of the template.
-			delete(procs, pid)
+	for i, p := range procs {
+		switch {
+		case i >= len(k.procs):
 			nk.park(p)
-			continue
+		case p.k == nk:
+			p.resetFrom(k.procs[i], nk)
 		}
-		p.resetFromFrozen(fp, nk)
 	}
 	return nk
 }
@@ -317,19 +304,14 @@ func (k *Kernel) park(p *Process) {
 	if p.vm != nil {
 		p.vm.Reset(p.name, k.clock, art.Config{})
 	}
-	i := int(p.pid - k.firstSpawn)
-	if i >= len(k.parked) {
-		k.parked = append(k.parked, make([]*Process, i+1-len(k.parked))...)
-	}
-	k.parked[i] = p
 }
 
-// resetFromFrozen rewinds a materialized clone process to its frozen
-// template state in place, keeping its Process and VM storage. The
-// identity-bound pieces — the kernel-reaper abort wrapper on the VM and
-// the pid — are unchanged by construction: pid and the kernel pointer
-// are the same before and after a kernel rewind.
-func (p *Process) resetFromFrozen(fp *Process, k *Kernel) {
+// resetFrom rewinds a process a clone copied out of its template back to
+// the template's process fp in place, keeping its Process and VM
+// storage. The identity-bound pieces — the kernel-reaper abort wrapper
+// on the VM and the pid — are unchanged by construction: pid and the
+// kernel pointer are the same before and after a kernel rewind.
+func (p *Process) resetFrom(fp *Process, k *Kernel) {
 	vm := p.vm
 	*p = Process{
 		pid:         fp.pid,
@@ -356,39 +338,30 @@ func clearFns(fns []func(*Process)) []func(*Process) {
 	return fns[:0]
 }
 
-// lookup returns the process for pid from the clone overlay or the
-// frozen base, alive or dead, without materializing. The result must be
-// treated as read-only unless it came from k.procs.
-func (k *Kernel) lookup(pid Pid) *Process {
-	if p, ok := k.procs[pid]; ok {
-		return p
-	}
-	return k.frozen[pid] // nil-map lookup is fine for non-clones
-}
-
-// each calls fn for every process, overlay entries shadowing frozen ones.
-func (k *Kernel) each(fn func(*Process)) {
-	for _, p := range k.procs {
-		fn(p)
-	}
-	for pid, p := range k.frozen {
-		if _, shadowed := k.procs[pid]; !shadowed {
-			fn(p)
-		}
+// grow extends the table with the template's entries up to pid n. Each
+// entry it adds stays the template's process, read-only, until
+// materialize copies it out.
+func (k *Kernel) grow(n int) {
+	if len(k.procs) < n {
+		k.procs = append(k.procs, k.base[len(k.procs):n]...)
 	}
 }
 
-// materialize returns a mutable, clone-owned process for pid, copying it
-// out of the frozen base on first use. A copy of a process with a runtime
-// gets its own VM built on the frozen VM's global table (copy-on-write,
-// see art.VM.Clone) and an abort hook rebuilt against this kernel.
+// materialize returns a mutable, kernel-owned process for pid, alive or
+// dead, or nil for a pid never spawned. On a clone it grows the table up
+// to pid and, on first use, copies pid's process out of the template. A
+// copy of a process with a runtime gets its own VM built on the
+// template VM's global table (copy-on-write, see art.VM.Clone) and an
+// abort hook rebuilt against this kernel.
 func (k *Kernel) materialize(pid Pid) *Process {
-	if p, ok := k.procs[pid]; ok {
-		return p
-	}
-	fp, ok := k.frozen[pid]
-	if !ok {
+	i := int(pid) - 1
+	if i < 0 || i >= max(len(k.procs), len(k.base)) {
 		return nil
+	}
+	k.grow(i + 1)
+	fp := k.procs[i]
+	if fp.k == k {
+		return fp
 	}
 	if len(fp.deathFns) > 0 {
 		// Death callbacks are closures over template state; a booted
@@ -412,7 +385,7 @@ func (k *Kernel) materialize(pid Pid) *Process {
 			k.Kill(p.pid, "runtime abort: "+reason)
 		})
 	}
-	k.procs[pid] = p
+	k.procs[i] = p
 	return p
 }
 
@@ -438,10 +411,11 @@ func (k *Kernel) OnKill(fn func(*Process, string)) {
 // Spawn creates a new process with its own Android runtime, unless
 // cfg.Uid is RootUid: init's native daemons run none. A runtime abort
 // (JGR exhaustion) automatically kills the process, which in turn
-// soft-reboots the device if the process is system_server. On a
-// recycled clone, a pid a retired trial spawned reuses that trial's
-// parked Process and runtime storage; the process is indistinguishable
-// from a new one.
+// soft-reboots the device if the process is system_server. On a clone
+// it first copies the template's table in, so the new pid follows the
+// template's. On a recycled clone, a pid a retired trial spawned reuses
+// that trial's parked Process and runtime storage; the process is
+// indistinguishable from a new one.
 func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 	if cfg.Name == "" {
 		panic("kernel: Spawn requires a process name")
@@ -455,17 +429,18 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 	if cfg.MemoryKB == 0 {
 		cfg.MemoryKB = DefaultAppMemoryKB
 	}
-	pid := k.nextPid
-	k.nextPid++
+	k.grow(len(k.base))
+	n := len(k.procs)
 	var p *Process
-	if i := int(pid - k.firstSpawn); i < len(k.parked) && k.parked[i] != nil {
-		p, k.parked[i] = k.parked[i], nil
-	} else {
+	if n < cap(k.procs) {
+		p = k.procs[:n+1][n] // parked by CloneReusing, or nil
+	}
+	if p == nil {
 		p = new(Process)
 	}
 	vm := p.vm
 	*p = Process{
-		pid:         pid,
+		pid:         Pid(n + 1),
 		uid:         cfg.Uid,
 		name:        cfg.Name,
 		oomScoreAdj: cfg.OomScoreAdj,
@@ -490,7 +465,7 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 		p.vm = vm
 	}
 
-	k.procs[p.pid] = p
+	k.procs = append(k.procs, p)
 	k.running++
 	if IsAppUid(p.uid) {
 		k.appMemKB += p.memoryKB
@@ -499,43 +474,35 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 	return p
 }
 
-// Process returns the process with the given pid, or nil.
+// Process returns the alive process with the given pid, or nil.
 func (k *Kernel) Process(pid Pid) *Process {
-	p := k.lookup(pid)
-	if p == nil || !p.alive {
-		return nil
+	if p := k.materialize(pid); p != nil && p.alive {
+		return p
 	}
-	return k.materialize(pid)
+	return nil
 }
 
-// FindProcess returns the first alive process with the given name, or nil.
+// FindProcess returns the alive process with the given name and the
+// lowest pid, or nil.
 func (k *Kernel) FindProcess(name string) *Process {
-	var best *Process
-	k.each(func(p *Process) {
-		if p.alive && p.name == name && (best == nil || p.pid < best.pid) {
-			best = p
+	k.grow(len(k.base))
+	for _, p := range k.procs {
+		if p.alive && p.name == name {
+			return k.materialize(p.pid)
 		}
-	})
-	if best == nil {
-		return nil
 	}
-	return k.materialize(best.pid)
+	return nil
 }
 
-// Processes returns all alive processes sorted by pid. On a clone this
-// materializes the full table; it is a diagnostic path (dumpsys), not a
-// hot one.
+// Processes returns all alive processes in pid order. On a clone this
+// materializes every alive process; only tests call it.
 func (k *Kernel) Processes() []*Process {
-	var pids []Pid
-	k.each(func(p *Process) {
+	k.grow(len(k.base))
+	var out []*Process
+	for _, p := range k.procs {
 		if p.alive {
-			pids = append(pids, p.pid)
+			out = append(out, k.materialize(p.pid))
 		}
-	})
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	out := make([]*Process, len(pids))
-	for i, pid := range pids {
-		out[i] = k.materialize(pid)
 	}
 	return out
 }
@@ -553,10 +520,10 @@ func (k *Kernel) Kill(pid Pid, reason string) error {
 	if k.sealed {
 		panic("kernel: Kill on kernel sealed by snapshot")
 	}
-	if p := k.lookup(pid); p == nil || !p.alive {
+	p := k.materialize(pid)
+	if p == nil || !p.alive {
 		return ErrNoSuchProcess
 	}
-	p := k.materialize(pid)
 	k.exit(p, reason)
 	if p.name == SystemServerName {
 		k.softReboot("system_server died: " + reason)
@@ -592,24 +559,16 @@ func (k *Kernel) exit(p *Process, reason string) {
 func (k *Kernel) softReboot(reason string) {
 	k.softReboots++
 	killReason := "soft reboot: " + reason
-	// Collect victims before killing: death recipients may themselves kill
-	// processes, and on a clone the kill path materializes into k.procs,
-	// which must not happen while ranging over it. Kill them in pid order,
-	// not map order: a death recipient fires only while its holder is
-	// alive, so the order decides which recipients fire.
-	var pids []Pid
-	k.each(func(p *Process) {
-		if p.alive && p.name != SystemServerName {
-			pids = append(pids, p.pid)
+	// Kill the victims in pid order: a death recipient fires only while
+	// its holder is alive, so the order decides which recipients fire.
+	// Each entry is read again before its kill, since an earlier victim's
+	// death cascade may have killed it already; a process spawned during
+	// the loop lands past n and is no victim.
+	k.grow(len(k.base))
+	for i, n := 0, len(k.procs); i < n; i++ {
+		if p := k.procs[i]; p.alive && p.name != SystemServerName {
+			k.exit(k.materialize(p.pid), killReason)
 		}
-	})
-	slices.Sort(pids)
-	for _, pid := range pids {
-		p := k.materialize(pid)
-		if !p.alive {
-			continue // already killed by an earlier victim's death cascade
-		}
-		k.exit(p, killReason)
 	}
 	if cb := k.cfg.OnSystemServerDeath; cb != nil {
 		cb(reason)
@@ -618,8 +577,10 @@ func (k *Kernel) softReboot(reason string) {
 
 // runLMK applies the low memory killer policy: while app memory exceeds
 // the budget, kill the app process with the highest oom_score_adj
-// (breaking ties by oldest start time), never touching processes with
-// adj <= 0. This mirrors Android's LMK victim selection (paper §VII).
+// (breaking ties by oldest start time, then lowest pid), never touching
+// processes with adj <= 0. This mirrors Android's LMK victim selection
+// (paper §VII). Only Spawn runs it, after copying the template's table
+// in, so the victim walk reads one table.
 func (k *Kernel) runLMK() {
 	for k.appMemKB > k.cfg.AppMemoryBudgetKB {
 		victim := k.lmkVictim()
@@ -631,18 +592,19 @@ func (k *Kernel) runLMK() {
 	}
 }
 
+// lmkVictim walks the table in pid order, so of two equal candidates the
+// first one found has the lower pid and stays the victim.
 func (k *Kernel) lmkVictim() *Process {
 	var victim *Process
-	k.each(func(p *Process) {
+	for _, p := range k.procs {
 		if !p.alive || !IsAppUid(p.uid) || p.oomScoreAdj <= 0 {
-			return
+			continue
 		}
 		if victim == nil ||
 			p.oomScoreAdj > victim.oomScoreAdj ||
-			(p.oomScoreAdj == victim.oomScoreAdj && p.startedAt < victim.startedAt) ||
-			(p.oomScoreAdj == victim.oomScoreAdj && p.startedAt == victim.startedAt && p.pid < victim.pid) {
+			(p.oomScoreAdj == victim.oomScoreAdj && p.startedAt < victim.startedAt) {
 			victim = p
 		}
-	})
+	}
 	return victim
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +15,19 @@ import (
 func newKernel(t *testing.T, cfg Config) *Kernel {
 	t.Helper()
 	return New(simclock.New(), cfg)
+}
+
+// scan calls fn for every process in pid order, alive or dead, without
+// copying one out of a clone's template: past the end of a clone's
+// table it reads the template's.
+func scan(k *Kernel, fn func(*Process)) {
+	for i := range max(len(k.procs), len(k.base)) {
+		if i < len(k.procs) {
+			fn(k.procs[i])
+		} else {
+			fn(k.base[i])
+		}
+	}
 }
 
 func TestSpawnAndLookup(t *testing.T) {
@@ -203,7 +215,7 @@ func TestNativeDaemonsHaveNoRuntime(t *testing.T) {
 	wantRuntimes := func(stage string, k *Kernel) {
 		t.Helper()
 		daemons := 0
-		k.each(func(p *Process) {
+		scan(k, func(p *Process) {
 			if (p.VM() == nil) != (p.Uid() == RootUid) {
 				t.Fatalf("%s: pid %d (%s, uid %d) has a runtime: %v", stage, p.Pid(), p.Name(), p.Uid(), p.VM() != nil)
 			}
@@ -259,7 +271,13 @@ func TestRewindParksSpawnedProcesses(t *testing.T) {
 	other := clone.Spawn(SpawnConfig{Name: "other", Uid: FirstAppUid + 1})
 
 	clone = tmpl.CloneReusing(clone, simclock.New(), nil)
-	parked := func(pid Pid) *Process { return clone.parked[pid-clone.firstSpawn] }
+	// parked returns what waits for pid past the table's length.
+	parked := func(pid Pid) *Process {
+		if i := int(pid) - 1; i >= len(clone.procs) && i < cap(clone.procs) {
+			return clone.procs[:i+1][i]
+		}
+		return nil
+	}
 	for _, p := range []*Process{app, other} {
 		if parked(p.Pid()) != p || p.DeathNotificationCount() != 0 || p.VM().JGRHookCount() != 0 {
 			t.Fatalf("pid %d after the rewind: parked %v, %d death notifications, %d JGR hooks; want parked, 0, 0",
@@ -470,7 +488,7 @@ func TestIsAppUid(t *testing.T) {
 // replaced, kept as the oracle the counter is checked against.
 func scanAppMemoryKB(k *Kernel) int {
 	total := 0
-	k.each(func(p *Process) {
+	scan(k, func(p *Process) {
 		if p.alive && IsAppUid(p.uid) {
 			total += p.memoryKB
 		}
@@ -526,38 +544,116 @@ func scanLMK(procs []lmkProc, budgetKB int) []Pid {
 	}
 }
 
-// lmkHarness drives a seeded random sequence of process-lifecycle
-// operations and checks the app-memory counter against the scan after
-// every step, and every Spawn's LMK victims against scanLMK.
+// choices is where the harness draws its operations from: a seeded rng,
+// or a fuzzer's bytes.
+type choices interface{ Intn(n int) int }
+
+// fuzzChoices draws each choice from one of a fuzzer's bytes, scaled to
+// the range asked for; every choice reads 0 once the bytes run out.
+type fuzzChoices struct{ data []byte }
+
+func (c *fuzzChoices) Intn(n int) int {
+	if len(c.data) == 0 {
+		return 0
+	}
+	b := c.data[0]
+	c.data = c.data[1:]
+	return int(b) * n / 256
+}
+
+// modelProc is what the harness's pid model knows of one pid.
+type modelProc struct {
+	name            string
+	spawned, killed bool
+}
+
+// lmkHarness drives a random sequence of process-lifecycle operations
+// and checks, after every step, the app-memory counter against the scan,
+// every Spawn's LMK victims against scanLMK, and the process table
+// against a model of the pids. The model is built only from what Spawn
+// returns and from OnKill events; each clone and each rewind starts
+// from the template's.
 type lmkHarness struct {
 	t    *testing.T
 	seed int64
-	rng  *rand.Rand
-	k    *Kernel
-	lmk  []Pid
-	step int
+	rng  choices
+	// materialize makes every check also read the table through
+	// Processes and FindProcess, which copy every alive process out of a
+	// clone's template. Without it the checks copy nothing, so template
+	// entries stay in the table for the operations to reach.
+	materialize bool
+	k           *Kernel
+	// model holds pid-1's modelProc, tmplModel the template's model at
+	// its seal, and rebootKills the pids the last soft reboot killed.
+	model, tmplModel []modelProc
+	rebootKills      []Pid
+	lmk              []Pid
+	step             int
 	// evictions and reboots tally what the run exercised, so the test
 	// cannot pass vacuously.
 	evictions, reboots int
 }
 
-func (h *lmkHarness) attach(k *Kernel) {
-	h.k = k
+// newTemplate returns a kernel running system_server, driven by h.
+func (h *lmkHarness) newTemplate() *Kernel {
+	k := New(simclock.New(), Config{AppMemoryBudgetKB: 8 * DefaultAppMemoryKB, OnSystemServerDeath: h.restart})
+	h.attach(k, nil)
+	h.spawnSystemServer()
+	h.check()
+	return k
+}
+
+// seal seals the template h drives and keeps its model for its clones.
+func (h *lmkHarness) seal(tmpl *Kernel) {
+	tmpl.Seal()
+	h.tmplModel = h.model
+}
+
+// clone moves h to a fresh clone of tmpl, or to a rewind of prev.
+func (h *lmkHarness) clone(tmpl, prev *Kernel, fresh bool) *Kernel {
+	var k *Kernel
+	if fresh {
+		k = tmpl.Clone(simclock.New(), h.restart)
+	} else {
+		k = tmpl.CloneReusing(prev, simclock.New(), h.restart)
+	}
+	h.attach(k, slices.Clone(h.tmplModel))
+	h.check()
+	return k
+}
+
+func (h *lmkHarness) attach(k *Kernel, model []modelProc) {
+	h.k, h.model = k, model
 	k.OnKill(func(p *Process, reason string) {
-		if reason == "lmk" {
+		h.entry(p.pid).killed = true
+		switch {
+		case reason == "lmk":
 			h.lmk = append(h.lmk, p.pid)
+		case strings.HasPrefix(reason, "soft reboot: "):
+			h.rebootKills = append(h.rebootKills, p.pid)
 		}
 	})
 }
 
+// entry returns the model's entry for pid, growing the model to reach
+// it: the LMK may evict a process while its Spawn runs, so its OnKill
+// event can come before the Spawn returns its pid.
+func (h *lmkHarness) entry(pid Pid) *modelProc {
+	for len(h.model) < int(pid) {
+		h.model = append(h.model, modelProc{})
+	}
+	return &h.model[pid-1]
+}
+
+// alive returns the alive processes in pid order, read without copying
+// any out of a clone's template.
 func (h *lmkHarness) alive() []lmkProc {
 	var out []lmkProc
-	h.k.each(func(p *Process) {
+	scan(h.k, func(p *Process) {
 		if p.alive {
 			out = append(out, lmkProc{p.pid, p.uid, p.oomScoreAdj, p.memoryKB, p.startedAt, true})
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].pid < out[j].pid })
 	return out
 }
 
@@ -566,10 +662,16 @@ func (h *lmkHarness) spawn(cfg SpawnConfig) {
 	if mem == 0 {
 		mem = DefaultAppMemoryKB
 	}
-	procs := append(h.alive(), lmkProc{h.k.nextPid, cfg.Uid, cfg.OomScoreAdj, mem, h.k.clock.Now(), true})
+	next := Pid(len(h.model) + 1)
+	procs := append(h.alive(), lmkProc{next, cfg.Uid, cfg.OomScoreAdj, mem, h.k.clock.Now(), true})
 	want := scanLMK(procs, h.k.cfg.AppMemoryBudgetKB)
 	h.lmk = nil
-	h.k.Spawn(cfg)
+	p := h.k.Spawn(cfg)
+	if p.Pid() != next {
+		h.t.Fatalf("seed %d step %d: Spawn returned pid %d, want the next pid %d", h.seed, h.step, p.Pid(), next)
+	}
+	e := h.entry(p.Pid())
+	e.name, e.spawned = cfg.Name, true
 	if !slices.Equal(h.lmk, want) {
 		h.t.Fatalf("seed %d step %d: spawning %s evicted %v, scan-driven LMK evicts %v", h.seed, h.step, cfg.Name, h.lmk, want)
 	}
@@ -626,14 +728,19 @@ func (h *lmkHarness) do() {
 		}
 	case op < 17:
 		// Exhaust system_server's JGR table: the runtime aborts, Kill
-		// reaps it and the soft reboot takes everything else down.
+		// reaps it and the soft reboot takes everything else down, in pid
+		// order.
 		ss := h.k.FindProcess(SystemServerName)
 		if ss == nil {
 			h.spawnSystemServer()
 			ss = h.k.FindProcess(SystemServerName)
 		}
+		h.rebootKills = h.rebootKills[:0]
 		for ss.Alive() {
-			ss.VM().AddGlobalRef(&art.Object{ID: art.ObjectID(h.rng.Int63())})
+			ss.VM().AddGlobalRef(&art.Object{ID: 1})
+		}
+		if !slices.IsSorted(h.rebootKills) {
+			h.t.Fatalf("seed %d step %d: the soft reboot killed pids %v, want ascending order", h.seed, h.step, h.rebootKills)
 		}
 	default:
 		h.k.clock.Advance(time.Duration(h.rng.Intn(3)) * time.Millisecond)
@@ -645,47 +752,104 @@ func (h *lmkHarness) check() {
 	if got, want := h.k.appMemKB, scanAppMemoryKB(h.k); got != want {
 		h.t.Fatalf("seed %d step %d: app memory counter %d KB, scan %d KB", h.seed, h.step, got, want)
 	}
-	running := 0
-	h.k.each(func(p *Process) {
+	var want, walked []Pid
+	for i, e := range h.model {
+		if e.spawned && !e.killed {
+			want = append(want, Pid(i+1))
+		}
+	}
+	scan(h.k, func(p *Process) {
 		if p.alive {
-			running++
+			walked = append(walked, p.pid)
 		}
 	})
-	if h.k.RunningCount() != running {
-		h.t.Fatalf("seed %d step %d: RunningCount %d, scan %d", h.seed, h.step, h.k.RunningCount(), running)
+	if !slices.Equal(walked, want) {
+		h.t.Fatalf("seed %d step %d: the table holds alive pids %v, the model %v", h.seed, h.step, walked, want)
+	}
+	if h.k.RunningCount() != len(walked) {
+		h.t.Fatalf("seed %d step %d: RunningCount %d, scan %d", h.seed, h.step, h.k.RunningCount(), len(walked))
+	}
+	if !h.materialize {
+		return
+	}
+	procs := h.k.Processes()
+	got := make([]Pid, len(procs))
+	for i, p := range procs {
+		if got[i] = p.Pid(); p != h.k.Process(p.Pid()) {
+			h.t.Fatalf("seed %d step %d: Processes lists pid %d as a process Process does not return", h.seed, h.step, p.Pid())
+		}
+	}
+	if !slices.Equal(got, want) {
+		h.t.Fatalf("seed %d step %d: Processes lists pids %v, the model's alive pids are %v", h.seed, h.step, got, want)
+	}
+	for _, name := range []string{SystemServerName, "daemon"} {
+		var first *Process
+		for _, pid := range want {
+			if h.model[pid-1].name == name {
+				first = h.k.Process(pid)
+				break
+			}
+		}
+		if got := h.k.FindProcess(name); got != first {
+			h.t.Fatalf("seed %d step %d: FindProcess(%q) = %v, want the model's lowest alive pid's process %v", h.seed, h.step, name, got, first)
+		}
 	}
 }
 
 // TestAppMemoryCounterMatchesScan runs seeded random mixes of spawns (app
 // and system uids, mixed sizes), kills, oom_score_adj changes and
 // system_server JGR exhaustion, first on a template kernel and then on
-// fresh and recycled clones of it.
+// fresh and recycled clones of it. Each seed runs twice: once with
+// checks that copy no process out of a template, and once with checks
+// that read the table through Processes and FindProcess. Neither kind of
+// check draws a choice, so both runs make the same operations.
 func TestAppMemoryCounterMatchesScan(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		h := &lmkHarness{t: t, seed: seed, rng: rand.New(rand.NewSource(seed))}
-		tmpl := New(simclock.New(), Config{AppMemoryBudgetKB: 8 * DefaultAppMemoryKB, OnSystemServerDeath: h.restart})
-		h.attach(tmpl)
-		h.spawnSystemServer()
-		for i := 0; i < 200; i++ {
+	for _, materialize := range []bool{false, true} {
+		for seed := int64(1); seed <= 8; seed++ {
+			h := &lmkHarness{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), materialize: materialize}
+			tmpl := h.newTemplate()
+			for i := 0; i < 200; i++ {
+				h.do()
+			}
+			h.seal(tmpl)
+			var clone *Kernel
+			for round := 0; round < 6; round++ {
+				clone = h.clone(tmpl, clone, round%3 == 0)
+				for i := 0; i < 80; i++ {
+					h.do()
+				}
+			}
+			if h.evictions == 0 || h.reboots == 0 {
+				t.Fatalf("seed %d exercised %d LMK evictions and %d soft reboots, want both > 0", seed, h.evictions, h.reboots)
+			}
+			t.Logf("seed %d, materializing %v: %d LMK evictions, %d soft reboots", seed, materialize, h.evictions, h.reboots)
+		}
+	}
+}
+
+// FuzzProcessTable drives the LMK harness from the fuzzer's bytes in
+// place of its seeded rng: the first byte picks whether the checks read
+// the table through Processes and FindProcess, the next how many steps
+// run on the template; after the seal, each round picks a fresh clone or
+// a rewind of the last and how many steps it runs, until the bytes run
+// out. Every check runs after every step.
+func FuzzProcessTable(f *testing.F) {
+	f.Add([]byte{0, 40, 3, 7, 100, 130, 180, 205, 255, 12, 90, 0, 200, 16, 250})
+	f.Add([]byte{255, 10, 0, 0, 210, 220, 215, 40, 128, 30, 255, 5, 170, 180, 190, 200})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := &fuzzChoices{data}
+		h := &lmkHarness{t: t, rng: c, materialize: c.Intn(2) == 1}
+		tmpl := h.newTemplate()
+		for n := c.Intn(64); n > 0 && len(c.data) > 0; n-- {
 			h.do()
 		}
-		tmpl.Seal()
+		h.seal(tmpl)
 		var clone *Kernel
-		for round := 0; round < 6; round++ {
-			if round%3 == 0 {
-				clone = tmpl.Clone(simclock.New(), h.restart)
-			} else {
-				clone = tmpl.CloneReusing(clone, simclock.New(), h.restart)
-			}
-			h.attach(clone)
-			h.check()
-			for i := 0; i < 80; i++ {
+		for len(c.data) > 0 {
+			clone = h.clone(tmpl, clone, clone == nil || c.Intn(2) == 0)
+			for n := c.Intn(32); n > 0 && len(c.data) > 0; n-- {
 				h.do()
 			}
 		}
-		if h.evictions == 0 || h.reboots == 0 {
-			t.Fatalf("seed %d exercised %d LMK evictions and %d soft reboots, want both > 0", seed, h.evictions, h.reboots)
-		}
-		t.Logf("seed %d: %d LMK evictions, %d soft reboots", seed, h.evictions, h.reboots)
-	}
+	})
 }

@@ -54,61 +54,31 @@ func (e *DeniedError) Error() string {
 	return fmt.Sprintf("permission denial: uid %d lacks %s", e.Uid, e.Perm)
 }
 
-// Manager holds permission definitions and per-uid grants.
+// Manager holds the permission definitions and per-uid grants. The
+// definitions are static platform data: a manager reads the table it was
+// built on and never writes it, so every manager, a device's clones
+// included, shares one.
 type Manager struct {
 	levels map[Permission]Level
-	// levelsShared marks levels as a copy-on-write map shared with a
-	// snapshot template; Define materializes a private copy before the
-	// first new definition.
-	levelsShared bool
-	grants       map[kernel.Uid]map[Permission]bool
+	grants map[kernel.Uid]map[Permission]bool
 }
 
-// NewManager returns an empty manager.
-func NewManager() *Manager {
+// NewManager returns a manager with no grants over the definition set
+// levels, which it never writes. Devices and the analysis pass the
+// catalog's PermissionLevels.
+func NewManager(levels map[Permission]Level) *Manager {
 	return &Manager{
-		levels: make(map[Permission]Level),
+		levels: levels,
 		grants: make(map[kernel.Uid]map[Permission]bool),
 	}
 }
 
-// Define registers a permission with its protection level. Redefinition
-// with a different level panics: the definition set is static platform
-// data.
-func (m *Manager) Define(p Permission, l Level) {
-	if old, ok := m.levels[p]; ok {
-		if old != l {
-			panic(fmt.Sprintf("permissions: %s redefined from %v to %v", p, old, l))
-		}
-		return // identical redefinition: no write, so a COW-shared map stays shared
-	}
-	if m.levelsShared {
-		levels := make(map[Permission]Level, len(m.levels)+1)
-		for dp, dl := range m.levels {
-			levels[dp] = dl
-		}
-		m.levels = levels
-		m.levelsShared = false
-	}
-	m.levels[p] = l
-}
-
-// Freeze marks the definition set copy-on-write shared ahead of
-// concurrent CloneInto calls; a snapshot template calls it once,
-// single-threaded.
-func (m *Manager) Freeze() { m.levelsShared = true }
-
-// CloneInto populates dst as a copy of a frozen manager: the (static)
-// definition map is shared copy-on-write, grants are deep-copied. The
-// receiver must have been Frozen first, so concurrent clones never
-// write template state. A dst carrying grant maps from a retired clone
-// (the fleet slot recycle path) has them rewound and reused in place.
+// CloneInto populates dst as a copy of m: the definitions are shared,
+// grants are deep-copied, so concurrent clones never write m. A dst
+// carrying grant maps from a retired clone (the fleet slot recycle
+// path) has them rewound and reused in place.
 func (m *Manager) CloneInto(dst *Manager) {
-	if !m.levelsShared {
-		panic("permissions: CloneInto before Freeze")
-	}
 	dst.levels = m.levels
-	dst.levelsShared = true
 	if dst.grants == nil {
 		dst.grants = make(map[kernel.Uid]map[Permission]bool, len(m.grants))
 	} else {

@@ -7,28 +7,31 @@ import (
 	"repro/internal/kernel"
 )
 
-func TestDefineAndLevel(t *testing.T) {
-	m := NewManager()
-	m.Define("WAKE_LOCK", LevelNormal)
-	m.Define("WAKE_LOCK", LevelNormal) // same level is fine
+// TestLevel: a manager reads the definition set it was built on, treats
+// an undefined permission as signature (unobtainable), and neither it
+// nor a clone writes the set.
+func TestLevel(t *testing.T) {
+	levels := map[Permission]Level{"WAKE_LOCK": LevelNormal}
+	m := NewManager(levels)
 	if got := m.Level("WAKE_LOCK"); got != LevelNormal {
 		t.Fatalf("Level = %v, want normal", got)
 	}
-	// Undefined permissions are treated as signature (unobtainable).
 	if got := m.Level("MYSTERY"); got != LevelSignature {
 		t.Fatalf("undefined Level = %v, want signature", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("conflicting redefinition did not panic")
-		}
-	}()
-	m.Define("WAKE_LOCK", LevelDangerous)
+	var clone Manager
+	m.CloneInto(&clone)
+	if err := clone.Grant(10001, "WAKE_LOCK"); err != nil {
+		t.Fatal(err)
+	}
+	if clone.Level("WAKE_LOCK") != LevelNormal || len(levels) != 1 || m.Check(10001, "WAKE_LOCK") {
+		t.Fatalf("after a grant on a clone: clone level %v, %d definitions, template grant %v; want normal, 1, false",
+			clone.Level("WAKE_LOCK"), len(levels), m.Check(10001, "WAKE_LOCK"))
+	}
 }
 
 func TestGrantCheckEnforce(t *testing.T) {
-	m := NewManager()
-	m.Define("READ_PHONE_STATE", LevelDangerous)
+	m := NewManager(map[Permission]Level{"READ_PHONE_STATE": LevelDangerous})
 	const app kernel.Uid = 10061
 
 	if m.Check(app, "READ_PHONE_STATE") {
@@ -51,15 +54,14 @@ func TestGrantCheckEnforce(t *testing.T) {
 }
 
 func TestEmptyPermissionAlwaysPasses(t *testing.T) {
-	m := NewManager()
+	m := NewManager(nil)
 	if err := m.Enforce(10001, ""); err != nil {
 		t.Fatalf("empty permission enforced: %v", err)
 	}
 }
 
 func TestSystemUidImplicitlyHoldsAll(t *testing.T) {
-	m := NewManager()
-	m.Define("X", LevelSignature)
+	m := NewManager(map[Permission]Level{"X": LevelSignature})
 	if !m.Check(kernel.SystemUid, "X") {
 		t.Fatal("system uid denied")
 	}
@@ -69,8 +71,7 @@ func TestSystemUidImplicitlyHoldsAll(t *testing.T) {
 }
 
 func TestSignatureUnobtainableByApps(t *testing.T) {
-	m := NewManager()
-	m.Define("SIG_ONLY", LevelSignature)
+	m := NewManager(map[Permission]Level{"SIG_ONLY": LevelSignature})
 	if err := m.Grant(10001, "SIG_ONLY"); err == nil {
 		t.Fatal("signature permission granted to app uid")
 	}
@@ -83,9 +84,7 @@ func TestSignatureUnobtainableByApps(t *testing.T) {
 }
 
 func TestObtainableByApp(t *testing.T) {
-	m := NewManager()
-	m.Define("N", LevelNormal)
-	m.Define("D", LevelDangerous)
+	m := NewManager(map[Permission]Level{"N": LevelNormal, "D": LevelDangerous})
 	for perm, want := range map[Permission]bool{"": true, "N": true, "D": true, "UNDEFINED": false} {
 		if got := m.ObtainableByApp(perm); got != want {
 			t.Errorf("ObtainableByApp(%q) = %v, want %v", perm, got, want)

@@ -156,7 +156,7 @@ func newStoreRig(t *testing.T, oracle bool) *storeRig {
 	if !oracle {
 		svc, err := New(Config{
 			Meta: meta, Host: r.server, Driver: d, Clock: clock,
-			Perms: permissions.NewManager(), Seed: 1,
+			Perms: permissions.NewManager(nil), Seed: 1,
 		}, r.sm)
 		if err != nil {
 			t.Fatal(err)

@@ -32,10 +32,7 @@ func newSvcRig(t testing.TB, serviceName string, vm art.Config) *svcRig {
 	k := kernel.New(clock, kernel.Config{})
 	d := binder.New(k, binder.Config{})
 	sm := binder.NewServiceManager(d)
-	perms := permissions.NewManager()
-	for p, l := range catalog.PermissionLevels {
-		perms.Define(p, l)
-	}
+	perms := permissions.NewManager(catalog.PermissionLevels)
 	server := k.Spawn(kernel.SpawnConfig{
 		Name: kernel.SystemServerName, Uid: kernel.SystemUid,
 		OomScoreAdj: kernel.SystemAdj, VM: vm,
@@ -408,7 +405,7 @@ func TestBootRefsPinBaseline(t *testing.T) {
 	k := kernel.New(clock, kernel.Config{})
 	d := binder.New(k, binder.Config{})
 	sm := binder.NewServiceManager(d)
-	perms := permissions.NewManager()
+	perms := permissions.NewManager(nil)
 	server := k.Spawn(kernel.SpawnConfig{Name: kernel.SystemServerName, Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj})
 	meta, _ := catalog.ServiceByName("clipboard")
 	if _, err := New(Config{

@@ -28,7 +28,7 @@ func TestServiceJGRAccountingInvariant(t *testing.T) {
 	k := kernel.New(clock, kernel.Config{})
 	d := binder.New(k, binder.Config{})
 	sm := binder.NewServiceManager(d)
-	perms := permissions.NewManager()
+	perms := permissions.NewManager(nil)
 	server := k.Spawn(kernel.SpawnConfig{
 		Name: kernel.SystemServerName, Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj,
 		// Disable auto-GC so the count is exact at every step.
