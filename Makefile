@@ -125,9 +125,13 @@ bench_gate = awk -v names='$(1)' -v key='$(3)' -v unit='$(4)' ' \
 # recycled slot, 2000x: the count is whole objects per registration, two
 # since the proxy is its BinderRef and the callback entry holds its
 # death link, and the bytes also catch the amortized regrowth of storage
-# the slot should have kept), and BenchmarkFleet's allocs/op (256
+# the slot should have kept), BenchmarkFleet's allocs/op (256
 # devices on recycled slots, 2x), so a fleet whose slots stop recycling,
-# or stop keeping their binder storage and spawned processes, fails.
+# or stop keeping their binder storage and spawned processes, fails, and
+# BenchmarkDefendedTrial's allocs/op and B/op (one defended attack trial
+# to the first engagement on a recycled slot, 20x), so a defender that
+# grows its own add-time log, evidence window and correlator again, or a
+# slot rewind that stops taking back the benign apps' generators, fails.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/binder ./internal/defense ./internal/services ./internal/telemetry \
 		| tee /tmp/jgre-bench-smoke.out
@@ -164,6 +168,10 @@ bench-smoke:
 	$(GO) test -bench='^BenchmarkFleet$$' -benchtime=2x -run '^$$' ./internal/fleet \
 		| tee /tmp/jgre-fleet-smoke.out
 	@$(call bench_gate,BenchmarkFleet,/tmp/jgre-fleet-smoke.out,max_allocs_per_op,allocs/op)
+	$(GO) test -bench='^BenchmarkDefendedTrial$$' -benchtime=20x -benchmem -run '^$$' ./internal/fleet \
+		| tee /tmp/jgre-defend-smoke.out
+	@$(call bench_gate,BenchmarkDefendedTrial,/tmp/jgre-defend-smoke.out,max_allocs_per_op,allocs/op)
+	@$(call bench_gate,BenchmarkDefendedTrial,/tmp/jgre-defend-smoke.out,max_bytes_per_op,B/op)
 
 # Coverage floors. The telemetry registry's zero-alloc counters and
 # Prometheus renderer are pure library code every layer leans on, so

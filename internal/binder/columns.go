@@ -48,18 +48,18 @@ func (w *LogColumns) Reset() {
 	w.Size = w.Size[:0]
 }
 
-// Grow pre-extends every column's capacity for n more rows.
+// Grow pre-extends every column's capacity for n more rows. Appends onto
+// existing rows double the capacity, amortizing a window built up in
+// pieces; a refill from empty is sized to exactly its n rows, so a
+// window reused across fills never holds more than its largest fill.
 func (w *LogColumns) Grow(n int) {
 	if n <= 0 || cap(w.Seq)-len(w.Seq) >= n {
 		return
 	}
-	grow := func(have, want int) int {
-		if c := 2 * have; c > want {
-			return c
-		}
-		return want
+	c := len(w.Seq) + n
+	if len(w.Seq) > 0 && 2*cap(w.Seq) > c {
+		c = 2 * cap(w.Seq)
 	}
-	c := grow(cap(w.Seq), len(w.Seq)+n)
 	w.Seq = append(make([]uint64, 0, c), w.Seq...)
 	w.Time = append(make([]time.Duration, 0, c), w.Time...)
 	w.FromPid = append(make([]kernel.Pid, 0, c), w.FromPid...)

@@ -98,6 +98,40 @@ func TestLogColumnsFilter(t *testing.T) {
 	}
 }
 
+// TestLogColumnsRefillCapacity pins Grow's sizing on a reused window: a
+// refill from empty is sized to exactly its rows, so refills of n, n+1
+// and n rows leave every column at capacity n+1 (doubling would leave
+// 2n), while rows appended onto existing ones still double it.
+func TestLogColumnsRefillCapacity(t *testing.T) {
+	const n = 37
+	var w LogColumns
+	fill := func(rows int) {
+		w.Reset()
+		w.Grow(rows)
+		for i := 0; i < rows; i++ {
+			w.Append(IPCRecord{Seq: uint64(i + 1)})
+		}
+	}
+	caps := func() []int {
+		return []int{cap(w.Seq), cap(w.Time), cap(w.FromPid), cap(w.FromUid),
+			cap(w.ToPid), cap(w.Handle), cap(w.Code), cap(w.Size)}
+	}
+	for _, rows := range []int{n, n + 1, n} {
+		fill(rows)
+	}
+	for col, c := range caps() {
+		if c != n+1 {
+			t.Fatalf("column %d: capacity %d after refills of %d, %d and %d rows, want %d", col, c, n, n+1, n, n+1)
+		}
+	}
+	w.Grow(2) // one row past the spare slot
+	for col, c := range caps() {
+		if c != 2*(n+1) {
+			t.Fatalf("column %d: capacity %d after growing %d rows by two, want %d", col, c, n, 2*(n+1))
+		}
+	}
+}
+
 // TestAppendLogColumnsSinceMatchesRows is the equivalence contract for
 // the defender's columnar read: for any afterSeq cut, the columnar view
 // holds exactly the rows a scan of the flushed store selects.

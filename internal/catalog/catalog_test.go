@@ -123,6 +123,32 @@ func TestInterfaceKeysUnique(t *testing.T) {
 	}
 }
 
+// TestServiceAtMatchesServices pins the census's read-only range: it
+// visits Services' rows in Services' order and copies nothing.
+func TestServiceAtMatchesServices(t *testing.T) {
+	all := Services()
+	if NumServices() != len(all) {
+		t.Fatalf("NumServices = %d, want %d", NumServices(), len(all))
+	}
+	for i, want := range all {
+		if got := ServiceAt(i); got != want {
+			t.Fatalf("ServiceAt(%d) = %+v, want %+v", i, got, want)
+		}
+	}
+	var native int
+	allocs := testing.AllocsPerRun(10, func() {
+		native = 0
+		for i := 0; i < NumServices(); i++ {
+			if ServiceAt(i).Native {
+				native++
+			}
+		}
+	})
+	if allocs != 0 || native != len(NativeServices()) {
+		t.Fatalf("ranging the census: %v allocs, %d native services; want 0 and %d", allocs, native, len(NativeServices()))
+	}
+}
+
 func TestServiceNamesUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, s := range Services() {

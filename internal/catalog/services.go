@@ -130,6 +130,15 @@ func Services() []Service {
 	return out
 }
 
+// NumServices returns the size of the census.
+func NumServices() int { return len(services) }
+
+// ServiceAt returns census row i, 0 ≤ i < NumServices(), in Services'
+// order. It is the read-only way to range over the census without
+// copying it, for code that runs on every boot; callers that keep or
+// sort the rows take Services' copy.
+func ServiceAt(i int) Service { return services[i] }
+
 // ServiceByName returns the census entry for name.
 func ServiceByName(name string) (Service, bool) {
 	for _, s := range services {

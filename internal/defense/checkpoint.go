@@ -308,14 +308,17 @@ func (d *Defender) Checkpoint() *Checkpoint {
 		LastFallback:       h.FallbackUsed,
 	}
 	for pid, m := range d.monitors {
-		cp.Monitors = append(cp.Monitors, MonitorCheckpoint{
+		mc := MonitorCheckpoint{
 			Name:      m.proc.Name(),
 			Pid:       int64(pid),
 			Baseline:  int64(m.baseline),
 			Recording: m.recording,
 			Engaged:   m.engaged,
-			AddTimes:  append([]time.Duration(nil), m.addTimes...),
-		})
+		}
+		if m.eng != nil {
+			mc.AddTimes = append([]time.Duration(nil), m.eng.addTimes...)
+		}
+		cp.Monitors = append(cp.Monitors, mc)
 	}
 	sort.Slice(cp.Monitors, func(i, j int) bool { return cp.Monitors[i].Pid < cp.Monitors[j].Pid })
 	return cp
@@ -380,7 +383,10 @@ func Restore(dev *device.Device, cfg Config, cp *Checkpoint) (*Defender, error) 
 		m.baseline = int(mc.Baseline)
 		m.recording = mc.Recording
 		m.engaged = mc.Engaged
-		m.addTimes = append([]time.Duration(nil), mc.AddTimes...)
+		if len(mc.AddTimes) > 0 {
+			e := m.storage()
+			e.addTimes = append(e.addTimes, mc.AddTimes...)
+		}
 	}
 	d.met.restores.Inc()
 	return d, nil

@@ -14,16 +14,22 @@ import (
 // (struct-of-arrays); scoring sorts an index permutation to group rows
 // by interface type, then resolves each type's best-supported delay
 // bucket with a flat difference-array sweep. Every scratch buffer is
-// retained between calls, so a Defender's poll loop reuses one
-// correlator and scores in steady state with only the output-assembly
+// retained between calls, so a correlator that has scored a window as
+// large as the next one scores it with only the output-assembly
 // allocations (the returned slice and its ByType maps, which escape to
-// the caller). Code that needs concurrent or one-shot scoring (the
-// Fig. 9 Δ sweep) uses a fresh zero-value correlator per call instead,
-// which is what ScoreWithDelta does.
+// the caller).
 //
-// A persistent and a fresh correlator produce byte-for-byte identical
-// output, which the differential fuzz and exhaustive small-domain tests
-// pin against a naive per-bucket reference scorer.
+// Correlators live in engagements borrowed from the package's store
+// (see engagement): a poll-loop engagement and every ScoreWithDelta
+// call score on storage that earlier engagements, on any defender and
+// any device, grew and returned. A correlator is used by one goroutine
+// at a time and is never copied by value, because its sorters point
+// back at it. Nothing one score leaves behind reaches the next: the
+// difference array is all zeros between calls and every other buffer
+// is overwritten before it is read, so a borrowed and a zero-value
+// correlator produce byte-for-byte identical output, which the
+// differential fuzz and exhaustive small-domain tests pin against a
+// naive per-bucket reference scorer.
 type correlator struct {
 	adds []time.Duration
 	// w is the window being scored, valid only within one score call.
@@ -42,8 +48,9 @@ type correlator struct {
 	clo     []int32
 	chi     []int32
 	// diff is the difference array over delay buckets (len domain+1).
-	// Outside a sweep it is all zeros; each sweep clears exactly the
-	// subrange it touched.
+	// Outside a sweep it is all zeros up to its capacity; each sweep
+	// clears exactly the subrange it touched, so defenders with different
+	// MaxDelay domains can share one array.
 	diff []int64
 
 	// scratch accumulates per-uid scores in uid order; the ranked copy
@@ -151,9 +158,10 @@ func (c *correlator) score(d *Defender, w *binder.LogColumns, jgrAdds []time.Dur
 	sort.Sort(&c.sorter)
 
 	domain := int(d.cfg.MaxDelay/delayBucket) + 2
-	if len(c.diff) != domain+1 {
+	if cap(c.diff) < domain+1 {
 		c.diff = make([]int64, domain+1)
 	}
+	c.diff = c.diff[:domain+1]
 	deltaBuckets := int(delta / delayBucket)
 
 	var st corrStats

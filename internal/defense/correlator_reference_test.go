@@ -98,15 +98,19 @@ func referenceScore(d *Defender, w *binder.LogColumns, jgrAdds []time.Duration, 
 }
 
 // TestStreamingMatchesReferenceOnDeviceWindows runs the realistic
-// multi-window fixture through the reference and through both a fresh
-// and a persistent streaming correlator: live device traffic with
-// resolvable interfaces, multiple apps and interleaved types.
+// multi-window fixture through the reference and through a fresh
+// zero-value, a store-borrowed (ScoreWithDelta) and a persistent
+// streaming correlator: live device traffic with resolvable interfaces,
+// multiple apps and interleaved types.
 func TestStreamingMatchesReferenceOnDeviceWindows(t *testing.T) {
 	def, windows, addWindows := correlatorWindows(t)
 	var persistent correlator
 	for i := range windows {
 		for _, delta := range []time.Duration{0, DefaultDelta, 25 * time.Millisecond} {
 			want := referenceScore(def, &windows[i], addWindows[i], delta)
+			if got := new(correlator).score(def, &windows[i], addWindows[i], delta); !reflect.DeepEqual(got, want) {
+				t.Fatalf("window %d Δ=%v: fresh diverged:\nstreaming: %+v\nreference: %+v", i, delta, got, want)
+			}
 			if got := def.ScoreWithDelta(&windows[i], addWindows[i], delta); !reflect.DeepEqual(got, want) {
 				t.Fatalf("window %d Δ=%v diverged:\nstreaming: %+v\nreference: %+v", i, delta, got, want)
 			}
@@ -184,9 +188,10 @@ func synthWindow(rng *rand.Rand, nRec, nAdd int, span time.Duration) (binder.Log
 
 // FuzzCorrelatorDifferential is the property pin: for randomized
 // windows — types, overlaps, duplicated timestamps, Δ, path
-// classification on and off — the streaming correlator (stateless AND
-// a persistent instance recycled across inputs) must match the naive
-// reference byte-for-byte.
+// classification on and off — the streaming correlator (a fresh
+// zero-value one, ScoreWithDelta's store-borrowed one AND a persistent
+// instance recycled across inputs) must match the naive reference
+// byte-for-byte.
 func FuzzCorrelatorDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(40), uint32(1800), false)
 	f.Add(int64(2), uint8(3), uint8(1), uint32(0), true)
@@ -210,9 +215,11 @@ func FuzzCorrelatorDifferential(f *testing.F) {
 		delta := time.Duration(deltaMicros%300_000) * time.Microsecond
 
 		want := referenceScore(def, &w, adds, delta)
-		got := def.ScoreWithDelta(&w, adds, delta)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("stateless streaming diverged from reference:\nstreaming: %+v\nreference: %+v", got, want)
+		if got := new(correlator).score(def, &w, adds, delta); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fresh streaming diverged from reference:\nstreaming: %+v\nreference: %+v", got, want)
+		}
+		if got := def.ScoreWithDelta(&w, adds, delta); !reflect.DeepEqual(got, want) {
+			t.Fatalf("borrowed streaming diverged from reference:\nstreaming: %+v\nreference: %+v", got, want)
 		}
 		diffDefenders.mu.Lock()
 		persistent := diffDefenders.pers.score(def, &w, adds, delta)
@@ -286,8 +293,12 @@ func TestCorrelatorExhaustiveSmallDomain(t *testing.T) {
 			}
 			for _, delta := range deltas {
 				want := referenceScore(def, &w, adds, delta)
+				if got := new(correlator).score(def, &w, adds, delta); !reflect.DeepEqual(got, want) {
+					t.Fatalf("calls %05b adds %05b Δ=%v: fresh diverged:\nstreaming: %+v\nreference: %+v",
+						callMask, addMask, delta, got, want)
+				}
 				if got := def.ScoreWithDelta(&w, adds, delta); !reflect.DeepEqual(got, want) {
-					t.Fatalf("calls %05b adds %05b Δ=%v: stateless diverged:\nstreaming: %+v\nreference: %+v",
+					t.Fatalf("calls %05b adds %05b Δ=%v: borrowed diverged:\nstreaming: %+v\nreference: %+v",
 						callMask, addMask, delta, got, want)
 				}
 				if got := persistent.score(def, &w, adds, delta); !reflect.DeepEqual(got, want) {

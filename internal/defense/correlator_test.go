@@ -122,17 +122,22 @@ func correlatorWindows(t *testing.T) (*Defender, []binder.LogColumns, [][]time.D
 
 // TestIncrementalCorrelatorMatchesStateless is the equivalence contract
 // behind the poll-path optimization: a persistent correlator fed a
-// sequence of windows must produce, for every window, exactly the ranking
-// a fresh stateless scorer produces for that window alone — same scores,
-// same per-type breakdowns, same order.
+// sequence of windows, and ScoreWithDelta scoring on whatever storage
+// the engagement store lends it, must each produce, for every window,
+// exactly the ranking a fresh zero-value correlator produces for that
+// window alone — same scores, same per-type breakdowns, same order.
 func TestIncrementalCorrelatorMatchesStateless(t *testing.T) {
 	def, windows, addWindows := correlatorWindows(t)
 	var persistent correlator
 	for round := range windows {
+		var fresh correlator
+		want := fresh.score(def, &windows[round], addWindows[round], DefaultDelta)
 		got := persistent.score(def, &windows[round], addWindows[round], DefaultDelta)
-		want := def.ScoreWithDelta(&windows[round], addWindows[round], DefaultDelta)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window %d diverged:\nincremental: %+v\n  stateless: %+v", round, got, want)
+			t.Fatalf("window %d diverged:\nincremental: %+v\n      fresh: %+v", round, got, want)
+		}
+		if borrowed := def.ScoreWithDelta(&windows[round], addWindows[round], DefaultDelta); !reflect.DeepEqual(borrowed, want) {
+			t.Fatalf("window %d diverged:\n   borrowed: %+v\n      fresh: %+v", round, borrowed, want)
 		}
 		if len(got) == 0 {
 			t.Fatalf("window %d produced no scores", round)
@@ -153,11 +158,11 @@ func TestIncrementalCorrelatorRepeatable(t *testing.T) {
 	}
 }
 
-// TestScoreWithDeltaConcurrentSafe pins the statelessness the Fig. 9
-// sweep depends on: concurrent ScoreWithDelta calls over one shared
-// window must agree with the sequential result. Run under `make race`
-// this also proves the scorers share no scratch state and only read the
-// window.
+// TestScoreWithDeltaConcurrentSafe pins what the Fig. 9 sweep depends
+// on: concurrent ScoreWithDelta calls over one shared window must agree
+// with the sequential result. Run under `make race` this also proves
+// the engagement store lends each concurrent call its own scratch and
+// the scorers only read the window.
 func TestScoreWithDeltaConcurrentSafe(t *testing.T) {
 	def, windows, addWindows := correlatorWindows(t)
 	want := def.ScoreWithDelta(&windows[0], addWindows[0], DefaultDelta)

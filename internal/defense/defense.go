@@ -177,18 +177,8 @@ type Defender struct {
 	// lastStats is the driver's telemetry counters at the end of the
 	// previous engagement, delimiting the current evidence window.
 	lastStats binder.LogStats
-	// corr is the poll loop's incremental correlator: respond() reuses
-	// its sorted window permutation, difference array and scratch
-	// buffers across engagements. Only the single-goroutine monitor path
-	// may use it; the public ScoreWithDelta stays stateless for
-	// concurrent callers.
-	corr correlator
-	// evid is the poll loop's columnar evidence window, filled straight
-	// from the driver's flushed store each engagement and reused across
-	// windows so the steady-state read allocates nothing.
-	evid binder.LogColumns
-	// corrRounds counts completed corr.score runs; rounds past the first
-	// are correlator-reuse hits (the scratch buffers were recycled).
+	// corrRounds counts this defender's completed poll-loop scores; the
+	// reuse counter counts rounds past the first.
 	corrRounds uint64
 	// met holds the defender's instrument handles on the device registry.
 	met defenderMetrics
@@ -306,10 +296,21 @@ type monitor struct {
 	baseline  int
 	recording bool
 	engaged   bool
-	addTimes  []time.Duration
+	// eng is the engagement storage the monitor borrowed on its first
+	// recorded add; nil while it is armed and has recorded nothing.
+	eng *engagement
 	// responding guards against re-entrant engagement while the defender
 	// is already killing apps for this victim.
 	responding bool
+}
+
+// storage returns the monitor's engagement storage, borrowing it from
+// the store if the monitor holds none.
+func (m *monitor) storage() *engagement {
+	if m.eng == nil {
+		m.eng = borrowEngagement()
+	}
+	return m.eng
 }
 
 // New creates a defender on the device, enables IPC logging in the binder
@@ -429,12 +430,13 @@ func (m *monitor) onJGR(ev art.JGREvent) {
 	if m.recording && ev.Op == art.OpAdd {
 		// §V-D2: recording costs ≈1 µs per operation past the alarm.
 		m.d.dev.Clock().Advance(recordCost)
-		m.addTimes = append(m.addTimes, ev.Time)
+		e := m.storage()
+		e.addTimes = append(e.addTimes, ev.Time)
 		// Poll-window boundary inside a recording window: every
 		// checkpointBoundary events the accumulated evidence is flushed, so
 		// a warm-restored defender resumes mid-window instead of
 		// re-baselining at the attack-inflated count.
-		if m.d.OnCheckpoint != nil && len(m.addTimes)%checkpointBoundary == 0 {
+		if m.d.OnCheckpoint != nil && len(e.addTimes)%checkpointBoundary == 0 {
 			m.d.met.checkpoints.Inc()
 			m.d.OnCheckpoint(m.d.Checkpoint())
 		}
@@ -449,12 +451,16 @@ func (m *monitor) onJGR(ev art.JGREvent) {
 	}
 }
 
-// reset re-arms the monitor around the current table size.
+// reset re-arms the monitor around the current table size and returns
+// its engagement storage to the store.
 func (m *monitor) reset() {
 	m.baseline = m.proc.VM().GlobalRefCount()
 	m.recording = false
 	m.engaged = false
-	m.addTimes = nil
+	if m.eng != nil {
+		m.eng.release()
+		m.eng = nil
+	}
 }
 
 // respond runs Algorithm 1 and the recovery loop for this victim,
@@ -466,6 +472,7 @@ func (m *monitor) respond() {
 	m.responding = true
 	defer func() { m.responding = false }()
 	d := m.d
+	e := m.storage()
 	det := Detection{
 		Victim:         m.proc.Name(),
 		VictimPid:      m.proc.Pid(),
@@ -474,7 +481,7 @@ func (m *monitor) respond() {
 		EffectiveDelta: DefaultDelta,
 	}
 
-	err := d.readWindowWithRetry(&det, m.proc.Pid())
+	err := d.readWindowWithRetry(&det, m.proc.Pid(), &e.window)
 	// Phase marks for the poll-window span, all in virtual time: a phase
 	// that advanced no virtual time honestly measures zero (the in-memory
 	// score step, most decide steps).
@@ -492,7 +499,7 @@ func (m *monitor) respond() {
 
 	scored := false
 	if err == nil {
-		w := &d.evid
+		w := &e.window
 		det.Records = w.Len()
 		correctSkew(w, det.EngagedAt)
 		det.EffectiveDelta = d.effectiveDelta(w)
@@ -504,7 +511,7 @@ func (m *monitor) respond() {
 			if d.corrRounds > 0 {
 				d.met.corrReuse.Inc()
 			}
-			det.Scores = d.corr.score(d, w, m.addTimes, det.EffectiveDelta)
+			det.Scores = e.corr.score(d, w, e.addTimes, det.EffectiveDelta)
 			d.corrRounds++
 			scored = true
 		}
@@ -512,7 +519,7 @@ func (m *monitor) respond() {
 		det.AnalysisTime = d.dev.Clock().Now() - start
 		if d.cfg.KeepRaw {
 			det.RawWindow = w.Clone()
-			det.RawAddTimes = append([]time.Duration(nil), m.addTimes...)
+			det.RawAddTimes = append([]time.Duration(nil), e.addTimes...)
 		}
 	} else {
 		det.ReadFailed = true
@@ -562,6 +569,8 @@ func (m *monitor) respond() {
 		}
 	}
 	det.Recovered = m.proc.VM().GlobalRefCount()-m.baseline <= d.cfg.AlarmThreshold
+	// Re-arming returns the engagement's storage, and it is reached only
+	// when everything above returned normally (see engagement).
 	if m.proc.Alive() {
 		m.reset()
 	}
@@ -625,12 +634,12 @@ func (m *monitor) respond() {
 	}
 }
 
-// readWindowWithRetry reads the victim's evidence window into d.evid,
+// readWindowWithRetry reads the victim's evidence window into w,
 // retrying failed reads with doubling virtual-time backoff.
-func (d *Defender) readWindowWithRetry(det *Detection, victim kernel.Pid) error {
+func (d *Defender) readWindowWithRetry(det *Detection, victim kernel.Pid, w *binder.LogColumns) error {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		err := d.readWindow(victim)
+		err := d.readWindow(victim, w)
 		if err == nil {
 			return nil
 		}
@@ -751,7 +760,7 @@ func (d *Defender) fallbackScores(victim kernel.Pid, corr []AppScore, coverage f
 	return out
 }
 
-// readWindow flushes the driver log and fills d.evid with the records
+// readWindow flushes the driver log and fills w with the records
 // aimed at the victim pid since the previous engagement, via the
 // driver's columnar per-victim read (AppendLogColumnsSince).
 // lastStats.Seq is a valid window delimiter because the previous
@@ -759,15 +768,15 @@ func (d *Defender) fallbackScores(victim kernel.Pid, corr []AppScore, coverage f
 // record newer than it belongs to this window. The defender reads as
 // the system uid; the procfs ACL keeps apps from seeing or spoofing the
 // stream.
-func (d *Defender) readWindow(victim kernel.Pid) error {
-	d.evid.Reset()
+func (d *Defender) readWindow(victim kernel.Pid, w *binder.LogColumns) error {
+	w.Reset()
 	if _, err := d.dev.Driver().FlushLog(); err != nil {
 		return err
 	}
-	if _, err := d.dev.Driver().AppendLogColumnsSince(kernel.SystemUid, victim, d.lastStats.Seq, &d.evid); err != nil {
+	if _, err := d.dev.Driver().AppendLogColumnsSince(kernel.SystemUid, victim, d.lastStats.Seq, w); err != nil {
 		return err
 	}
-	d.evid.Filter(func(i int) bool { return kernel.IsAppUid(d.evid.FromUid[i]) })
+	w.Filter(func(i int) bool { return kernel.IsAppUid(w.FromUid[i]) })
 	return nil
 }
 
@@ -798,13 +807,15 @@ func (d *Defender) chargeAnalysis(win *binder.LogColumns) {
 // best-supported bucket as that type's count of suspicious calls, and
 // sum the counts into the app's jgre_score. Experiments rescore a
 // KeepRaw Detection's RawWindow through it (the Fig. 9 Δ sweep, the
-// multi-path ablations). It is stateless — each call builds a fresh
-// correlator and only reads w — so concurrent callers (Fig. 9 scores
-// deltas across a worker pool) may share one window; the defender's own
-// poll loop goes through its persistent correlator instead.
+// multi-path ablations). It only reads w and scores on a correlator
+// borrowed from the engagement store for the length of the call, so
+// concurrent callers (Fig. 9 scores deltas across a worker pool) may
+// share one window, each scoring in its own borrowed buffers.
 func (d *Defender) ScoreWithDelta(w *binder.LogColumns, jgrAdds []time.Duration, delta time.Duration) []AppScore {
-	var c correlator
-	return c.score(d, w, jgrAdds, delta)
+	e := borrowEngagement()
+	scores := e.corr.score(d, w, jgrAdds, delta)
+	e.release()
+	return scores
 }
 
 // AverageDelta returns the catalog-wide mean jitter — how §V-C derives

@@ -71,11 +71,12 @@ func correlateFixture(b *testing.B) (*Defender, *binder.LogColumns, []time.Durat
 // BenchmarkCorrelate measures Algorithm 1's correlation stage on the
 // defender's poll path: the per-type difference-array sweep over the
 // delay buckets, repeated every poll as the live defender does.
-// "stateless" is ScoreWithDelta (a fresh correlator per call, what the
-// concurrent Fig. 9 sweep gets); "incremental" is the poll loop's
-// persistent correlator, which reuses the sorted permutation,
-// difference array and scratch buffers across windows. Both score the
-// same columnar window.
+// "stateless" is ScoreWithDelta, which borrows a correlator from the
+// engagement store for each call (what the concurrent Fig. 9 sweep
+// gets); "incremental" is one correlator kept across iterations, which
+// reuses the sorted permutation, difference array and scratch buffers
+// across windows without the store's lock. Both score the same columnar
+// window.
 func BenchmarkCorrelate(b *testing.B) {
 	def, w, adds := correlateFixture(b)
 	b.Run("stateless", func(b *testing.B) {
@@ -88,9 +89,10 @@ func BenchmarkCorrelate(b *testing.B) {
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
+		var c correlator
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scores := def.corr.score(def, w, adds, DefaultDelta)
+			scores := c.score(def, w, adds, DefaultDelta)
 			if len(scores) == 0 {
 				b.Fatal("no scores")
 			}

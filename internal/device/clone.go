@@ -132,7 +132,8 @@ func (d *Device) CloneWithSeed(seed int64) (*Device, error) {
 // cloneWithSeed is CloneWithSeed with allocation recycling: prev, when
 // non-nil, must be a retired clone of this same sealed template whose
 // device is no longer referenced anywhere. Its host map, service slices,
-// slabs, kernel and driver storage are rewound and the new device is
+// slabs, kernel and driver storage and the generators its Rand handed
+// out are rewound and the new device is
 // rebuilt in place through the same boot-order replay as a cold clone,
 // so the result is byte-identical to one — this is the fleet Slot's
 // per-trial reseed path. Neither path writes a name table: both take the
@@ -163,6 +164,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			appServices: nd.appServices[:0],
 			svcSlab:     nd.svcSlab,
 			appSlab:     nd.appSlab,
+			rands:       nd.rands[:0],
 		}
 	} else {
 		nd = &Device{cfg: d.cfg}

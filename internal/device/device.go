@@ -8,6 +8,7 @@ package device
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
@@ -133,6 +134,11 @@ type Device struct {
 
 	broadcastSeq uint64
 	onReboot     []func(reason string)
+
+	// rands holds the generators Rand handed out this trial. A slot
+	// rewind keeps them past the slice's length, where Rand takes them
+	// back to reseed in place.
+	rands []*rand.Rand
 
 	// rec is the causal flight recorder (nil = tracing off; see
 	// flight.go).
@@ -294,7 +300,8 @@ func (d *Device) startSystem() error {
 	})
 	d.hosts[kernel.SystemServerName] = d.systemServer
 
-	for _, meta := range catalog.Services() {
+	for i := 0; i < catalog.NumServices(); i++ {
+		meta := catalog.ServiceAt(i)
 		hostName := meta.HostProcess()
 		host, ok := d.hosts[hostName]
 		if !ok {
@@ -491,6 +498,26 @@ func (d *Device) appServiceIndex(name string) int {
 	return slices.IndexFunc(d.appServices, func(s *apps.AppService) bool { return s.Name() == name })
 }
 
+// Rand returns a math/rand generator seeded with seed, for an actor
+// that drives this device. A slot rewind takes back every generator the
+// retired device handed out, and the next Rand reseeds one in place
+// instead of allocating a new source; (*rand.Rand).Seed yields the
+// sequence rand.NewSource(seed) does, so draws are the same either way.
+// Like every other reference into the device, the generator must not be
+// used after the slot's next Acquire.
+func (d *Device) Rand(seed int64) *rand.Rand {
+	if n := len(d.rands); n < cap(d.rands) {
+		if r := d.rands[:n+1][n]; r != nil {
+			d.rands = d.rands[:n+1]
+			r.Seed(seed)
+			return r
+		}
+	}
+	r := rand.New(rand.NewSource(seed))
+	d.rands = append(d.rands, r)
+	return r
+}
+
 // SoftReboots returns how many soft reboots the device has survived, as
 // the kernel counts them.
 func (d *Device) SoftReboots() int { return d.kern.SoftReboots() }
@@ -567,7 +594,8 @@ func (d *Device) RestartHost(name string) error {
 	}
 	host = d.spawnHost(name)
 	d.handleIndex = maps.Clone(d.handleIndex)
-	for i, meta := range catalog.Services() {
+	for i := 0; i < catalog.NumServices(); i++ {
+		meta := catalog.ServiceAt(i)
 		if meta.HostProcess() != name {
 			continue
 		}

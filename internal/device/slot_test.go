@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -140,6 +141,41 @@ func TestSlotFreshFallback(t *testing.T) {
 			t.Fatalf("seed = %d, want %d", d.BootConfig().Seed, seed)
 		}
 		prev = d
+	}
+}
+
+// TestSlotRecyclesRand pins the device's generators across a rewind:
+// the recycled device hands back the generators its predecessor handed
+// out, reseeded in place, and each draws exactly the sequence of a
+// fresh rand.New(rand.NewSource(seed)) — on a cold clone, on a recycled
+// device, and past the recycled ones when a trial asks for more.
+func TestSlotRecyclesRand(t *testing.T) {
+	slot, err := NewSlot(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	draws := func(r *rand.Rand) [4]int64 {
+		return [4]int64{r.Int63(), r.Int63n(1000), int64(r.Intn(3)), r.Int63()}
+	}
+	var first []*rand.Rand
+	for trial, n := range []int{3, 2, 4} {
+		d, err := slot.Acquire(int64(trial + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			seed := int64(100*trial + i)
+			r := d.Rand(seed)
+			if trial > 0 && i < len(first) && r != first[i] {
+				t.Fatalf("trial %d: generator %d was not taken back from the retired device", trial, i)
+			}
+			if trial == 0 {
+				first = append(first, r)
+			}
+			if got, want := draws(r), draws(rand.New(rand.NewSource(seed))); got != want {
+				t.Fatalf("trial %d: generator %d draws %v, want %v", trial, i, got, want)
+			}
+		}
 	}
 }
 

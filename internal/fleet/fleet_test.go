@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/art"
 	"repro/internal/catalog"
+	"repro/internal/defense"
 	"repro/internal/device"
 	"repro/internal/kernel"
 	"repro/internal/workload"
@@ -456,4 +457,59 @@ func BenchmarkFleet(b *testing.B) {
 	b.StopTimer()
 	devSec := float64(devices) * float64(b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(devSec, "devices/sec")
+}
+
+// BenchmarkDefendedTrial prices one defended attack trial per iteration
+// on one recycled slot, in the shape of fleetbench's defend workload:
+// three benign apps and the attacker on catalog.FastestInterfaces(1)[0]
+// under defense.New with a zero Config (the paper's 4,000/12,000
+// thresholds), run until the first engagement. Every iteration replays
+// the same device seed, so its allocations are a count, not a sample.
+// One untimed warm-up trial first grows what the slot keeps and leaves
+// an engagement in the defender's store, so the timed trials allocate
+// what a running fleet's do. make bench-smoke holds its allocs/op and
+// B/op to max_allocs_per_op and max_bytes_per_op in BENCH_hotpath.json.
+func BenchmarkDefendedTrial(b *testing.B) {
+	const evil = "com.evil.app"
+	target := catalog.FastestInterfaces(1)[0]
+	slot, err := device.NewSlot(device.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed := DeviceSeed(1, 0)
+	trial := func() {
+		dev, err := slot.Acquire(seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		def, err := defense.New(dev, defense.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sched := workload.NewScheduler(dev)
+		if _, err := workload.Population(dev, sched, 3, seed, 2*time.Second); err != nil {
+			b.Fatal(err)
+		}
+		app, err := dev.Apps().Install(evil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		app.Start()
+		atk, err := workload.NewAttacker(dev, app, target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sched.Add(atk)
+		sched.Run(func() bool { return len(def.History()) > 0 }, trialBudget)
+		hist := def.History()
+		if len(hist) == 0 || len(hist[0].Killed) == 0 || hist[0].Killed[0] != evil || !hist[0].Recovered {
+			b.Fatalf("trial did not end in the attacker's kill and a recovery: %+v", hist)
+		}
+	}
+	trial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trial()
+	}
 }

@@ -506,7 +506,7 @@ var benignServicePool = []string{
 
 // NewBenignApp builds a benign actor with a deterministic per-app seed.
 func NewBenignApp(dev *device.Device, app *apps.App, seed int64, interval time.Duration) (*BenignApp, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := dev.Rand(seed)
 	n := 2 + rng.Intn(3)
 	picked := make(map[string]bool)
 	var svcNames []string
@@ -683,7 +683,7 @@ func NewChattyApp(dev *device.Device, app *apps.App, seed int64) (*ChattyApp, er
 	if err != nil {
 		return nil, err
 	}
-	pace := uniformArrival{rng: rand.New(rand.NewSource(seed)), span: int64(100 * time.Millisecond)}
+	pace := uniformArrival{rng: dev.Rand(seed), span: int64(100 * time.Millisecond)}
 	return &ChattyApp{dev: dev, app: app, client: c, pace: pace, due: dev.Clock().Now()}, nil
 }
 
@@ -759,7 +759,7 @@ type WellBehavedApp struct {
 // NewWellBehavedApp opens helpers on every helper-guarded interface the
 // app can obtain permissions for.
 func NewWellBehavedApp(dev *device.Device, app *apps.App, seed int64) (*WellBehavedApp, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := dev.Rand(seed)
 	w := &WellBehavedApp{
 		dev: dev, app: app, rng: rng,
 		pace: uniformArrival{rng: rng, span: int64(500 * time.Millisecond)},
