@@ -131,6 +131,7 @@ func renderFig6(w io.Writer, res *experiments.Fig6Result) {
 	fmt.Fprintf(w, "Fig. 6: execution-time distributions over %d calls per vulnerable interface\n", res.CallsPer)
 	fmt.Fprintf(w, "%-55s %8s %8s %8s %8s\n", "INTERFACE", "MIN_us", "P50_us", "P90_us", "MAX_us")
 	names := make([]string, 0, len(res.PerInterface))
+	//maporder:sorted below
 	for n := range res.PerInterface {
 		names = append(names, n)
 	}

@@ -131,6 +131,7 @@ func runFleet(w io.Writer, n, workers int, seed int64, tcfg trace.Config) error 
 		defer mu.Unlock()
 		total += len(devSpans)
 		spans = append(spans, devSpans...)
+		//maporder:free fills a map
 		for pid, name := range devNames {
 			names[pid+off] = fmt.Sprintf("dev%d/%s", index, name)
 		}

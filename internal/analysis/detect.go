@@ -49,6 +49,7 @@ func DetectRisky(p *code.Program, ipcs []IPCMethod, entries JGREntries) []RiskyM
 
 		reach := p.ReachableMethods(ipc.Method.ID)
 		var reached []code.MethodID
+		//maporder:sorted below
 		for id := range entries.JavaEntries {
 			if IsParcelBinderEntry(id) {
 				continue

@@ -118,6 +118,7 @@ func ExtractIPCMethods(p *code.Program) ExtractResult {
 	}
 	// --- Native registrations via ServiceManager::addService.
 	var nativeNames []string
+	//maporder:sorted below
 	for name := range p.Natives {
 		nativeNames = append(nativeNames, name)
 	}
@@ -139,6 +140,7 @@ func ExtractIPCMethods(p *code.Program) ExtractResult {
 	// --- IPC methods of registered Java services: methods overriding an
 	// AIDL interface declaration.
 	implClasses := make([]string, 0, len(regByClass))
+	//maporder:sorted below
 	for cls := range regByClass {
 		implClasses = append(implClasses, cls)
 	}
@@ -203,6 +205,7 @@ func aidlMethodsOf(p *code.Program, cls string) []*code.Method {
 		}
 	}
 	var names []string
+	//maporder:sorted below
 	for n := range declared {
 		names = append(names, n)
 	}
@@ -262,6 +265,7 @@ type JGREntries struct {
 func ExtractJGREntries(p *code.Program) JGREntries {
 	res := JGREntries{JavaEntries: make(map[code.MethodID]bool)}
 	res.NativeSummary = p.SummarizeNativePaths(corpus.AddTarget)
+	//maporder:sorted below
 	for root, n := range res.NativeSummary.ByRoot {
 		if n > 0 && p.Natives[root].JNIEntry && !p.Natives[root].InitOnly {
 			res.ExploitableRoots = append(res.ExploitableRoots, root)

@@ -214,7 +214,7 @@ func verifyApp(dev *device.Device, rm RiskyMethod, seq int, cfg VerifyConfig) (*
 	defer tester.ForceStop("verification done")
 
 	tp := tester.Start()
-	ref, err := dev.AppServices().Bind(regName, tp)
+	ref, err := dev.BindAppService(regName, tp)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: binding %s: %w", regName, err)
 	}
@@ -247,7 +247,7 @@ func verifyApp(dev *device.Device, rm RiskyMethod, seq int, cfg VerifyConfig) (*
 // published app service: the class must live under the publishing app's
 // package and the service must export the method.
 func resolveAppService(dev *device.Device, rm RiskyMethod) (string, *apps.AppService) {
-	for _, name := range dev.AppServices().Names() {
+	for _, name := range dev.AppServiceNames() {
 		pkg := name[:strings.IndexByte(name, '/')]
 		if !strings.HasPrefix(rm.IPC.Class, pkg+".") {
 			continue

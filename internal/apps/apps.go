@@ -7,9 +7,11 @@
 package apps
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -99,13 +101,14 @@ func (a *App) ForceStop(reason string) {
 	}
 }
 
-// Manager installs apps and tracks them by uid and package.
+// Manager installs apps and keeps them in uid order.
 type Manager struct {
 	k       *kernel.Kernel
 	perms   *permissions.Manager
 	nextUid kernel.Uid
-	byPkg   map[string]*App
-	byUid   map[kernel.Uid]*App
+	// apps holds the installed apps sorted by uid: the order Installed
+	// returns them in and CloneInto materializes their processes in.
+	apps []*App
 	// appSlab backs the App headers CloneInto mints for a clone; a
 	// recycled clone rewinds and refills it in place.
 	appSlab []App
@@ -113,52 +116,29 @@ type Manager struct {
 
 // NewManager creates an installer.
 func NewManager(k *kernel.Kernel, perms *permissions.Manager) *Manager {
-	return &Manager{
-		k:       k,
-		perms:   perms,
-		nextUid: FirstInstalledUid,
-		byPkg:   make(map[string]*App),
-		byUid:   make(map[kernel.Uid]*App),
-	}
+	return &Manager{k: k, perms: perms, nextUid: FirstInstalledUid}
 }
 
 // CloneInto populates dst as a copy of the installer for a snapshot
-// clone: every App is re-minted against the clone's kernel (resolving
-// its process by pid, which materializes it copy-on-write) and the
-// clone's permission manager. Map iteration order is safe here — no
-// sequential ids are minted during the copy. A dst carrying maps from
-// a retired clone (the fleet slot recycle path) has them rewound and
-// reused in place.
+// clone: every App is re-minted, in uid order, against the clone's
+// kernel (resolving its process by pid, which materializes it
+// copy-on-write) and the clone's permission manager. A dst carrying a
+// retired clone's storage (the fleet slot recycle path) has it rewound
+// and reused in place.
 func (m *Manager) CloneInto(dst *Manager, k *kernel.Kernel, perms *permissions.Manager) {
-	byPkg, byUid := dst.byPkg, dst.byUid
-	if byPkg == nil {
-		byPkg = make(map[string]*App, len(m.byPkg))
-		byUid = make(map[kernel.Uid]*App, len(m.byUid))
-	} else {
-		clear(byPkg)
-		clear(byUid)
-	}
-	slab := dst.appSlab[:0]
-	if cap(slab) < len(m.byPkg) {
-		slab = make([]App, 0, len(m.byPkg))
-	}
-	*dst = Manager{
-		k:       k,
-		perms:   perms,
-		nextUid: m.nextUid,
-		byPkg:   byPkg,
-		byUid:   byUid,
-	}
-	for pkg, a := range m.byPkg {
-		slab = append(slab, App{pkg: pkg, uid: a.uid, mgr: dst})
+	clear(dst.apps) // drop the retired trial's apps
+	apps := slices.Grow(dst.apps[:0], len(m.apps))
+	slab := slices.Grow(dst.appSlab[:0], len(m.apps))
+	*dst = Manager{k: k, perms: perms, nextUid: m.nextUid}
+	for _, a := range m.apps {
+		slab = append(slab, App{pkg: a.pkg, uid: a.uid, mgr: dst})
 		na := &slab[len(slab)-1]
 		if p := a.proc; p != nil && p.Alive() {
 			na.proc = k.Process(p.Pid())
 		}
-		dst.byPkg[pkg] = na
-		dst.byUid[na.uid] = na
+		apps = append(apps, na)
 	}
-	dst.appSlab = slab
+	dst.apps, dst.appSlab = apps, slab
 }
 
 // ErrAlreadyInstalled reports a duplicate package install.
@@ -168,94 +148,76 @@ var ErrAlreadyInstalled = errors.New("apps: package already installed")
 // requested permissions (normal ones silently, dangerous ones as if the
 // user approved — the paper's attacker model allows both levels).
 func (m *Manager) Install(pkg string, wants ...permissions.Permission) (*App, error) {
-	if pkg == "" {
-		return nil, errors.New("apps: empty package name")
+	if err := m.checkNew(pkg); err != nil {
+		return nil, err
 	}
-	if _, ok := m.byPkg[pkg]; ok {
-		return nil, fmt.Errorf("install %s: %w", pkg, ErrAlreadyInstalled)
-	}
-	a := &App{pkg: pkg, uid: m.nextUid, mgr: m}
+	uid := m.nextUid
 	m.nextUid++
-	for _, p := range wants {
-		if err := m.perms.Grant(a.uid, p); err != nil {
-			return nil, fmt.Errorf("install %s: %w", pkg, err)
-		}
+	return m.add(pkg, uid, wants)
+}
+
+// InstallWithUid registers a package under a fixed uid — used for prebuilt
+// core apps, which own reserved uids (e.g. Bluetooth's AID_BLUETOOTH) and
+// must not consume the sequential third-party uid space.
+func (m *Manager) InstallWithUid(pkg string, uid kernel.Uid, wants ...permissions.Permission) (*App, error) {
+	if err := m.checkNew(pkg); err != nil {
+		return nil, err
 	}
-	m.byPkg[pkg] = a
-	m.byUid[a.uid] = a
-	return a, nil
+	return m.add(pkg, uid, wants)
 }
 
-// ByPackage returns the installed app, or nil.
-func (m *Manager) ByPackage(pkg string) *App { return m.byPkg[pkg] }
-
-// ByUid returns the installed app owning uid, or nil.
-func (m *Manager) ByUid(uid kernel.Uid) *App { return m.byUid[uid] }
-
-// Installed returns all installed apps sorted by uid.
-func (m *Manager) Installed() []*App {
-	out := make([]*App, 0, len(m.byPkg))
-	for _, a := range m.byPkg {
-		out = append(out, a)
+// checkNew rejects an empty or already installed package name.
+func (m *Manager) checkNew(pkg string) error {
+	if pkg == "" {
+		return errors.New("apps: empty package name")
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].uid < out[j].uid })
-	return out
-}
-
-// ServiceRegistry resolves app-exported services, standing in for the
-// bindService/intent-resolution path through which third-party apps reach
-// a prebuilt app's IPC interfaces (e.g. ITextToSpeechService).
-type ServiceRegistry struct {
-	driver *binder.Driver
-	byName map[string]*binder.LocalBinder
-}
-
-// NewServiceRegistry creates an empty registry.
-func NewServiceRegistry(d *binder.Driver) *ServiceRegistry {
-	return &ServiceRegistry{driver: d, byName: make(map[string]*binder.LocalBinder)}
-}
-
-// ResetFor rewinds the registry for reuse against a new driver, keeping
-// the name map's storage. The fleet slot recycle path uses it to carry a
-// retired clone's registry into the next trial.
-func (r *ServiceRegistry) ResetFor(d *binder.Driver) {
-	r.driver = d
-	clear(r.byName)
-}
-
-// Publish exports an app service binder under "pkg/Class".
-func (r *ServiceRegistry) Publish(name string, b *binder.LocalBinder) error {
-	if _, ok := r.byName[name]; ok {
-		return fmt.Errorf("apps: service %q already published", name)
+	if m.ByPackage(pkg) != nil {
+		return fmt.Errorf("install %s: %w", pkg, ErrAlreadyInstalled)
 	}
-	r.byName[name] = b
 	return nil
 }
 
-// Bind returns client's proxy on the named app service.
-func (r *ServiceRegistry) Bind(name string, client *kernel.Process) (*binder.BinderRef, error) {
-	b, ok := r.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("apps: no service %q", name)
+// add grants wants to uid and inserts pkg at uid's place in m.apps,
+// unless an installed app already owns uid.
+func (m *Manager) add(pkg string, uid kernel.Uid, wants []permissions.Permission) (*App, error) {
+	i, taken := slices.BinarySearchFunc(m.apps, uid, compareUid)
+	if taken {
+		return nil, fmt.Errorf("install %s: uid %d already taken", pkg, uid)
 	}
-	if !b.IsAlive() {
-		return nil, binder.ErrDeadObject
+	a := &App{pkg: pkg, uid: uid, mgr: m}
+	for _, p := range wants {
+		if err := m.perms.Grant(uid, p); err != nil {
+			return nil, fmt.Errorf("install %s: %w", pkg, err)
+		}
 	}
-	return r.driver.Materialize(client, b)
+	m.apps = slices.Insert(m.apps, i, a)
+	return a, nil
 }
 
-// Names lists published services, sorted.
-func (r *ServiceRegistry) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
+func compareUid(a *App, uid kernel.Uid) int { return cmp.Compare(a.uid, uid) }
+
+// ByPackage returns the installed app, or nil.
+func (m *Manager) ByPackage(pkg string) *App {
+	for _, a := range m.apps {
+		if a.pkg == pkg {
+			return a
+		}
 	}
-	sort.Strings(out)
-	return out
+	return nil
 }
 
-// Unpublish removes a registration (on app death/reinstall).
-func (r *ServiceRegistry) Unpublish(name string) { delete(r.byName, name) }
+// ByUid returns the installed app owning uid, or nil.
+func (m *Manager) ByUid(uid kernel.Uid) *App {
+	if i, ok := slices.BinarySearchFunc(m.apps, uid, compareUid); ok {
+		return m.apps[i]
+	}
+	return nil
+}
+
+// Installed returns all installed apps sorted by uid. The slice is the
+// manager's own: callers must not modify it or hold it across an
+// install.
+func (m *Manager) Installed() []*App { return m.apps }
 
 // AppService is an IPC service exported by an app. Its vulnerable methods
 // come from the catalog's Table IV/V rows; like
@@ -330,9 +292,10 @@ func methodNameOf(method string) string {
 	return name
 }
 
-// NewAppService builds and publishes one app service exposing the given
-// catalogued rows (all rows must share the same Package and class).
-func NewAppService(owner *App, d *binder.Driver, clock *simclock.Clock, reg *ServiceRegistry, rows []catalog.AppInterface, seed int64) (*AppService, error) {
+// NewAppService builds one app service exposing the given catalogued
+// rows (all rows must share the same Package and class), its stub owned
+// by owner's process.
+func NewAppService(owner *App, d *binder.Driver, clock *simclock.Clock, rows []catalog.AppInterface, seed int64) (*AppService, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("apps: service needs at least one interface row")
 	}
@@ -362,18 +325,15 @@ func NewAppService(owner *App, d *binder.Driver, clock *simclock.Clock, reg *Ser
 	s.transactor = binder.TransactorFunc(s.onTransact)
 	s.stub = d.NewLocalBinder(proc, serviceClassOf(rows[0].Method), s.transactor)
 	s.regName = AppServiceName(rows[0])
-	if err := reg.Publish(s.regName, s.stub); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
 // CloneInto populates dst as a boot-state clone of s: immutable method
 // tables are shared, retained entries start empty (the template froze at
-// boot quiescence), and the stub is re-minted and re-published in boot
-// order so driver ids replay identically. owner must be the clone
-// device's corresponding App.
-func (s *AppService) CloneInto(dst *AppService, owner *App, d *binder.Driver, clock *simclock.Clock, reg *ServiceRegistry, seed int64) error {
+// boot quiescence), and the stub is re-minted in boot order so driver
+// ids replay identically. owner must be the clone device's corresponding
+// App.
+func (s *AppService) CloneInto(dst *AppService, owner *App, d *binder.Driver, clock *simclock.Clock, seed int64) {
 	tr := dst.transactor
 	*dst = AppService{
 		owner:   owner,
@@ -390,7 +350,6 @@ func (s *AppService) CloneInto(dst *AppService, owner *App, d *binder.Driver, cl
 	}
 	dst.transactor = tr
 	dst.stub = d.NewLocalBinder(owner.Start(), s.stub.Class(), tr)
-	return reg.Publish(dst.regName, dst.stub)
 }
 
 // rand returns the jitter rng, seeding it on first use.
@@ -460,28 +419,4 @@ func (s *AppService) onTransact(call *binder.Call) error {
 	s.clock.Advance(ai.Cost.ExecBase / 2)
 	call.Reply.WriteInt32(0)
 	return nil
-}
-
-// InstallWithUid registers a package under a fixed uid — used for prebuilt
-// core apps, which own reserved uids (e.g. Bluetooth's AID_BLUETOOTH) and
-// must not consume the sequential third-party uid space.
-func (m *Manager) InstallWithUid(pkg string, uid kernel.Uid, wants ...permissions.Permission) (*App, error) {
-	if pkg == "" {
-		return nil, errors.New("apps: empty package name")
-	}
-	if _, ok := m.byPkg[pkg]; ok {
-		return nil, fmt.Errorf("install %s: %w", pkg, ErrAlreadyInstalled)
-	}
-	if _, ok := m.byUid[uid]; ok {
-		return nil, fmt.Errorf("install %s: uid %d already taken", pkg, uid)
-	}
-	a := &App{pkg: pkg, uid: uid, mgr: m}
-	for _, p := range wants {
-		if err := m.perms.Grant(a.uid, p); err != nil {
-			return nil, fmt.Errorf("install %s: %w", pkg, err)
-		}
-	}
-	m.byPkg[pkg] = a
-	m.byUid[a.uid] = a
-	return a, nil
 }

@@ -18,7 +18,6 @@ type appRig struct {
 	d     *binder.Driver
 	perms *permissions.Manager
 	mgr   *Manager
-	reg   *ServiceRegistry
 }
 
 func newAppRig(t *testing.T) *appRig {
@@ -27,7 +26,7 @@ func newAppRig(t *testing.T) *appRig {
 	k := kernel.New(clock, kernel.Config{})
 	d := binder.New(k, binder.Config{})
 	perms := permissions.NewManager(catalog.PermissionLevels)
-	return &appRig{clock: clock, k: k, d: d, perms: perms, mgr: NewManager(k, perms), reg: NewServiceRegistry(d)}
+	return &appRig{clock: clock, k: k, d: d, perms: perms, mgr: NewManager(k, perms)}
 }
 
 func TestInstallAssignsSequentialUids(t *testing.T) {
@@ -49,6 +48,28 @@ func TestInstallAssignsSequentialUids(t *testing.T) {
 	got := r.mgr.Installed()
 	if len(got) != 2 || got[0] != a || got[1] != b {
 		t.Fatalf("Installed = %v", got)
+	}
+	// A fixed uid takes its place in uid order, and neither install path
+	// hands out a uid an app already owns.
+	low, err := r.mgr.InstallWithUid("com.low", 1002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.mgr.InstallWithUid("com.c", b.Uid()); err == nil {
+		t.Fatal("InstallWithUid reused a taken uid")
+	}
+	if _, err := r.mgr.InstallWithUid("com.c", FirstInstalledUid+2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.mgr.Install("com.d"); err == nil {
+		t.Fatal("Install reused a taken uid")
+	}
+	got = r.mgr.Installed()
+	if len(got) != 4 || got[0] != low || got[1] != a || got[2] != b || got[3].Package() != "com.c" {
+		t.Fatalf("Installed = %v, want uid order", got)
+	}
+	if r.mgr.ByUid(1002) != low || r.mgr.ByUid(FirstInstalledUid+3) != nil || r.mgr.ByPackage("com.d") != nil {
+		t.Fatal("lookup after a rejected install wrong")
 	}
 }
 
@@ -113,12 +134,12 @@ func TestAppServiceRetainsUntilCallerDies(t *testing.T) {
 	attacker, _ := r.mgr.Install("com.evil")
 
 	rows := catalog.PrebuiltAppInterfaces()[:1] // PicoService.setCallback()
-	svc, err := NewAppService(pico, r.d, r.clock, r.reg, rows, 7)
+	svc, err := NewAppService(pico, r.d, r.clock, rows, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ap := attacker.Start()
-	ref, err := r.reg.Bind(AppServiceName(rows[0]), ap)
+	ref, err := r.d.Materialize(ap, svc.Stub())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +175,6 @@ func TestAppServiceExhaustionCrashesApp(t *testing.T) {
 	d := binder.New(k, binder.Config{})
 	perms := permissions.NewManager(nil)
 	mgr := NewManager(k, perms)
-	reg := NewServiceRegistry(d)
 
 	victim, _ := mgr.Install("com.svox.pico")
 	// Spawn the victim with a tiny JGR cap for a fast test.
@@ -162,12 +182,12 @@ func TestAppServiceExhaustionCrashesApp(t *testing.T) {
 	attacker, _ := mgr.Install("com.evil")
 
 	rows := catalog.PrebuiltAppInterfaces()[:1]
-	svc, err := NewAppService(victim, d, clock, reg, rows, 7)
+	svc, err := NewAppService(victim, d, clock, rows, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ap := attacker.Start()
-	ref, _ := reg.Bind(AppServiceName(rows[0]), ap)
+	ref, _ := d.Materialize(ap, svc.Stub())
 	code, _ := svc.Code("setCallback")
 	for i := 0; i < 200 && victim.Running(); i++ {
 		data := binder.NewParcel()
@@ -180,34 +200,6 @@ func TestAppServiceExhaustionCrashesApp(t *testing.T) {
 	// App (not system_server) death: no soft reboot.
 	if k.SoftReboots() != 0 {
 		t.Fatalf("SoftReboots = %d, want 0", k.SoftReboots())
-	}
-}
-
-func TestRegistryBindAndDeath(t *testing.T) {
-	r := newAppRig(t)
-	owner, _ := r.mgr.Install("com.owner")
-	client, _ := r.mgr.Install("com.client")
-	p := owner.Start()
-	b := r.d.NewLocalBinder(p, "X", nil)
-	if err := r.reg.Publish("com.owner/X", b); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.reg.Publish("com.owner/X", b); err == nil {
-		t.Fatal("duplicate publish succeeded")
-	}
-	if _, err := r.reg.Bind("missing", client.Start()); err == nil {
-		t.Fatal("bind to missing service succeeded")
-	}
-	if got := r.reg.Names(); len(got) != 1 || got[0] != "com.owner/X" {
-		t.Fatalf("Names = %v", got)
-	}
-	owner.ForceStop("gone")
-	if _, err := r.reg.Bind("com.owner/X", client.Start()); !errors.Is(err, binder.ErrDeadObject) {
-		t.Fatalf("bind to dead service error = %v", err)
-	}
-	r.reg.Unpublish("com.owner/X")
-	if len(r.reg.Names()) != 0 {
-		t.Fatal("Unpublish failed")
 	}
 }
 

@@ -68,7 +68,7 @@ type appStoreRig struct {
 	k       *kernel.Kernel
 	d       *binder.Driver
 	mgr     *Manager
-	reg     *ServiceRegistry
+	stub    *binder.LocalBinder
 	owner   *App
 	watcher *kernel.Process
 	svc     *AppService
@@ -88,23 +88,20 @@ func newAppStoreRig(t *testing.T, oracle bool) *appStoreRig {
 	clock := simclock.New()
 	k := kernel.New(clock, kernel.Config{})
 	d := binder.New(k, binder.Config{})
-	r := &appStoreRig{k: k, d: d, mgr: NewManager(k, permissions.NewManager(nil)), reg: NewServiceRegistry(d)}
+	r := &appStoreRig{k: k, d: d, mgr: NewManager(k, permissions.NewManager(nil))}
 	r.watcher = k.Spawn(kernel.SpawnConfig{Name: "watcher", Uid: kernel.SystemUid, OomScoreAdj: kernel.SystemAdj})
 	r.owner, _ = r.mgr.Install("com.svox.pico")
 	rows := catalog.PrebuiltAppInterfaces()[:1] // PicoService.setCallback()
 	if !oracle {
-		svc, err := NewAppService(r.owner, d, clock, r.reg, rows, 7)
+		svc, err := NewAppService(r.owner, d, clock, rows, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.svc = svc
+		r.svc, r.stub = svc, svc.Stub()
 		return r
 	}
 	r.oracle = &sliceAppStore{}
-	stub := d.NewLocalBinder(r.owner.Start(), serviceClassOf(rows[0].Method), binder.TransactorFunc(r.oracle.onTransact))
-	if err := r.reg.Publish(AppServiceName(rows[0]), stub); err != nil {
-		t.Fatal(err)
-	}
+	r.stub = d.NewLocalBinder(r.owner.Start(), serviceClassOf(rows[0].Method), binder.TransactorFunc(r.oracle.onTransact))
 	return r
 }
 
@@ -115,7 +112,7 @@ func (r *appStoreRig) addClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := a.Start()
-	ref, err := r.reg.Bind(AppServiceName(catalog.PrebuiltAppInterfaces()[0]), proc)
+	ref, err := r.d.Materialize(proc, r.stub)
 	if err != nil {
 		t.Fatal(err)
 	}

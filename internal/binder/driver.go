@@ -442,10 +442,12 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 		}
 		d = prev
 		clear(d.owned)
+		//maporder:free empties each context in place
 		for _, c := range d.ctxs {
 			c.empty()
 			c.proc = nil
 		}
+		//maporder:free truncates each index in place
 		for pid, idx := range d.byPid {
 			d.byPid[pid] = idx[:0]
 		}
@@ -1031,6 +1033,7 @@ func (d *Driver) TruncateLog() error {
 		return err
 	}
 	d.flushed = d.flushed[:0]
+	//maporder:free truncates each index in place
 	for pid, idx := range d.byPid {
 		d.byPid[pid] = idx[:0]
 	}

@@ -131,6 +131,7 @@ func (sm *ServiceManager) CheckService(name string) bool {
 // `service list` view the paper's IPC method extractor starts from.
 func (sm *ServiceManager) ListServices() []string {
 	out := make([]string, 0, len(sm.services))
+	//maporder:sorted below
 	for name := range sm.services {
 		out = append(out, name)
 	}

@@ -144,9 +144,10 @@ func (e *Engine) draw() uint64 {
 }
 
 // victims builds the current crash-victim pool in a deterministic
-// order: alive dedicated hosts (sorted by name), then running
-// installed apps (sorted by uid), then app-service owners — deduped by
-// pid so a process reachable through several views is drawn once.
+// order: alive dedicated hosts (in spawn order), then running
+// installed apps (in uid order), then app-service owners (in name
+// order) — deduped by pid so a process reachable through several views
+// is drawn once.
 func (e *Engine) victims() []*kernel.Process {
 	var out []*kernel.Process
 	seen := make(map[kernel.Pid]bool)
@@ -166,7 +167,7 @@ func (e *Engine) victims() []*kernel.Process {
 		}
 	}
 	if e.cfg.CrashAppServices {
-		for _, name := range e.dev.AppServices().Names() {
+		for _, name := range e.dev.AppServiceNames() {
 			if svc := e.dev.AppService(name); svc != nil {
 				add(svc.Owner().Proc())
 			}

@@ -61,7 +61,7 @@ const (
 type target struct {
 	kind     string
 	name     string   // host name, or owner package
-	services []string // app-service registry names (targetApp only)
+	services []string // app-service names (targetApp only)
 	backoff  time.Duration
 	lastUp   time.Duration // virtual time of the last (re)start
 	downAt   time.Duration
@@ -100,7 +100,7 @@ func NewSupervisor(dev *device.Device, sched *workload.Scheduler, cfg Supervisor
 	for _, name := range dev.HostNames() {
 		s.targets[name] = &target{kind: targetHost, name: name}
 	}
-	for _, svcName := range dev.AppServices().Names() {
+	for _, svcName := range dev.AppServiceNames() {
 		svc := dev.AppService(svcName)
 		if svc == nil {
 			continue

@@ -93,6 +93,7 @@ func (s NativePathSummary) ReachablePaths() int { return s.TotalPaths - s.InitOn
 func (p *Program) SummarizeNativePaths(target string) NativePathSummary {
 	sum := NativePathSummary{ByRoot: make(map[string]int)}
 	var roots []string
+	//maporder:sorted below
 	for name, f := range p.Natives {
 		if f.JNIEntry || f.InitOnly {
 			roots = append(roots, name)

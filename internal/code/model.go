@@ -283,6 +283,7 @@ func (p *Program) Method(id MethodID) *Method {
 // MethodCount returns the total number of (non-abstract) methods.
 func (p *Program) MethodCount() int {
 	n := 0
+	//maporder:free counts
 	for _, c := range p.Classes {
 		for _, m := range c.Methods {
 			if !m.Abstract {
@@ -297,6 +298,7 @@ func (p *Program) MethodCount() int {
 // analysis passes).
 func (p *Program) ClassNames() []string {
 	out := make([]string, 0, len(p.Classes))
+	//maporder:sorted below
 	for n := range p.Classes {
 		out = append(out, n)
 	}

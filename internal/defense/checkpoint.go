@@ -307,6 +307,7 @@ func (d *Defender) Checkpoint() *Checkpoint {
 		LastCoverage:       h.Coverage,
 		LastFallback:       h.FallbackUsed,
 	}
+	//maporder:sorted by pid below
 	for pid, m := range d.monitors {
 		mc := MonitorCheckpoint{
 			Name:      m.proc.Name(),

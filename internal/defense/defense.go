@@ -254,7 +254,7 @@ func newDefenderMetrics(reg *telemetry.Registry) defenderMetrics {
 		guardStops: reg.Counter("jgre_defender_guard_stops_total",
 			"Kill candidates skipped by the innocent-kill guard."),
 		corrReuse: reg.Counter("jgre_defender_correlator_reuse_total",
-			"Poll windows scored on recycled correlator state."),
+			"Poll-loop scores after the defender's first (its checkpoint carries the count across a restart)."),
 		corrTypesScored: reg.Counter("jgre_defender_correlator_types_scored_total",
 			"Interface types whose best-supported delay bucket contributed a nonzero score."),
 		corrTypesSkipped: reg.Counter("jgre_defender_correlator_types_skipped_total",
@@ -364,7 +364,7 @@ func (d *Defender) attachAll() {
 		return
 	}
 	d.Monitor(d.dev.SystemServer())
-	for _, name := range d.dev.AppServices().Names() {
+	for _, name := range d.dev.AppServiceNames() {
 		if svc := d.dev.AppService(name); svc != nil {
 			if p := svc.Owner().Proc(); p != nil {
 				d.Monitor(p)
@@ -725,6 +725,7 @@ func (d *Defender) effectiveDelta(w *binder.LogColumns) time.Duration {
 func (d *Defender) fallbackScores(victim kernel.Pid, corr []AppScore, coverage float64, scored bool) []AppScore {
 	attr := d.dev.Driver().AttributeRetainedRefs(victim)
 	merged := make(map[kernel.Uid]*AppScore, len(attr))
+	//maporder:free fills a map
 	for uid, n := range attr {
 		s := &AppScore{Uid: uid, Score: int64(n), ByType: map[string]int64{"driver.retained_refs": int64(n)}}
 		if a := d.dev.Apps().ByUid(uid); a != nil {
@@ -748,6 +749,7 @@ func (d *Defender) fallbackScores(victim kernel.Pid, corr []AppScore, coverage f
 		}
 	}
 	out := make([]AppScore, 0, len(merged))
+	//maporder:sorted by score, then uid, below
 	for _, s := range merged {
 		out = append(out, *s)
 	}

@@ -131,7 +131,7 @@ func (d *Device) CloneWithSeed(seed int64) (*Device, error) {
 
 // cloneWithSeed is CloneWithSeed with allocation recycling: prev, when
 // non-nil, must be a retired clone of this same sealed template whose
-// device is no longer referenced anywhere. Its host map, service slices,
+// device is no longer referenced anywhere. Its host and service slices,
 // slabs, kernel and driver storage and the generators its Rand handed
 // out are rewound and the new device is
 // rebuilt in place through the same boot-order replay as a cold clone,
@@ -150,16 +150,14 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 		}
 		// Harvest the retired clone's storage, rewound in place; the
 		// zeroing assignment below drops everything else.
-		clear(nd.hosts)
 		*nd = Device{
 			cfg:         d.cfg,
 			kern:        nd.kern,
 			driver:      nd.driver,
 			perms:       nd.perms,
 			apps:        nd.apps,
-			appReg:      nd.appReg,
 			rec:         nd.rec,
-			hosts:       nd.hosts,
+			hosts:       nd.hosts[:0],
 			services:    nd.services[:0],
 			appServices: nd.appServices[:0],
 			svcSlab:     nd.svcSlab,
@@ -213,44 +211,39 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 		nd.apps = new(apps.Manager)
 	}
 	d.apps.CloneInto(nd.apps, nd.kern, nd.perms)
-	if nd.appReg == nil {
-		nd.appReg = apps.NewServiceRegistry(nd.driver)
-	} else {
-		nd.appReg.ResetFor(nd.driver)
-	}
 
-	if nd.hosts == nil {
-		nd.hosts = make(map[string]*kernel.Process, len(d.hosts))
+	// Hosts materialize in the template's spawn order, after the apps in
+	// uid order, so the process table grows in the same steps on every
+	// clone. The slice is the clone's own: a soft reboot rewinds it.
+	nd.hosts = slices.Grow(nd.hosts, len(d.hosts))
+	for _, p := range d.hosts {
+		nd.hosts = append(nd.hosts, nd.kern.Process(p.Pid()))
 	}
-	for name, p := range d.hosts {
-		nd.hosts[name] = nd.kern.Process(p.Pid())
-	}
-	nd.systemServer = nd.hosts[kernel.SystemServerName]
 
 	// Census services replay in the template's catalog order, then app
 	// services in its publish order, each into one slab allocation. Each
 	// HandleOf mints its stub's node in boot order, so every handle equals
-	// the template's and the clone reads the template's handle index.
+	// the template's and the clone reads the template's handle index. A
+	// service's host and an app service's owner are found by the
+	// template's pid and uid.
 	nd.handleIndex = d.handleIndex
 	nd.svcSlab = slices.Grow(nd.svcSlab[:0], len(d.services))[:len(d.services)]
 	nd.services = slices.Grow(nd.services, len(d.services))
 	for i, tmpl := range d.services {
 		svc := &nd.svcSlab[i]
-		tmpl.CloneInto(svc, nd.hosts[tmpl.Host().Name()], nd.driver, nd.clock, nd.perms, seed)
+		tmpl.CloneInto(svc, nd.kern.Process(tmpl.Host().Pid()), nd.driver, nd.clock, nd.perms, seed)
 		nd.driver.HandleOf(svc.Stub())
 		nd.services = append(nd.services, svc)
 	}
 	nd.appSlab = slices.Grow(nd.appSlab[:0], len(d.appServices))[:len(d.appServices)]
 	nd.appServices = slices.Grow(nd.appServices, len(d.appServices))
 	for i, tmpl := range d.appServices {
-		owner := nd.apps.ByPackage(tmpl.Owner().Package())
+		owner := nd.apps.ByUid(tmpl.Owner().Uid())
 		if owner == nil {
 			return nil, fmt.Errorf("device: clone template missing app %s", tmpl.Owner().Package())
 		}
 		svc := &nd.appSlab[i]
-		if err := tmpl.CloneInto(svc, owner, nd.driver, nd.clock, nd.appReg, seed); err != nil {
-			return nil, fmt.Errorf("device: cloning app service %s: %w", tmpl.Name(), err)
-		}
+		tmpl.CloneInto(svc, owner, nd.driver, nd.clock, seed)
 		nd.driver.HandleOf(svc.Stub())
 		nd.appServices = append(nd.appServices, svc)
 	}

@@ -10,7 +10,6 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -82,8 +81,8 @@ var thirdPartyUids = map[string]kernel.Uid{
 type IPCTarget struct {
 	// Kind is "system" for system services, "app" for app services.
 	Kind string
-	// Service is the ServiceManager name (system) or the published
-	// registry name (app).
+	// Service is the ServiceManager name (system) or the name the app
+	// service is published under (app).
 	Service string
 	// Method is the resolved method name.
 	Method string
@@ -107,10 +106,10 @@ type Device struct {
 	sm     *binder.ServiceManager
 	perms  *permissions.Manager
 	apps   *apps.Manager
-	appReg *apps.ServiceRegistry
 
-	systemServer *kernel.Process
-	hosts        map[string]*kernel.Process
+	// hosts holds system_server and the dedicated service hosts in spawn
+	// order, system_server first: pids 1–3 on a stock boot.
+	hosts []*kernel.Process
 	// services holds the census services in catalog order and
 	// appServices the app services in publish order: the order a clone
 	// replays their stubs in, so driver ids and handles reproduce the
@@ -211,7 +210,6 @@ func BootFresh(cfg Config) (*Device, error) {
 	d.sm = binder.NewServiceManager(d.driver)
 	d.perms = permissions.NewManager(catalog.PermissionLevels)
 	d.apps = apps.NewManager(d.kern, d.perms)
-	d.appReg = apps.NewServiceRegistry(d.driver)
 
 	if err := d.startSystem(); err != nil {
 		return nil, err
@@ -271,8 +269,7 @@ func (d *Device) publishAppService(name string, rows []catalog.AppInterface) (*a
 	if owner == nil {
 		return nil, fmt.Errorf("app %s not installed", rows[0].Package)
 	}
-	d.appReg.Unpublish(name)
-	svc, err := apps.NewAppService(owner, d.driver, d.clock, d.appReg, rows, d.cfg.Seed)
+	svc, err := apps.NewAppService(owner, d.driver, d.clock, rows, d.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -287,25 +284,24 @@ func (d *Device) publishAppService(name string, rows []catalog.AppInterface) (*a
 // startSystem spawns system_server and the dedicated host processes, then
 // instantiates all census services.
 func (d *Device) startSystem() error {
-	d.hosts = make(map[string]*kernel.Process)
+	d.hosts = d.hosts[:0]
 	d.services = d.services[:0]
 	d.handleIndex = make(map[binder.Handle]handleEntry)
 
-	d.systemServer = d.kern.Spawn(kernel.SpawnConfig{
+	d.hosts = append(d.hosts, d.kern.Spawn(kernel.SpawnConfig{
 		Name:        kernel.SystemServerName,
 		Uid:         kernel.SystemUid,
 		OomScoreAdj: kernel.SystemAdj,
 		MemoryKB:    180 * 1024,
 		VM:          d.cfg.ServerVM,
-	})
-	d.hosts[kernel.SystemServerName] = d.systemServer
+	}))
 
 	for i := 0; i < catalog.NumServices(); i++ {
 		meta := catalog.ServiceAt(i)
-		hostName := meta.HostProcess()
-		host, ok := d.hosts[hostName]
-		if !ok {
-			host = d.spawnHost(hostName)
+		host := d.Host(meta.HostProcess())
+		if host == nil {
+			host = d.spawnHost(meta.HostProcess())
+			d.hosts = append(d.hosts, host)
 		}
 		svc, err := d.startService(meta, host)
 		if err != nil {
@@ -318,14 +314,12 @@ func (d *Device) startSystem() error {
 
 // spawnHost starts the dedicated host process name for census services.
 func (d *Device) spawnHost(name string) *kernel.Process {
-	host := d.kern.Spawn(kernel.SpawnConfig{
+	return d.kern.Spawn(kernel.SpawnConfig{
 		Name:        name,
 		Uid:         kernel.SystemUid,
 		OomScoreAdj: kernel.PersistentProcAdj,
 		MemoryKB:    30 * 1024,
 	})
-	d.hosts[name] = host
-	return host
 }
 
 // startService starts the census service meta on host, registers it
@@ -470,11 +464,8 @@ func (d *Device) Permissions() *permissions.Manager { return d.perms }
 // Apps returns the app installer.
 func (d *Device) Apps() *apps.Manager { return d.apps }
 
-// AppServices returns the app-service registry.
-func (d *Device) AppServices() *apps.ServiceRegistry { return d.appReg }
-
 // SystemServer returns the current system_server process.
-func (d *Device) SystemServer() *kernel.Process { return d.systemServer }
+func (d *Device) SystemServer() *kernel.Process { return d.hosts[0] }
 
 // Service returns a running system service by registry name.
 func (d *Device) Service(name string) *services.Service {
@@ -496,6 +487,30 @@ func (d *Device) AppService(name string) *apps.AppService {
 
 func (d *Device) appServiceIndex(name string) int {
 	return slices.IndexFunc(d.appServices, func(s *apps.AppService) bool { return s.Name() == name })
+}
+
+// AppServiceNames returns the published app-service names, sorted.
+func (d *Device) AppServiceNames() []string {
+	out := make([]string, len(d.appServices))
+	for i, s := range d.appServices {
+		out[i] = s.Name()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// BindAppService returns client's proxy on the named app service, as
+// bindService resolves an app's exported service: an error for a name
+// nothing published, binder.ErrDeadObject once the owning app died.
+func (d *Device) BindAppService(name string, client *kernel.Process) (*binder.BinderRef, error) {
+	svc := d.AppService(name)
+	if svc == nil {
+		return nil, fmt.Errorf("device: no app service %q", name)
+	}
+	if !svc.Stub().IsAlive() {
+		return nil, binder.ErrDeadObject
+	}
+	return d.driver.Materialize(client, svc.Stub())
 }
 
 // Rand returns a math/rand generator seeded with seed, for an actor
@@ -543,26 +558,32 @@ func (d *Device) NewClient(a *apps.App, serviceName string) (*services.Client, e
 // the fail-fast default.
 func (d *Device) SetClientRetry(p services.RetryPolicy) { d.clientRetry = p }
 
-// HostNames returns the dedicated service host processes (sorted,
-// excluding system_server) — the supervisor's restart targets.
+// HostNames returns the dedicated service host processes in spawn order
+// (excluding system_server) — the supervisor's restart targets. On the
+// census, spawn order is name order.
 func (d *Device) HostNames() []string {
-	out := make([]string, 0, len(d.hosts))
-	for name := range d.hosts {
-		if name == kernel.SystemServerName {
-			continue
-		}
-		out = append(out, name)
+	out := make([]string, len(d.hosts)-1)
+	for i, p := range d.hosts[1:] {
+		out[i] = p.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Host returns a service host process by name (nil if unknown).
-func (d *Device) Host(name string) *kernel.Process { return d.hosts[name] }
+func (d *Device) Host(name string) *kernel.Process {
+	if i := d.hostIndex(name); i >= 0 {
+		return d.hosts[i]
+	}
+	return nil
+}
+
+func (d *Device) hostIndex(name string) int {
+	return slices.IndexFunc(d.hosts, func(p *kernel.Process) bool { return p.Name() == name })
+}
 
 // OnServiceRestart registers fn to run after each completed service
 // re-registration (kind is "host" or "app", name the host process or
-// app-service registry name). The defense layer uses it to re-attach
+// app-service name). The defense layer uses it to re-attach
 // JGR monitors to replacement host processes.
 func (d *Device) OnServiceRestart(fn func(kind, name string)) {
 	d.onServiceRestart = append(d.onServiceRestart, fn)
@@ -585,14 +606,15 @@ func (d *Device) RestartHost(name string) error {
 	if name == kernel.SystemServerName {
 		return fmt.Errorf("device: %s restarts via soft reboot, not RestartHost", name)
 	}
-	host, ok := d.hosts[name]
-	if !ok {
+	h := d.hostIndex(name)
+	if h < 0 {
 		return fmt.Errorf("device: unknown host %s", name)
 	}
-	if host.Alive() {
+	if d.hosts[h].Alive() {
 		return nil
 	}
-	host = d.spawnHost(name)
+	host := d.spawnHost(name)
+	d.hosts[h] = host
 	d.handleIndex = maps.Clone(d.handleIndex)
 	for i := 0; i < catalog.NumServices(); i++ {
 		meta := catalog.ServiceAt(i)
@@ -702,11 +724,11 @@ func (d *Device) RegisterBroadcastReceiver(proc *kernel.Process) error {
 		return fmt.Errorf("device: dead registrant")
 	}
 	d.broadcastSeq++
-	ref, err := d.systemServer.VM().AddGlobalRef(&art.Object{ID: art.ObjectID(1<<40 + d.broadcastSeq)})
+	ss := d.SystemServer()
+	ref, err := ss.VM().AddGlobalRef(&art.Object{ID: art.ObjectID(1<<40 + d.broadcastSeq)})
 	if err != nil {
 		return err
 	}
-	ss := d.systemServer
 	proc.NotifyDeath(func(*kernel.Process) {
 		if ss.Alive() {
 			_ = ss.VM().DeleteGlobalRef(ref)

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"strings"
@@ -37,6 +38,17 @@ func TestBootRegistersAllServices(t *testing.T) {
 			t.Errorf("%s hosted in %s, want %s", meta.Name, svc.Host().Name(), meta.HostProcess())
 		}
 	}
+	// The dedicated hosts come in spawn order, pids 2 and 3 after
+	// system_server, which on the census is also name order: the order
+	// the chaos engine draws crash victims in.
+	if got := d.HostNames(); !reflect.DeepEqual(got, []string{"com.android.nfc", "mediaserver"}) {
+		t.Fatalf("HostNames = %v", got)
+	}
+	for i, name := range append([]string{kernel.SystemServerName}, d.HostNames()...) {
+		if pid := d.Host(name).Pid(); pid != kernel.Pid(i+1) {
+			t.Errorf("%s has pid %d, want %d", name, pid, i+1)
+		}
+	}
 }
 
 func TestBaselineProcessCount(t *testing.T) {
@@ -56,10 +68,11 @@ func TestBaselineJGRBand(t *testing.T) {
 
 func TestPrebuiltServicesPublished(t *testing.T) {
 	d := boot(t, Config{Seed: 1})
-	names := d.AppServices().Names()
-	// PicoService + GattService + AdapterService.
-	if len(names) != 3 {
-		t.Fatalf("published app services = %v, want 3", names)
+	names := d.AppServiceNames()
+	// PicoService + GattService + AdapterService, in name order, where
+	// they publish with PicoService first.
+	if len(names) != 3 || !sort.StringsAreSorted(names) {
+		t.Fatalf("published app services = %v, want 3, sorted", names)
 	}
 	for _, row := range catalog.PrebuiltAppInterfaces() {
 		if d.AppService("") != nil {
@@ -68,6 +81,34 @@ func TestPrebuiltServicesPublished(t *testing.T) {
 		if svc := d.AppService(appServiceNameOf(row)); svc == nil {
 			t.Errorf("app service for %s not published", row.FullName())
 		}
+	}
+}
+
+// TestBindAppService binds a client to a published app service, and
+// fails to bind to a name nothing published or to a service whose owning
+// app died.
+func TestBindAppService(t *testing.T) {
+	d := boot(t, Config{Seed: 1})
+	client, err := d.Apps().Install("com.client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := client.Start()
+	if _, err := d.BindAppService("missing", cp); err == nil {
+		t.Fatal("bind to a missing service succeeded")
+	}
+	const name = "com.svox.pico/PicoService"
+	ref, err := d.BindAppService(name, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := d.AppService(name)
+	if ref.Binder().Owner() != svc.Owner().Proc() {
+		t.Fatal("proxy does not reach the service's owner")
+	}
+	svc.Owner().ForceStop("gone")
+	if _, err := d.BindAppService(name, cp); !errors.Is(err, binder.ErrDeadObject) {
+		t.Fatalf("bind to a dead service error = %v, want ErrDeadObject", err)
 	}
 }
 
@@ -222,6 +263,20 @@ func TestStatsAndDump(t *testing.T) {
 	}
 }
 
+var statsSink Stats
+
+// TestStatsAllocatesNothing: a fleet probe trial reads Stats once, so it
+// counts the running apps over the installer's own slice.
+func TestStatsAllocatesNothing(t *testing.T) {
+	d := boot(t, Config{Seed: 1})
+	if _, err := d.Apps().Install("com.app"); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { statsSink = d.Stats() }); n != 0 {
+		t.Fatalf("Stats allocated %v times, want 0", n)
+	}
+}
+
 func TestBroadcastChannelBypassesBinderAccounting(t *testing.T) {
 	d := boot(t, Config{Seed: 13})
 	d.Driver().EnableIPCLogging()
@@ -252,7 +307,7 @@ func TestBroadcastChannelBypassesBinderAccounting(t *testing.T) {
 func TestThirdPartyInstallAndResolve(t *testing.T) {
 	d := boot(t, Config{Seed: 14, InstallThirdPartyApps: true})
 	// All three Table V services published alongside the prebuilt three.
-	if got := len(d.AppServices().Names()); got != 6 {
+	if got := len(d.AppServiceNames()); got != 6 {
 		t.Fatalf("published app services = %d, want 6", got)
 	}
 	tts := d.Apps().ByPackage("com.google.android.tts")
@@ -264,7 +319,7 @@ func TestThirdPartyInstallAndResolve(t *testing.T) {
 	client, _ := d.Apps().Install("com.caller.app")
 	cp := client.Start()
 	row := catalog.ThirdPartyAppInterfaces()[0]
-	ref, err := d.AppServices().Bind("com.google.android.tts/TextToSpeechService", cp)
+	ref, err := d.BindAppService("com.google.android.tts/TextToSpeechService", cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +362,7 @@ func TestThirdPartyInstallAndResolve(t *testing.T) {
 	if d.SoftReboots() != 1 {
 		t.Fatal("no reboot")
 	}
-	if got := len(d.AppServices().Names()); got != 6 {
+	if got := len(d.AppServiceNames()); got != 6 {
 		t.Fatalf("app services after reboot = %d, want 6", got)
 	}
 }

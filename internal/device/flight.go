@@ -42,8 +42,8 @@ func (d *Device) attachTraceVMs() {
 // plus the running apps (transaction senders).
 func (d *Device) ProcNames() map[int32]string {
 	names := make(map[int32]string, len(d.hosts)+8)
-	for name, p := range d.hosts {
-		names[int32(p.Pid())] = name
+	for _, p := range d.hosts {
+		names[int32(p.Pid())] = p.Name()
 	}
 	for _, a := range d.apps.Installed() {
 		if a.Running() {

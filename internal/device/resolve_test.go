@@ -37,7 +37,7 @@ func oracleIndex(t *testing.T, d *Device) map[binder.Handle]oracleEntry {
 		idx[d.Driver().HandleOf(svc.Stub())] = oracleEntry{kind: "system", name: meta.Name, methods: methods}
 	}
 	rows := append(catalog.PrebuiltAppInterfaces(), catalog.ThirdPartyAppInterfaces()...)
-	for _, name := range d.AppServices().Names() {
+	for _, name := range d.AppServiceNames() {
 		svc := d.AppService(name)
 		methods := make(map[binder.TxCode]string)
 		for _, row := range rows {

@@ -50,6 +50,7 @@ func (d *Device) Stats() Stats {
 		}
 	}
 	ls := d.driver.LogStats()
+	vm := d.SystemServer().VM()
 	var health *DefenderHealth
 	if d.defenderHealth != nil {
 		h := d.defenderHealth()
@@ -62,9 +63,9 @@ func (d *Device) Stats() Stats {
 		Services:            len(d.services),
 		SoftReboots:         d.kern.SoftReboots(),
 		LMKKills:            d.kern.LMKKills(),
-		SystemServerJGR:     d.systemServer.VM().GlobalRefCount(),
-		SystemServerPeakJGR: d.systemServer.VM().PeakGlobalRefCount(),
-		JGRCap:              d.systemServer.VM().MaxGlobal(),
+		SystemServerJGR:     vm.GlobalRefCount(),
+		SystemServerPeakJGR: vm.PeakGlobalRefCount(),
+		JGRCap:              vm.MaxGlobal(),
 		Transactions:        d.driver.TotalTransactions(),
 		IPCLogSeq:           ls.Seq,
 		IPCLogDropped:       ls.DroppedRate,

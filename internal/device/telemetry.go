@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/art"
-	"repro/internal/kernel"
 	"repro/internal/telemetry"
 )
 
@@ -111,13 +110,10 @@ func (d *Device) registerMetrics() {
 	// Per-process JGR and frame-churn series for the monitored hosts:
 	// system_server plus the dedicated service hosts (~10 processes, not
 	// all 382 — the filler daemons are native and have no runtime to
-	// report). Closures read d.hosts at render time, so a soft reboot
+	// report). Closures look the host up at render time, so a soft reboot
 	// transparently re-points every series at the host's new incarnation.
-	d.registerHostMetrics(kernel.SystemServerName)
-	for name := range d.hosts {
-		if name != kernel.SystemServerName {
-			d.registerHostMetrics(name)
-		}
+	for _, p := range d.hosts {
+		d.registerHostMetrics(p.Name())
 	}
 
 	if in := d.FaultInjector(); in != nil {
@@ -151,7 +147,7 @@ func (d *Device) registerMetrics() {
 // registerHostMetrics wires one monitored host process's runtime series.
 func (d *Device) registerHostMetrics(name string) {
 	vm := func() *art.VM {
-		if p, ok := d.hosts[name]; ok {
+		if p := d.Host(name); p != nil {
 			return p.VM()
 		}
 		return nil

@@ -84,8 +84,10 @@ func (m *Manager) CloneInto(dst *Manager) {
 	} else {
 		clear(dst.grants)
 	}
+	//maporder:free copies into a map
 	for uid, g := range m.grants {
 		ng := make(map[Permission]bool, len(g))
+		//maporder:free copies into a map
 		for p, v := range g {
 			ng[p] = v
 		}

@@ -126,6 +126,7 @@ func List() []Scenario {
 	mu.RLock()
 	defer mu.RUnlock()
 	out := make([]Scenario, 0, len(registry))
+	//maporder:sorted by group, then name, below
 	for _, s := range registry {
 		out = append(out, s)
 	}

@@ -293,6 +293,7 @@ func (s *Service) EntryCount(methodName string) int { return s.entries[methodNam
 // TotalEntries returns all retained registrations of the service.
 func (s *Service) TotalEntries() int {
 	n := 0
+	//maporder:free sums
 	for _, l := range s.entries {
 		n += l.Len()
 	}

@@ -135,6 +135,7 @@ func Rate(samples []Sample) []float64 {
 // the count of ticks the longest sparkline has lost off its left edge.
 func (s *Sampler) Dropped() uint64 {
 	var n uint64
+	//maporder:free takes the maximum
 	for _, r := range s.rings {
 		n = max(n, r.Dropped())
 	}

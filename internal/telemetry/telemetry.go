@@ -269,6 +269,7 @@ func (r *Registry) sortedInstruments() []*instrument {
 	defer r.mu.Unlock()
 	if r.dirty {
 		r.order = r.order[:0]
+		//maporder:sorted below
 		for name := range r.byKey {
 			r.order = append(r.order, name)
 		}

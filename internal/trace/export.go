@@ -84,10 +84,12 @@ func ExportChrome(w io.Writer, spans []SpanRecord, procNames map[int32]string) e
 	for _, s := range sorted {
 		pids[s.Pid] = true
 	}
+	//maporder:free fills a set
 	for pid := range procNames {
 		pids[pid] = true
 	}
 	order := make([]int32, 0, len(pids))
+	//maporder:sorted by pid below
 	for pid := range pids {
 		order = append(order, pid)
 	}

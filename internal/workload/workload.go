@@ -411,7 +411,7 @@ func NewAppAttacker(dev *device.Device, app *apps.App, row catalog.AppInterface)
 		return nil, fmt.Errorf("workload: app service %s not published", regName)
 	}
 	proc := app.Start()
-	ref, err := dev.AppServices().Bind(regName, proc)
+	ref, err := dev.BindAppService(regName, proc)
 	if err != nil {
 		return nil, err
 	}
